@@ -21,7 +21,7 @@
 //! far and plain versions coincide (verified by unit and property tests),
 //! exactly as Section 4.1 states for the mainstream data stores.
 
-use std::collections::HashMap;
+use c4_store::op::{ObjectName, OpKind};
 
 use crate::consistency::formulas_consistent;
 use crate::spec::SpecFormula;
@@ -65,33 +65,53 @@ impl FromIterator<OpSig> for Alphabet {
     }
 }
 
+/// The index of a signature in a [`FarSpec`]'s alphabet (its position in
+/// [`Alphabet::sigs`]). Resolve it once with [`FarSpec::sig_id`]; the
+/// `*_id` lookups are then two multiplications and a borrow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SigId(pub u32);
+
 /// The far relations over a fixed alphabet.
+///
+/// Every relation is kept as a dense `n × n` table over the alphabet's
+/// `n` signatures, indexed `src * n + tgt`: far absorption, far
+/// commutation in both orientations, plain commutation and the
+/// anti-dependency exemption.
 #[derive(Debug, Clone)]
 pub struct FarSpec {
     spec: RewriteSpec,
-    far_abs: HashMap<(OpSig, OpSig), SpecFormula>,
-    far_com_uq: HashMap<(OpSig, OpSig), SpecFormula>,
+    sigs: Vec<OpSig>,
+    far_abs: Vec<SpecFormula>,
+    far_com: Vec<SpecFormula>,
+    commute: Vec<SpecFormula>,
+    anti_exempt: Vec<SpecFormula>,
 }
 
 impl FarSpec {
     /// Computes the far relations for the given alphabet (R1)/(R2).
     pub fn compute(spec: RewriteSpec, alphabet: &Alphabet) -> Self {
-        let updates: Vec<&OpSig> = alphabet.updates().collect();
-        let queries: Vec<&OpSig> = alphabet.queries().collect();
+        let sigs = alphabet.sigs().to_vec();
+        let n = sigs.len();
+        let pairs = |f: &dyn Fn(&OpSig, &OpSig) -> SpecFormula| -> Vec<SpecFormula> {
+            sigs.iter().flat_map(|a| sigs.iter().map(move |b| f(a, b))).collect()
+        };
+        let commute = pairs(&|a, b| spec.commute(a, b));
+        let anti_exempt = pairs(&|a, b| spec.anti_dep_exempt(a, b));
+        let updates: Vec<usize> = (0..n).filter(|&i| sigs[i].is_update()).collect();
+        let queries: Vec<usize> = (0..n).filter(|&i| sigs[i].is_query()).collect();
 
         // --- far absorption: gfp refinement of plain absorption ---
-        let mut far_abs: HashMap<(OpSig, OpSig), SpecFormula> = HashMap::new();
+        let mut far_abs = vec![SpecFormula::False; n * n];
         for &u in &updates {
             for &v in &updates {
-                far_abs.insert((u.clone(), v.clone()), spec.absorbs(u, v));
+                far_abs[u * n + v] = spec.absorbs(&sigs[u], &sigs[v]);
             }
         }
         loop {
             let mut changed = false;
             for &u in &updates {
                 for &v in &updates {
-                    let key = (u.clone(), v.clone());
-                    let cur = far_abs[&key].clone();
+                    let cur = &far_abs[u * n + v];
                     if cur.is_false() {
                         continue;
                     }
@@ -100,18 +120,15 @@ impl FarSpec {
                     // u, or v far-absorbs *it* (then m itself can be removed
                     // in front of v first).
                     let broken = updates.iter().any(|&m| {
-                        let com_um = spec.commute(u, m);
-                        let abs_um = far_abs[&(u.clone(), m.clone())].clone();
-                        let abs_mv = far_abs[&(m.clone(), v.clone())].clone();
                         formulas_consistent(&[
-                            (&cur, false, 0, 1),
-                            (&com_um, true, 0, 2),
-                            (&abs_um, true, 0, 2),
-                            (&abs_mv, true, 2, 1),
+                            (cur, false, 0, 1),
+                            (&commute[u * n + m], true, 0, 2),
+                            (&far_abs[u * n + m], true, 0, 2),
+                            (&far_abs[m * n + v], true, 2, 1),
                         ])
                     });
                     if broken {
-                        far_abs.insert(key, SpecFormula::False);
+                        far_abs[u * n + v] = SpecFormula::False;
                         changed = true;
                     }
                 }
@@ -122,35 +139,35 @@ impl FarSpec {
         }
 
         // --- far commutativity u ↷º q: gfp refinement of plain (R2) ---
-        let mut far_com_uq: HashMap<(OpSig, OpSig), SpecFormula> = HashMap::new();
-        for &u in &updates {
-            for &q in &queries {
-                far_com_uq.insert((u.clone(), q.clone()), spec.commute(u, q));
-            }
-        }
+        // Update/update pairs use plain commutativity, query/query pairs
+        // always far-commute; query/update pairs are filled in flipped
+        // once the update/query half is final.
+        let mut far_com: Vec<SpecFormula> = (0..n * n)
+            .map(|i| match (sigs[i / n].is_update(), sigs[i % n].is_update()) {
+                (false, false) => SpecFormula::True,
+                (false, true) => SpecFormula::False,
+                _ => commute[i].clone(),
+            })
+            .collect();
         loop {
             let mut changed = false;
             for &u in &updates {
                 for &q in &queries {
-                    let key = (u.clone(), q.clone());
-                    let cur = far_com_uq[&key].clone();
+                    let cur = &far_com[u * n + q];
                     if cur.is_false() {
                         continue;
                     }
                     // Slots: 0 = u, 1 = q, 2 = interposer m.
                     let broken = updates.iter().any(|&m| {
-                        let com_um = spec.commute(u, m);
-                        let far_mq = far_com_uq[&(m.clone(), q.clone())].clone();
-                        let abs_um = far_abs[&(u.clone(), m.clone())].clone();
                         formulas_consistent(&[
-                            (&cur, false, 0, 1),
-                            (&com_um, true, 0, 2),
-                            (&far_mq, true, 2, 1),
-                            (&abs_um, true, 0, 2),
+                            (cur, false, 0, 1),
+                            (&commute[u * n + m], true, 0, 2),
+                            (&far_com[m * n + q], true, 2, 1),
+                            (&far_abs[u * n + m], true, 0, 2),
                         ])
                     });
                     if broken {
-                        far_com_uq.insert(key, SpecFormula::False);
+                        far_com[u * n + q] = SpecFormula::False;
                         changed = true;
                     }
                 }
@@ -159,8 +176,13 @@ impl FarSpec {
                 break;
             }
         }
+        for &q in &queries {
+            for &u in &updates {
+                far_com[q * n + u] = far_com[u * n + q].flipped();
+            }
+        }
 
-        FarSpec { spec, far_abs, far_com_uq }
+        FarSpec { spec, sigs, far_abs, far_com, commute, anti_exempt }
     }
 
     /// The underlying rewrite specification.
@@ -168,31 +190,77 @@ impl FarSpec {
         &self.spec
     }
 
+    /// The alphabet the relations are computed over, sorted.
+    pub fn sigs(&self) -> &[OpSig] {
+        &self.sigs
+    }
+
+    /// The id of the signature `object.kind`, if it is in the alphabet.
+    /// Takes the parts by reference, so no signature is built to look
+    /// one up.
+    pub fn sig_id(&self, object: &ObjectName, kind: &OpKind) -> Option<SigId> {
+        self.sigs
+            .binary_search_by(|s| s.object.cmp(object).then_with(|| s.kind.cmp(kind)))
+            .ok()
+            .map(|i| SigId(i as u32))
+    }
+
+    fn id_of(&self, sig: &OpSig) -> Option<SigId> {
+        self.sig_id(&sig.object, &sig.kind)
+    }
+
+    fn at<'a>(&self, table: &'a [SpecFormula], src: SigId, tgt: SigId) -> &'a SpecFormula {
+        &table[src.0 as usize * self.sigs.len() + tgt.0 as usize]
+    }
+
+    /// Far absorption `src ▷ tgt` between two alphabet signatures.
+    pub fn far_absorbs_id(&self, src: SigId, tgt: SigId) -> &SpecFormula {
+        self.at(&self.far_abs, src, tgt)
+    }
+
+    /// Far commutativity between two alphabet signatures (see
+    /// [`FarSpec::far_commutes`]).
+    pub fn far_commutes_id(&self, src: SigId, tgt: SigId) -> &SpecFormula {
+        self.at(&self.far_com, src, tgt)
+    }
+
+    /// Plain commutativity ([`RewriteSpec::commute`]) between two alphabet
+    /// signatures.
+    pub fn commute_id(&self, src: SigId, tgt: SigId) -> &SpecFormula {
+        self.at(&self.commute, src, tgt)
+    }
+
+    /// The anti-dependency exemption ([`RewriteSpec::anti_dep_exempt`])
+    /// between two alphabet signatures.
+    pub fn anti_dep_exempt_id(&self, src: SigId, tgt: SigId) -> &SpecFormula {
+        self.at(&self.anti_exempt, src, tgt)
+    }
+
     /// Far absorption `src ▷ tgt` as a formula over the pair's arguments.
     ///
     /// Pairs outside the alphabet fall back to `False` (conservative).
     pub fn far_absorbs(&self, src: &OpSig, tgt: &OpSig) -> SpecFormula {
-        self.far_abs.get(&(src.clone(), tgt.clone())).cloned().unwrap_or(SpecFormula::False)
+        match (self.id_of(src), self.id_of(tgt)) {
+            (Some(a), Some(b)) => self.far_absorbs_id(a, b).clone(),
+            _ => SpecFormula::False,
+        }
     }
 
     /// Far commutativity between two events, extended to all event kinds as
     /// in Section 4.1: update/query pairs use (R2) in either orientation,
     /// query/query pairs always far-commute, update/update pairs use plain
     /// commutativity.
+    ///
+    /// Update/query pairs outside the alphabet fall back to `False`
+    /// (conservative).
     pub fn far_commutes(&self, src: &OpSig, tgt: &OpSig) -> SpecFormula {
+        if let (Some(a), Some(b)) = (self.id_of(src), self.id_of(tgt)) {
+            return self.far_commutes_id(a, b).clone();
+        }
         match (src.is_update(), tgt.is_update()) {
             (true, true) => self.spec.commute(src, tgt),
             (false, false) => SpecFormula::True,
-            (true, false) => self
-                .far_com_uq
-                .get(&(src.clone(), tgt.clone()))
-                .cloned()
-                .unwrap_or(SpecFormula::False),
-            (false, true) => self
-                .far_com_uq
-                .get(&(tgt.clone(), src.clone()))
-                .map(|f| f.flipped())
-                .unwrap_or(SpecFormula::False),
+            _ => SpecFormula::False,
         }
     }
 
@@ -339,6 +407,41 @@ mod tests {
             c4_store::Operation::map_get("M", c4_store::Value::str("a"), c4_store::Value::int(1));
         assert!(!far.far_commutes_concrete(&put, &get_a));
         assert!(!far.far_commutes_concrete(&get_a, &put));
+    }
+
+    #[test]
+    fn id_tables_match_the_relations() {
+        let spec = RewriteSpec::new();
+        let mut sigs = map_alphabet(true).sigs().to_vec();
+        sigs.push(OpSig::new("N", OpKind::MapPut));
+        sigs.push(OpSig::new("N", OpKind::MapGet));
+        let far = FarSpec::compute(spec, &Alphabet::new(sigs));
+        let id = |s: &OpSig| far.sig_id(&s.object, &s.kind).expect("in the alphabet");
+        for a in far.sigs() {
+            for b in far.sigs() {
+                let (ia, ib) = (id(a), id(b));
+                assert_eq!(far.far_absorbs_id(ia, ib), &far.far_absorbs(a, b), "{a} / {b}");
+                assert_eq!(far.far_commutes_id(ia, ib), &far.far_commutes(a, b), "{a} / {b}");
+                assert_eq!(far.commute_id(ia, ib), &spec.commute(a, b), "{a} / {b}");
+                assert_eq!(
+                    far.anti_dep_exempt_id(ia, ib),
+                    &spec.anti_dep_exempt(a, b),
+                    "{a} / {b}"
+                );
+                if a.is_query() && b.is_update() {
+                    assert_eq!(
+                        far.far_commutes_id(ia, ib),
+                        &far.far_commutes_id(ib, ia).flipped(),
+                        "{a} / {b}"
+                    );
+                }
+            }
+        }
+        let outside = OpSig::new("O", OpKind::MapPut);
+        assert_eq!(far.sig_id(&outside.object, &outside.kind), None);
+        let put = OpSig::new("M", OpKind::MapPut);
+        assert!(far.far_absorbs(&outside, &put).is_false());
+        assert_eq!(far.far_commutes(&outside, &outside), spec.commute(&outside, &outside));
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod spec;
 mod tables;
 
 pub use consistency::{Lit, Slot, SlotTerm};
-pub use far::{Alphabet, FarSpec};
+pub use far::{Alphabet, FarSpec, SigId};
 pub use spec::{ArgTerm, Side, SpecFormula};
 pub use tables::RewriteSpec;
 

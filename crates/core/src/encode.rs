@@ -13,19 +13,23 @@
 //! structure and difference logic. Fresh row identities get `distinct`
 //! axioms plus the Section 8 "access implies observed creation" rule.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
-use c4_algebra::{ArgTerm, FarSpec, Side, SpecFormula};
+use c4_algebra::{ArgTerm, FarSpec, Side, SigId, SpecFormula};
 use c4_smt::{Context, Incremental, SatResult, Sort, TermId};
 use c4_store::Value;
 
 use crate::abstract_history::{AbsArg, Cond, RelOp, TxPath};
 use crate::check::AnalysisFeatures;
-use crate::ssg::{may_not_commute, tv_eval, CandidateCycle, PairCtx, SsgLabel, Tv};
+use crate::ssg::{tv_eval, CandidateCycle, PairCtx, SsgLabel, Tv};
 use crate::unfold::Unfolding;
 
 /// Sentinel base for non-integer constants.
 const SENTINEL_BASE: i64 = -1_000_000;
+
+/// Fills the unused cells of the dense per-pair variable tables.
+const NO_TERM: TermId = TermId(u32::MAX);
 
 /// A decoded model of a cycle query.
 #[derive(Debug)]
@@ -51,6 +55,9 @@ pub struct CycleEncoder<'a> {
     consts: HashMap<Value, i64>,
     rev_consts: HashMap<i64, Value>,
     next_sentinel: i64,
+    /// The alphabet id of every event's signature, per instance, resolved
+    /// once so far-relation lookups are table reads.
+    sig: Vec<Vec<SigId>>,
     globals: Vec<TermId>,
     locals: Vec<Vec<TermId>>, // per session
     params: Vec<Vec<TermId>>, // per instance
@@ -58,12 +65,17 @@ pub struct CycleEncoder<'a> {
     fresh: Vec<Vec<Option<TermId>>>,
     wild: HashMap<(usize, usize, usize), TermId>,
     act: Vec<Vec<TermId>>, // per instance, per event: activation formula
-    paths: Vec<Vec<TxPath>>,
+    paths: Vec<Cow<'a, [TxPath]>>,
     path_vars: Vec<Vec<TermId>>,
-    ar_vars: HashMap<(usize, usize), TermId>, // i < j: "i before j"
-    vis_vars: HashMap<(usize, usize), TermId>,
+    ar_vars: Vec<TermId>,  // [i * n + j] for i < j: "i before j"
+    vis_vars: Vec<TermId>, // [i * n + j] for i ≠ j
     assertions: Vec<TermId>,
-    eo_reach: Vec<Vec<Vec<bool>>>,
+    eo_reach: Vec<&'a Vec<Vec<bool>>>,
+    /// Memoized [`CycleEncoder::step_term`] results, indexed
+    /// `(a * n + b) * 3 + label`. A step term is a pure function of the
+    /// encoder's declarations, so a repeat build would only re-find the
+    /// same hash-consed terms.
+    steps: Vec<Option<TermId>>,
     /// Incremental mode: a persistent solver session holding the shared
     /// structural encoding; candidate step assertions are guarded behind
     /// activation literals and solved under assumptions.
@@ -76,8 +88,25 @@ pub struct CycleEncoder<'a> {
 impl<'a> CycleEncoder<'a> {
     /// Builds the encoder: declares all symbols and asserts the structural
     /// axioms (paths, orders, invariants, freshness).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an event's signature is outside `far`'s alphabet.
     pub fn new(u: &'a Unfolding, far: &'a FarSpec, features: &'a AnalysisFeatures) -> Self {
         let _span = c4_obs::span("encoder_build");
+        let n = u.instances.len();
+        let sig = (0..n)
+            .map(|i| {
+                u.tx(i)
+                    .events
+                    .iter()
+                    .map(|ev| {
+                        far.sig_id(&ev.object, &ev.kind)
+                            .expect("event signature in the FarSpec alphabet")
+                    })
+                    .collect()
+            })
+            .collect();
         let mut enc = CycleEncoder {
             u,
             far,
@@ -86,6 +115,7 @@ impl<'a> CycleEncoder<'a> {
             consts: HashMap::new(),
             rev_consts: HashMap::new(),
             next_sentinel: SENTINEL_BASE,
+            sig,
             globals: Vec::new(),
             locals: Vec::new(),
             params: Vec::new(),
@@ -95,10 +125,11 @@ impl<'a> CycleEncoder<'a> {
             act: Vec::new(),
             paths: Vec::new(),
             path_vars: Vec::new(),
-            ar_vars: HashMap::new(),
-            vis_vars: HashMap::new(),
+            ar_vars: vec![NO_TERM; n * n],
+            vis_vars: vec![NO_TERM; n * n],
             assertions: Vec::new(),
             eo_reach: Vec::new(),
+            steps: vec![None; n * n * 3],
             session: None,
             session_cursor: 0,
         };
@@ -139,39 +170,31 @@ impl<'a> CycleEncoder<'a> {
             AbsArg::Global(g) => Some(*g as usize),
             _ => None,
         });
-        self.globals = (0..g_count).map(|g| self.ctx.var(format!("g{g}"), Sort::Int)).collect();
+        self.globals = (0..g_count).map(|_| self.ctx.fresh_var(Sort::Int)).collect();
         let l_count = self.max_symbol(|a| match a {
             AbsArg::Local(l) => Some(*l as usize),
             _ => None,
         });
         self.locals = (0..sessions)
-            .map(|s| {
-                (0..l_count).map(|l| self.ctx.var(format!("s{s}_l{l}"), Sort::Int)).collect()
-            })
+            .map(|_| (0..l_count).map(|_| self.ctx.fresh_var(Sort::Int)).collect())
             .collect();
         let u = self.u;
         for i in 0..n {
             let tx = u.tx(i);
-            self.params.push(
-                (0..tx.params.len())
-                    .map(|p| self.ctx.var(format!("i{i}_p{p}"), Sort::Int))
-                    .collect(),
-            );
-            self.rets.push(
-                (0..tx.events.len())
-                    .map(|e| self.ctx.var(format!("i{i}_r{e}"), Sort::Int))
-                    .collect(),
-            );
-            let mut fresh_row = Vec::new();
-            for (e, ev) in tx.events.iter().enumerate() {
-                if ev.kind == c4_store::op::OpKind::TblAddRow {
-                    fresh_row.push(Some(self.ctx.var(format!("i{i}_row{e}"), Sort::Int)));
-                } else {
-                    fresh_row.push(None);
-                }
-            }
+            self.params
+                .push((0..tx.params.len()).map(|_| self.ctx.fresh_var(Sort::Int)).collect());
+            self.rets
+                .push((0..tx.events.len()).map(|_| self.ctx.fresh_var(Sort::Int)).collect());
+            let fresh_row = tx
+                .events
+                .iter()
+                .map(|ev| {
+                    (ev.kind == c4_store::op::OpKind::TblAddRow)
+                        .then(|| self.ctx.fresh_var(Sort::Int))
+                })
+                .collect();
             self.fresh.push(fresh_row);
-            self.eo_reach.push(u.arena.reach(u.instances[i].orig_tx as crate::intern::BodyId).clone());
+            self.eo_reach.push(u.arena.reach(u.instances[i].orig_tx as crate::intern::BodyId));
         }
         // Boolean query results range over the two sentinels.
         let t = self.const_int(&Value::Bool(true));
@@ -194,12 +217,10 @@ impl<'a> CycleEncoder<'a> {
         for i in 0..n {
             for j in 0..n {
                 if i < j {
-                    let v = self.ctx.var(format!("ar_{i}_{j}"), Sort::Bool);
-                    self.ar_vars.insert((i, j), v);
+                    self.ar_vars[i * n + j] = self.ctx.fresh_var(Sort::Bool);
                 }
                 if i != j {
-                    let v = self.ctx.var(format!("vis_{i}_{j}"), Sort::Bool);
-                    self.vis_vars.insert((i, j), v);
+                    self.vis_vars[i * n + j] = self.ctx.fresh_var(Sort::Bool);
                 }
             }
         }
@@ -260,7 +281,7 @@ impl<'a> CycleEncoder<'a> {
         if let Some(&v) = self.wild.get(&(inst, event, pos)) {
             return v;
         }
-        let v = self.ctx.var(format!("w{inst}_{event}_{pos}"), Sort::Int);
+        let v = self.ctx.fresh_var(Sort::Int);
         self.wild.insert((inst, event, pos), v);
         v
     }
@@ -270,17 +291,16 @@ impl<'a> CycleEncoder<'a> {
         let u = self.u;
         for i in 0..u.instances.len() {
             let tx = &u.tx(i);
-            let trivial;
-            let paths: &[TxPath] = if self.features.control_flow {
-                u.arena.paths(u.instances[i].orig_tx as crate::intern::BodyId)
+            let paths: Cow<'a, [TxPath]> = if self.features.control_flow {
+                Cow::Borrowed(u.arena.paths(u.instances[i].orig_tx as crate::intern::BodyId))
             } else {
-                trivial =
-                    vec![TxPath { events: (0..tx.events.len() as u32).collect(), conds: vec![] }];
-                &trivial
+                Cow::Owned(vec![TxPath {
+                    events: (0..tx.events.len() as u32).collect(),
+                    conds: vec![],
+                }])
             };
-            let vars: Vec<TermId> = (0..paths.len())
-                .map(|p| self.ctx.var(format!("path_{i}_{p}"), Sort::Bool))
-                .collect();
+            let vars: Vec<TermId> =
+                (0..paths.len()).map(|_| self.ctx.fresh_var(Sort::Bool)).collect();
             // Exactly one path.
             let any = self.ctx.or(vars.iter().copied());
             self.assertions.push(any);
@@ -314,7 +334,7 @@ impl<'a> CycleEncoder<'a> {
                 acts.push(self.ctx.or(on));
             }
             self.act.push(acts);
-            self.paths.push(paths.to_vec());
+            self.paths.push(paths);
             self.path_vars.push(vars);
         }
     }
@@ -349,7 +369,7 @@ impl<'a> CycleEncoder<'a> {
                     continue;
                 }
                 // vı ⊆ ar.
-                let v = self.vis_vars[&(i, j)];
+                let v = self.vis(i, j);
                 let a = self.ar(i, j);
                 let imp = self.ctx.implies(v, a);
                 self.assertions.push(imp);
@@ -372,9 +392,9 @@ impl<'a> CycleEncoder<'a> {
                     let conj = self.ctx.and([aij, ajk]);
                     let imp = self.ctx.implies(conj, aik);
                     self.assertions.push(imp);
-                    let vij = self.vis_vars[&(i, j)];
-                    let vjk = self.vis_vars[&(j, k)];
-                    let vik = self.vis_vars[&(i, k)];
+                    let vij = self.vis(i, j);
+                    let vjk = self.vis(j, k);
+                    let vik = self.vis(i, k);
                     let conj = self.ctx.and([vij, vjk]);
                     let imp = self.ctx.implies(conj, vik);
                     self.assertions.push(imp);
@@ -385,12 +405,18 @@ impl<'a> CycleEncoder<'a> {
 
     /// Transaction-level arbitration literal `i ar→ j`.
     fn ar(&mut self, i: usize, j: usize) -> TermId {
+        let n = self.u.instances.len();
         if i < j {
-            self.ar_vars[&(i, j)]
+            self.ar_vars[i * n + j]
         } else {
-            let v = self.ar_vars[&(j, i)];
+            let v = self.ar_vars[j * n + i];
             self.ctx.not(v)
         }
+    }
+
+    /// Transaction-level visibility variable `i vı→ j` (`i ≠ j`).
+    fn vis(&self, i: usize, j: usize) -> TermId {
+        self.vis_vars[i * self.u.instances.len() + j]
     }
 
     /// Section 8 freshness: fresh rows are pairwise distinct, distinct
@@ -409,7 +435,10 @@ impl<'a> CycleEncoder<'a> {
             return;
         }
         let mut terms: Vec<TermId> = all_fresh.iter().map(|&(_, _, v)| v).collect();
-        let consts: Vec<i64> = self.consts.values().copied().collect();
+        // Sentinels in the order they were handed out (descending), so the
+        // integer terms are created in the same order on every run.
+        let mut consts: Vec<i64> = self.consts.values().copied().collect();
+        consts.sort_unstable_by(|a, b| b.cmp(a));
         for c in consts {
             terms.push(self.ctx.int(c));
         }
@@ -434,7 +463,7 @@ impl<'a> CycleEncoder<'a> {
                         let act_f = self.act[j][fe];
                         let lhs = self.ctx.and([act_f, eq]);
                         let act_c = self.act[ci][ce];
-                        let vis = self.vis_vars[&(ci, j)];
+                        let vis = self.vis(ci, j);
                         let rhs = self.ctx.and([act_c, vis]);
                         let imp = self.ctx.implies(lhs, rhs);
                         self.assertions.push(imp);
@@ -515,7 +544,7 @@ impl<'a> CycleEncoder<'a> {
                             parts.push(self.ctx.eq(qt, ct));
                         }
                         if ci != qi {
-                            parts.push(self.vis_vars[&(ci, qi)]);
+                            parts.push(self.vis(ci, qi));
                         }
                         creators.push(self.ctx.and(parts));
                     }
@@ -588,23 +617,23 @@ impl<'a> CycleEncoder<'a> {
     /// toggle (with the toggle off, only Kleene satisfiability is used —
     /// the SSG-level precision).
     fn not_com_term(&mut self, src: (usize, usize), tgt: (usize, usize)) -> TermId {
-        let u = self.u;
+        let (u, far) = (self.u, self.far);
         let se = &u.tx(src.0).events[src.1];
         let te = &u.tx(tgt.0).events[tgt.1];
-        let f = self.far.far_commutes(&se.sig(), &te.sig());
+        let f = far.far_commutes_id(self.sig[src.0][src.1], self.sig[tgt.0][tgt.1]);
         if !self.features.commutativity {
             let ctx = PairCtx {
                 same_instance: src.0 == tgt.0,
                 same_session: u.instances[src.0].session == u.instances[tgt.0].session,
                 same_event: src == tgt,
             };
-            return if tv_eval(&f, se, te, ctx) != Tv::True {
+            return if tv_eval(f, se, te, ctx) != Tv::True {
                 self.ctx.tru()
             } else {
                 self.ctx.fls()
             };
         }
-        let t = self.spec_term(&f, src, tgt);
+        let t = self.spec_term(f, src, tgt);
         self.ctx.not(t)
     }
 
@@ -616,7 +645,7 @@ impl<'a> CycleEncoder<'a> {
             return self.ctx.tru();
         }
         let mut conj = Vec::new();
-        let uf = self.u;
+        let (uf, far) = (self.u, self.far);
         let n = uf.instances.len();
         for k in 0..n {
             let tx = &uf.tx(k);
@@ -624,12 +653,11 @@ impl<'a> CycleEncoder<'a> {
                 if !vev.kind.is_update() || (k, vi) == u || (k, vi) == q {
                     continue;
                 }
-                let u_ev = &uf.tx(u.0).events[u.1];
-                let absf = self.far.far_absorbs(&u_ev.sig(), &vev.sig());
+                let absf = far.far_absorbs_id(self.sig[u.0][u.1], self.sig[k][vi]);
                 if absf.is_false() {
                     continue;
                 }
-                let abs_t = self.spec_term(&absf, u, (k, vi));
+                let abs_t = self.spec_term(absf, u, (k, vi));
                 // u ar→ v.
                 let ar_uv = if k == u.0 {
                     if self.eo_reach[u.0][u.1][vi] {
@@ -648,7 +676,7 @@ impl<'a> CycleEncoder<'a> {
                         self.ctx.fls()
                     }
                 } else {
-                    self.vis_vars[&(k, q.0)]
+                    self.vis(k, q.0)
                 };
                 let act_v = self.act[k][vi];
                 let all = self.ctx.and([act_v, abs_t, ar_uv, vis_vq]);
@@ -661,10 +689,25 @@ impl<'a> CycleEncoder<'a> {
     /// The formula for one cycle step between instances `a → b` with the
     /// given label: a disjunction over all witnessing event pairs.
     fn step_term(&mut self, a: usize, b: usize, label: SsgLabel) -> TermId {
-        if label == SsgLabel::So {
-            return if self.u.so(a, b) { self.ctx.tru() } else { self.ctx.fls() };
+        let slot = match label {
+            SsgLabel::So => {
+                return if self.u.so(a, b) { self.ctx.tru() } else { self.ctx.fls() };
+            }
+            SsgLabel::Dep => 0,
+            SsgLabel::Anti => 1,
+            SsgLabel::Conflict => 2,
+        };
+        let slot = (a * self.u.instances.len() + b) * 3 + slot;
+        if let Some(t) = self.steps[slot] {
+            return t;
         }
-        let u = self.u;
+        let t = self.build_step_term(a, b, label);
+        self.steps[slot] = Some(t);
+        t
+    }
+
+    fn build_step_term(&mut self, a: usize, b: usize, label: SsgLabel) -> TermId {
+        let (u, far) = (self.u, self.far);
         let ea = &u.tx(a).events;
         let eb = &u.tx(b).events;
         let ctx_pair = PairCtx {
@@ -685,11 +728,14 @@ impl<'a> CycleEncoder<'a> {
                     continue;
                 }
                 // Static pre-filter mirrors the SSG.
+                let (sa, sb) = (self.sig[a][ei], self.sig[b][fi]);
                 let feasible = match label {
                     SsgLabel::Dep | SsgLabel::Conflict => {
-                        may_not_commute(self.far, e, f, ctx_pair)
+                        tv_eval(far.far_commutes_id(sa, sb), e, f, ctx_pair) != Tv::True
                     }
-                    SsgLabel::Anti => may_not_commute(self.far, f, e, ctx_pair),
+                    SsgLabel::Anti => {
+                        tv_eval(far.far_commutes_id(sb, sa), f, e, ctx_pair) != Tv::True
+                    }
                     SsgLabel::So => unreachable!(),
                 };
                 if !feasible {
@@ -699,22 +745,22 @@ impl<'a> CycleEncoder<'a> {
                 let act_f = self.act[b][fi];
                 let term = match label {
                     SsgLabel::Dep => {
-                        let vis = self.vis_vars[&(a, b)];
+                        let vis = self.vis(a, b);
                         let nc = self.not_com_term((a, ei), (b, fi));
                         let na = self.not_absorbed_term((a, ei), (b, fi));
                         self.ctx.and([act_e, act_f, vis, nc, na])
                     }
                     SsgLabel::Anti => {
                         // q = (a, ei), u = (b, fi); u must be invisible to q.
-                        let vis_ba = self.vis_vars[&(b, a)];
+                        let vis_ba = self.vis(b, a);
                         let invis = self.ctx.not(vis_ba);
                         let nc = self.not_com_term((b, fi), (a, ei));
                         let na = self.not_absorbed_term((b, fi), (a, ei));
                         let mut parts = vec![act_e, act_f, invis, nc, na];
                         if self.features.asymmetric {
-                            let ex = self.far.rewrite().anti_dep_exempt(&f.sig(), &e.sig());
+                            let ex = far.anti_dep_exempt_id(sb, sa);
                             if !ex.is_false() {
-                                let ext = self.spec_term(&ex, (b, fi), (a, ei));
+                                let ext = self.spec_term(ex, (b, fi), (a, ei));
                                 parts.push(self.ctx.not(ext));
                             }
                         }
@@ -723,11 +769,11 @@ impl<'a> CycleEncoder<'a> {
                     SsgLabel::Conflict => {
                         let ar_ab = self.ar(a, b);
                         // (D3) uses *plain* commutativity.
-                        let plain = self.far.rewrite().commute(&e.sig(), &f.sig());
+                        let plain = far.commute_id(sa, sb);
                         let nc = if self.features.commutativity {
-                            let t = self.spec_term(&plain, (a, ei), (b, fi));
+                            let t = self.spec_term(plain, (a, ei), (b, fi));
                             self.ctx.not(t)
-                        } else if tv_eval(&plain, e, f, ctx_pair) != Tv::True {
+                        } else if tv_eval(plain, e, f, ctx_pair) != Tv::True {
                             self.ctx.tru()
                         } else {
                             self.ctx.fls()
@@ -831,7 +877,7 @@ impl<'a> CycleEncoder<'a> {
     /// re-chooses visibility and arbitration, so only the argument
     /// constraints (non-commutativity, asymmetric exemption) are kept.
     pub fn assert_no_anti_args(&mut self, a: usize, b: usize) {
-        let u = self.u;
+        let (u, far) = (self.u, self.far);
         let ea = &u.tx(a).events;
         let eb = &u.tx(b).events;
         let ctx_pair = PairCtx {
@@ -845,15 +891,16 @@ impl<'a> CycleEncoder<'a> {
                 if !(e.kind.is_query() && f.kind.is_update()) {
                     continue;
                 }
-                if !may_not_commute(self.far, f, e, ctx_pair) {
+                let (sa, sb) = (self.sig[a][ei], self.sig[b][fi]);
+                if tv_eval(far.far_commutes_id(sb, sa), f, e, ctx_pair) == Tv::True {
                     continue;
                 }
                 let nc = self.not_com_term((b, fi), (a, ei));
                 let mut parts = vec![nc];
                 if self.features.asymmetric {
-                    let ex = self.far.rewrite().anti_dep_exempt(&f.sig(), &e.sig());
+                    let ex = far.anti_dep_exempt_id(sb, sa);
                     if !ex.is_false() {
-                        let ext = self.spec_term(&ex, (b, fi), (a, ei));
+                        let ext = self.spec_term(ex, (b, fi), (a, ei));
                         parts.push(self.ctx.not(ext));
                     }
                 }
@@ -1044,11 +1091,11 @@ impl<'a> CycleEncoder<'a> {
                 if i == j {
                     continue;
                 }
-                vis[i][j] = model.bool_value(self.vis_vars[&(i, j)]) == Some(true);
+                vis[i][j] = model.bool_value(self.vis(i, j)) == Some(true);
                 let a = if i < j {
-                    model.bool_value(self.ar_vars[&(i, j)]) == Some(true)
+                    model.bool_value(self.ar_vars[i * n + j]) == Some(true)
                 } else {
-                    model.bool_value(self.ar_vars[&(j, i)]) != Some(true)
+                    model.bool_value(self.ar_vars[j * n + i]) != Some(true)
                 };
                 ar[i][j] = a;
             }

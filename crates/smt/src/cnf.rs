@@ -8,21 +8,27 @@
 //! independent of which assertions are currently active — they never need
 //! to be guarded or retracted.
 
-use std::collections::HashMap;
-
 use crate::sat::{Cnf, Lit, Var};
 use crate::term::{Context, Sort, TermData, TermId};
 
-/// Persistent Tseitin state: term → literal cache, collected theory
+/// Marks a term the Tseitin table has not encoded yet.
+const UNSEEN: Lit = Lit(u32::MAX);
+
+/// Persistent Tseitin state: term → literal table, collected theory
 /// atoms, and the reserved "true" literal. Fresh variables and definition
 /// clauses are emitted into the `Cnf` passed to [`Tseitin::lit`]; an
 /// incremental caller seeds that `Cnf`'s `n_vars` with the solver's
 /// current variable count so numbering stays aligned.
+///
+/// The table is dense, indexed by [`TermId`], and grows with the term
+/// context; operand literals of the node being encoded live on a shared
+/// stack, so encoding a node allocates nothing beyond its clauses.
 #[derive(Debug, Default)]
 pub(crate) struct Tseitin {
-    map: HashMap<TermId, Lit>,
+    map: Vec<Lit>,
     atoms: Vec<(TermId, Var)>,
     const_true: Option<Lit>,
+    stack: Vec<Lit>,
 }
 
 impl Tseitin {
@@ -35,9 +41,13 @@ impl Tseitin {
         &self.atoms
     }
 
-    /// The term → literal cache.
-    pub fn map(&self) -> &HashMap<TermId, Lit> {
-        &self.map
+    /// Every encoded term with its literal, in term order.
+    pub fn encoded(&self) -> impl Iterator<Item = (TermId, Lit)> + '_ {
+        self.map
+            .iter()
+            .enumerate()
+            .filter(|&(_, &l)| l != UNSEEN)
+            .map(|(t, &l)| (TermId(t as u32), l))
     }
 
     fn true_lit(&mut self, cnf: &mut Cnf) -> Lit {
@@ -50,11 +60,26 @@ impl Tseitin {
         v.positive()
     }
 
+    /// Encodes the operands of an n-ary node onto the stack; returns the
+    /// stack base where they start.
+    fn push_operands(&mut self, ctx: &Context, xs: &[TermId], cnf: &mut Cnf) -> usize {
+        let base = self.stack.len();
+        for &x in xs {
+            let l = self.lit(ctx, x, cnf);
+            self.stack.push(l);
+        }
+        base
+    }
+
     /// The literal of boolean term `t`, encoding it (and any not-yet-seen
     /// subterms) into `cnf` on first encounter.
     pub fn lit(&mut self, ctx: &Context, t: TermId, cnf: &mut Cnf) -> Lit {
-        if let Some(&l) = self.map.get(&t) {
-            return l;
+        let i = t.0 as usize;
+        if i >= self.map.len() {
+            self.map.resize(ctx.term_count(), UNSEEN);
+        }
+        if self.map[i] != UNSEEN {
+            return self.map[i];
         }
         let l = match ctx.data(t) {
             TermData::BoolConst(true) => self.true_lit(cnf),
@@ -65,38 +90,30 @@ impl Tseitin {
                 self.atoms.push((t, v));
                 v.positive()
             }
-            TermData::Not(a) => {
-                let a = *a;
-                self.lit(ctx, a, cnf).negate()
-            }
+            TermData::Not(a) => self.lit(ctx, *a, cnf).negate(),
             TermData::And(xs) => {
-                let xs = xs.clone();
-                let lits: Vec<Lit> = xs.iter().map(|&x| self.lit(ctx, x, cnf)).collect();
+                let base = self.push_operands(ctx, xs, cnf);
                 let v = cnf.fresh().positive();
-                for &x in &lits {
+                for &x in &self.stack[base..] {
                     cnf.add([v.negate(), x]);
                 }
-                let mut big: Vec<Lit> = lits.iter().map(|x| x.negate()).collect();
-                big.push(v);
-                cnf.add(big);
+                cnf.add(self.stack[base..].iter().map(|x| x.negate()).chain([v]));
+                self.stack.truncate(base);
                 v
             }
             TermData::Or(xs) => {
-                let xs = xs.clone();
-                let lits: Vec<Lit> = xs.iter().map(|&x| self.lit(ctx, x, cnf)).collect();
+                let base = self.push_operands(ctx, xs, cnf);
                 let v = cnf.fresh().positive();
-                for &x in &lits {
+                for &x in &self.stack[base..] {
                     cnf.add([v, x.negate()]);
                 }
-                let mut big: Vec<Lit> = lits.clone();
-                big.push(v.negate());
-                cnf.add(big);
+                cnf.add(self.stack[base..].iter().copied().chain([v.negate()]));
+                self.stack.truncate(base);
                 v
             }
             TermData::Implies(a, b) => {
-                let (a, b) = (*a, *b);
-                let la = self.lit(ctx, a, cnf);
-                let lb = self.lit(ctx, b, cnf);
+                let la = self.lit(ctx, *a, cnf);
+                let lb = self.lit(ctx, *b, cnf);
                 let v = cnf.fresh().positive();
                 // v ↔ (¬a ∨ b)
                 cnf.add([v.negate(), la.negate(), lb]);
@@ -105,9 +122,8 @@ impl Tseitin {
                 v
             }
             TermData::Iff(a, b) => {
-                let (a, b) = (*a, *b);
-                let la = self.lit(ctx, a, cnf);
-                let lb = self.lit(ctx, b, cnf);
+                let la = self.lit(ctx, *a, cnf);
+                let lb = self.lit(ctx, *b, cnf);
                 let v = cnf.fresh().positive();
                 cnf.add([v.negate(), la.negate(), lb]);
                 cnf.add([v.negate(), la, lb.negate()]);
@@ -122,7 +138,7 @@ impl Tseitin {
                 panic!("non-boolean term in boolean position: {}", ctx.display(t))
             }
         };
-        self.map.insert(t, l);
+        self.map[i] = l;
         l
     }
 }

@@ -106,7 +106,10 @@ impl Context {
 pub struct Incremental {
     sat: SatSolver,
     tseitin: cnf::Tseitin,
-    pre_cache: HashMap<TermId, TermId>,
+    pre: Preprocessor,
+    /// Reused buffer for the variables and definition clauses one
+    /// assertion adds.
+    delta: Cnf,
     n_solves: u64,
     n_blocking: u64,
 }
@@ -123,7 +126,8 @@ impl Incremental {
         Incremental {
             sat: SatSolver::new(0),
             tseitin: cnf::Tseitin::new(),
-            pre_cache: HashMap::new(),
+            pre: Preprocessor::default(),
+            delta: Cnf::new(),
             n_solves: 0,
             n_blocking: 0,
         }
@@ -133,11 +137,11 @@ impl Incremental {
     /// and definition clauses into the solver, and returns its literal.
     fn encode_lit(&mut self, ctx: &mut Context, t: TermId) -> Lit {
         assert_eq!(ctx.sort(t), Sort::Bool, "assertions must be boolean");
-        let r = preprocess(ctx, t, &mut self.pre_cache);
-        let mut delta = Cnf { n_vars: self.sat.num_vars(), clauses: Vec::new() };
-        let l = self.tseitin.lit(ctx, r, &mut delta);
-        self.sat.ensure_vars(delta.n_vars);
-        for c in delta.clauses {
+        let r = self.pre.rewrite(ctx, t);
+        self.delta.n_vars = self.sat.num_vars();
+        let l = self.tseitin.lit(ctx, r, &mut self.delta);
+        self.sat.ensure_vars(self.delta.n_vars);
+        for c in self.delta.clauses.drain(..) {
             self.sat.add_clause(c);
         }
         l
@@ -161,8 +165,12 @@ impl Incremental {
         self.sat.add_clause([guard.negate(), l]);
     }
 
-    /// Permanently deactivates a guard's assertions (unit `¬guard`; the
-    /// solver simplifies the guarded clauses away).
+    /// Permanently deactivates a guard's assertions by asserting the unit
+    /// `¬guard`. That satisfies every clause the guard protects at the
+    /// root level, so no later query can use them. The clauses themselves
+    /// stay in the solver's database and watch lists: `add_clause` only
+    /// drops clauses already satisfied when they are added, and nothing
+    /// removes them afterwards.
     pub fn retire(&mut self, guard: Lit) {
         self.sat.add_clause([guard.negate()]);
     }
@@ -180,7 +188,7 @@ impl Incremental {
             None => SatResult::Unsat,
             Some((assignment, tm)) => {
                 let mut bools = HashMap::new();
-                for (&t, &l) in self.tseitin.map() {
+                for (t, l) in self.tseitin.encoded() {
                     let v = assignment[l.var().0 as usize];
                     bools.insert(t, if l.is_positive() { v } else { !v });
                 }
@@ -268,62 +276,106 @@ impl Incremental {
 /// Rewrites away constructs the theories do not handle natively:
 /// `Eq` over `Int` (→ two `Le`), `Eq` over `Bool` (→ `Iff`), `Distinct`
 /// (→ pairwise negated equalities).
-fn preprocess(ctx: &mut Context, t: TermId, cache: &mut HashMap<TermId, TermId>) -> TermId {
-    if let Some(&r) = cache.get(&t) {
-        return r;
-    }
-    let result = match ctx.data(t).clone() {
-        TermData::Eq(a, b) => match ctx.sort(a) {
-            Sort::Int => {
-                let le1 = ctx.le(a, b);
-                let le2 = ctx.le(b, a);
-                ctx.and([le1, le2])
+///
+/// The rewrite cache is dense, indexed by [`TermId`], and grows with the
+/// context. N-ary operands are copied onto a shared stack instead of
+/// cloning the node.
+#[derive(Debug, Default)]
+struct Preprocessor {
+    cache: Vec<TermId>,
+    stack: Vec<TermId>,
+}
+
+/// Marks a term the preprocess cache has not rewritten yet.
+const UNSEEN: TermId = TermId(u32::MAX);
+
+impl Preprocessor {
+    fn rewrite(&mut self, ctx: &mut Context, t: TermId) -> TermId {
+        let i = t.0 as usize;
+        if i < self.cache.len() && self.cache[i] != UNSEEN {
+            return self.cache[i];
+        }
+        // N-ary operands go on the stack first: rewriting them adds terms
+        // to `ctx`, so the node cannot stay borrowed.
+        let base = match ctx.data(t) {
+            TermData::And(xs) | TermData::Or(xs) | TermData::Distinct(xs) => {
+                let base = self.stack.len();
+                self.stack.extend_from_slice(xs);
+                base
             }
-            Sort::Bool => {
-                let a = preprocess(ctx, a, cache);
-                let b = preprocess(ctx, b, cache);
-                let iff = ctx.iff(a, b);
-                preprocess(ctx, iff, cache)
-            }
-            Sort::Uninterpreted(_) => t,
-        },
-        TermData::Distinct(xs) => {
-            let mut conj = Vec::new();
-            for i in 0..xs.len() {
-                for j in (i + 1)..xs.len() {
-                    let e = ctx.eq(xs[i], xs[j]);
-                    let e = preprocess(ctx, e, cache);
-                    conj.push(ctx.not(e));
+            _ => self.stack.len(),
+        };
+        let result = match *ctx.data(t) {
+            TermData::Eq(a, b) => match ctx.sort(a) {
+                Sort::Int => {
+                    let le1 = ctx.le(a, b);
+                    let le2 = ctx.le(b, a);
+                    ctx.and([le1, le2])
                 }
+                Sort::Bool => {
+                    let a = self.rewrite(ctx, a);
+                    let b = self.rewrite(ctx, b);
+                    let iff = ctx.iff(a, b);
+                    self.rewrite(ctx, iff)
+                }
+                Sort::Uninterpreted(_) => t,
+            },
+            TermData::Distinct(_) => {
+                let n = self.stack.len() - base;
+                let mut conj = Vec::new();
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        let e = ctx.eq(self.stack[base + i], self.stack[base + j]);
+                        let e = self.rewrite(ctx, e);
+                        conj.push(ctx.not(e));
+                    }
+                }
+                self.stack.truncate(base);
+                ctx.and(conj)
             }
-            ctx.and(conj)
+            TermData::Not(a) => {
+                let a = self.rewrite(ctx, a);
+                ctx.not(a)
+            }
+            TermData::And(_) => {
+                self.rewrite_operands(ctx, base);
+                let r = ctx.and(self.stack[base..].iter().copied());
+                self.stack.truncate(base);
+                r
+            }
+            TermData::Or(_) => {
+                self.rewrite_operands(ctx, base);
+                let r = ctx.or(self.stack[base..].iter().copied());
+                self.stack.truncate(base);
+                r
+            }
+            TermData::Implies(a, b) => {
+                let a = self.rewrite(ctx, a);
+                let b = self.rewrite(ctx, b);
+                ctx.implies(a, b)
+            }
+            TermData::Iff(a, b) => {
+                let a = self.rewrite(ctx, a);
+                let b = self.rewrite(ctx, b);
+                ctx.iff(a, b)
+            }
+            _ => t,
+        };
+        if i >= self.cache.len() {
+            self.cache.resize(ctx.term_count(), UNSEEN);
         }
-        TermData::Not(a) => {
-            let a = preprocess(ctx, a, cache);
-            ctx.not(a)
+        self.cache[i] = result;
+        result
+    }
+
+    /// Replaces the operands on the stack from `base` on, in order, by
+    /// their rewrites.
+    fn rewrite_operands(&mut self, ctx: &mut Context, base: usize) {
+        for k in base..self.stack.len() {
+            let r = self.rewrite(ctx, self.stack[k]);
+            self.stack[k] = r;
         }
-        TermData::And(xs) => {
-            let ys: Vec<TermId> = xs.iter().map(|&x| preprocess(ctx, x, cache)).collect();
-            ctx.and(ys)
-        }
-        TermData::Or(xs) => {
-            let ys: Vec<TermId> = xs.iter().map(|&x| preprocess(ctx, x, cache)).collect();
-            ctx.or(ys)
-        }
-        TermData::Implies(a, b) => {
-            let a = preprocess(ctx, a, cache);
-            let b = preprocess(ctx, b, cache);
-            ctx.implies(a, b)
-        }
-        TermData::Iff(a, b) => {
-            let a = preprocess(ctx, a, cache);
-            let b = preprocess(ctx, b, cache);
-            ctx.iff(a, b)
-        }
-        _ => t,
-    };
-    cache.insert(t, result);
-    result
+    }
 }
 
 #[cfg(test)]

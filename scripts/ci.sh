@@ -13,6 +13,18 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The golden report oracle over the whole suite (debug builds above check
+# only the cheap programs): report digests at 1 and 4 workers plus the
+# incremental-SMT counters at 1 worker.
+echo "==> report goldens (release)"
+cargo test --release -q -p c4-tests --test report_golden
+
+# c4-perf is a package of its own, outside the workspace: its unit tests
+# and its smoke run (every oracle check, reduced inputs) build from its
+# own manifest.
+echo "==> c4-perf tests"
+cargo test --release --offline --manifest-path c4-perf/Cargo.toml
+
 # Smoke the parallel driver on a small Table 1 slice: once sequential,
 # once with N workers (N = hardware threads, min 4 so the pool machinery
 # is exercised even on small CI boxes).
