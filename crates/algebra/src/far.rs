@@ -29,7 +29,7 @@ use crate::tables::RewriteSpec;
 use crate::OpSig;
 
 /// The operation alphabet: the signatures a program may issue.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Alphabet {
     sigs: Vec<OpSig>,
 }

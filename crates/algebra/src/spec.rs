@@ -40,19 +40,20 @@ pub enum ArgTerm {
 }
 
 impl ArgTerm {
-    /// Evaluates the term on a concrete event pair.
+    /// Evaluates the term on a concrete event pair, borrowing the value
+    /// from the pair (or from the term, for constants).
     ///
     /// # Panics
     ///
     /// Panics when referencing a missing argument or the return value of an
     /// update.
-    pub fn eval(&self, src: &Operation, tgt: &Operation) -> Value {
+    pub fn eval<'a>(&'a self, src: &'a Operation, tgt: &'a Operation) -> &'a Value {
         match self {
-            ArgTerm::Arg(Side::Src, i) => src.args[*i].clone(),
-            ArgTerm::Arg(Side::Tgt, i) => tgt.args[*i].clone(),
-            ArgTerm::Ret(Side::Src) => src.ret.clone().expect("src has a return value"),
-            ArgTerm::Ret(Side::Tgt) => tgt.ret.clone().expect("tgt has a return value"),
-            ArgTerm::Const(v) => v.clone(),
+            ArgTerm::Arg(Side::Src, i) => &src.args[*i],
+            ArgTerm::Arg(Side::Tgt, i) => &tgt.args[*i],
+            ArgTerm::Ret(Side::Src) => src.ret.as_ref().expect("src has a return value"),
+            ArgTerm::Ret(Side::Tgt) => tgt.ret.as_ref().expect("tgt has a return value"),
+            ArgTerm::Const(v) => v,
         }
     }
 

@@ -142,7 +142,7 @@ fn main() {
             println!(
                 "    unfoldings {} ({} suspicious), queries {} ({} sat, {} refuted, {} gen), \
                  subsumed {}, speculative {}, prepruned {} (+{} fallbacks), \
-                 per-worker {:?}",
+                 per-worker {:?}, merge-thread {}",
                 s.unfoldings,
                 s.suspicious_unfoldings,
                 s.smt_queries,
@@ -154,6 +154,7 @@ fn main() {
                 s.preprune_skips,
                 s.preprune_fallbacks,
                 s.per_worker_queries,
+                s.merge_smt_queries,
             );
             println!(
                 "    incremental: {} assumption solves ({} sat re-solves), {} learnt clauses retained",

@@ -1025,7 +1025,8 @@ impl Checker {
 
     /// Fresh, authoritative solve on the merge thread (the legacy
     /// sequential path), with its counters and clocks folded straight
-    /// into the result.
+    /// into the result. Its queries count as the merge thread's own
+    /// (`merge_smt_queries`), not toward any worker's.
     fn resolve_on_merge(
         &self,
         u: &Unfolding,
@@ -1034,7 +1035,7 @@ impl Checker {
     ) -> CandOutcome {
         let mut local = WorkerLocal::default();
         let o = self.solve_candidate(u, cand, None, &mut local);
-        result.stats.speculative_smt_queries += local.queries;
+        result.stats.merge_smt_queries += local.queries;
         result.stats.timings.smt += local.smt;
         result.stats.timings.encoder_build += local.encoder_build;
         result.stats.timings.query_solve += local.query_solve;

@@ -110,7 +110,7 @@ pub struct AnalysisStats {
     pub generalization_queries: usize,
     /// SMT queries the workers actually solved, including speculative
     /// ones whose result the merge discarded as subsumed
-    /// (scheduling-dependent; `>= smt_sat + smt_refuted`).
+    /// (scheduling-dependent; sums `per_worker_queries`).
     pub speculative_smt_queries: usize,
     /// Candidates a worker skipped early because the best-effort merged
     /// subsumption snapshot already covered them (scheduling-dependent).
@@ -120,6 +120,11 @@ pub struct AnalysisStats {
     /// Structurally impossible when the snapshot holds only merged
     /// violations (subsumption is monotone); reported as a self-check.
     pub preprune_fallbacks: usize,
+    /// SMT queries the merge thread solved itself: fresh, authoritative
+    /// solves of candidates whose verdict the replay needed but no worker
+    /// supplied (scheduling-dependent; not part of
+    /// `speculative_smt_queries`, which counts the pool's work only).
+    pub merge_smt_queries: usize,
     /// Bounded-search queries answered through a shared incremental
     /// encoder session under an assumption literal (scheduling-dependent:
     /// like `speculative_smt_queries`, this counts work actually
@@ -179,6 +184,7 @@ impl AnalysisStats {
         self.speculative_smt_queries += other.speculative_smt_queries;
         self.preprune_skips += other.preprune_skips;
         self.preprune_fallbacks += other.preprune_fallbacks;
+        self.merge_smt_queries += other.merge_smt_queries;
         self.assumption_solves += other.assumption_solves;
         self.sat_resolves += other.sat_resolves;
         self.learnt_clauses += other.learnt_clauses;
@@ -231,6 +237,7 @@ impl AnalysisStats {
         counter("speculative_smt_queries", self.speculative_smt_queries as u64);
         counter("preprune_skips", self.preprune_skips as u64);
         counter("preprune_fallbacks", self.preprune_fallbacks as u64);
+        counter("merge_smt_queries", self.merge_smt_queries as u64);
         counter("assumption_solves", self.assumption_solves as u64);
         counter("sat_resolves", self.sat_resolves as u64);
         counter("learnt_clauses", self.learnt_clauses as u64);

@@ -1,6 +1,6 @@
 //! The dependency triple `(⊕, ⊖, ⊗)` of a schedule, per (D1)–(D3).
 
-use c4_algebra::FarSpec;
+use c4_algebra::{FarSpec, SigId};
 use c4_store::schedule::Relation;
 use c4_store::{EventId, History, Schedule};
 
@@ -42,6 +42,11 @@ impl DependencyTriple {
     /// …") define the *largest* relations satisfying the conditions; we
     /// compute exactly those: a pair is in the relation unless one of the
     /// stated escape clauses holds.
+    ///
+    /// Each event's signature is resolved to its [`SigId`] once, and the
+    /// relations are read from the FarSpec's dense tables by reference.
+    /// A pair with a signature outside the FarSpec's alphabet falls back to
+    /// the by-signature `*_concrete` methods.
     pub fn compute(
         history: &History,
         schedule: &Schedule,
@@ -52,48 +57,61 @@ impl DependencyTriple {
         let mut dep = Relation::new(n);
         let mut anti = Relation::new(n);
         let mut conflict = Relation::new(n);
-        let ids = || (0..n).map(|i| EventId(i as u32));
+        let op = |e: EventId| &history.event(e).op;
+        let ids: Vec<Option<SigId>> =
+            history.events().map(|e| far.sig_id(&e.op.object, &e.op.kind)).collect();
+        let (updates, queries): (Vec<EventId>, Vec<EventId>) = (0..n)
+            .map(|i| EventId(i as u32))
+            .partition(|&e| history.event(e).is_update());
+        let ids_of = |a: EventId, b: EventId| (ids[a.index()], ids[b.index()]);
 
-        // Helper: is u's effect far-absorbed on the way to q? (the shared
-        // escape clause of (D1)/(D2)):  ∃v. u ▷ v ∧ u ar→ v vı→ q.
-        let absorbed_towards = |u: EventId, q: EventId| {
-            ids().any(|v| {
-                v != u
-                    && v != q
-                    && history.event(v).is_update()
-                    && schedule.ar(u, v)
-                    && schedule.vis(v, q)
-                    && far.far_absorbs_concrete(&history.event(u).op, &history.event(v).op)
-            })
+        let far_absorbs = |u: EventId, v: EventId| match ids_of(u, v) {
+            (Some(a), Some(b)) => far.far_absorbs_id(a, b).eval(op(u), op(v)),
+            _ => far.far_absorbs_concrete(op(u), op(v)),
+        };
+        let far_commutes = |u: EventId, q: EventId| match ids_of(u, q) {
+            (Some(a), Some(b)) => far.far_commutes_id(a, b).eval(op(u), op(q)),
+            _ => far.far_commutes_concrete(op(u), op(q)),
+        };
+        let commutes = |u: EventId, v: EventId| match ids_of(u, v) {
+            (Some(a), Some(b)) => far.commute_id(a, b).eval(op(u), op(v)),
+            _ => far.rewrite().commute_concrete(op(u), op(v)),
+        };
+        let exempt = |u: EventId, q: EventId| match ids_of(u, q) {
+            (Some(a), Some(b)) => far.anti_dep_exempt_id(a, b).eval(op(u), op(q)),
+            _ => far.rewrite().anti_dep_exempt_concrete(op(u), op(q)),
         };
 
-        for u in ids().filter(|&u| history.event(u).is_update()) {
-            let u_op = &history.event(u).op;
-            for q in ids().filter(|&q| history.event(q).is_query()) {
-                let q_op = &history.event(q).op;
+        for &u in &updates {
+            // The shared escape clause of (D1)/(D2), "u's effect is
+            // far-absorbed on the way to q": ∃v. u ▷ v ∧ u ar→ v vı→ q.
+            // Only the last conjunct depends on q, so the candidate
+            // absorbers v are collected once per u.
+            let absorbers: Vec<EventId> = updates
+                .iter()
+                .copied()
+                .filter(|&v| v != u && schedule.ar(u, v) && far_absorbs(u, v))
+                .collect();
+            let absorbed_towards = |q: EventId| absorbers.iter().any(|&v| schedule.vis(v, q));
+
+            for &q in &queries {
                 if schedule.vis(u, q) {
                     // (D1) dependency unless far-commuting or absorbed.
-                    if !far.far_commutes_concrete(u_op, q_op) && !absorbed_towards(u, q) {
+                    if !far_commutes(u, q) && !absorbed_towards(q) {
                         dep.insert(u, q);
                     }
-                } else if u != q {
+                } else {
                     // (D2) anti-dependency unless far-commuting, absorbed,
                     // or exempted by asymmetric commutativity (Section 8).
-                    let exempt = opts.asymmetric_commutativity
-                        && far.rewrite().anti_dep_exempt_concrete(u_op, q_op);
-                    if !far.far_commutes_concrete(u_op, q_op)
-                        && !exempt
-                        && !absorbed_towards(u, q)
-                    {
+                    let exempt = opts.asymmetric_commutativity && exempt(u, q);
+                    if !far_commutes(u, q) && !exempt && !absorbed_towards(q) {
                         anti.insert(q, u);
                     }
                 }
             }
             // (D3) conflicts between non-commuting updates in ar order.
-            for v in ids().filter(|&v| history.event(v).is_update()) {
-                if schedule.ar(u, v)
-                    && !far.rewrite().commute_concrete(u_op, &history.event(v).op)
-                {
+            for &v in &updates {
+                if schedule.ar(u, v) && !commutes(u, v) {
                     conflict.insert(u, v);
                 }
             }

@@ -8,6 +8,8 @@
 //! serializable. Theorem 2 (locality): restricting the schedule to any
 //! event subset never loses dependencies among the kept events — the
 //! property that justifies the unfolding-based static analysis.
+//! [`ConcreteCheck`] bundles far relations, DSG and cycle search into the
+//! one check that ends every explored execution.
 //!
 //! # Example
 //!
@@ -32,10 +34,12 @@
 //! assert!(dsg.is_acyclic());
 //! ```
 
+pub mod concrete;
 pub mod deps;
 pub mod graph;
 pub mod locality;
 
+pub use concrete::ConcreteCheck;
 pub use deps::{DepOptions, DependencyTriple};
 pub use graph::{Dsg, EdgeLabel, TxEdge};
 pub use locality::{locality_violations, restrict_schedule};

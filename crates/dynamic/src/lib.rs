@@ -10,8 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use c4_algebra::{Alphabet, FarSpec, OpSig, RewriteSpec};
-use c4_dsg::{DepOptions, Dsg};
+use c4_dsg::ConcreteCheck;
 use c4_lang::{ast::Program, TxnRunner};
 use c4_store::sim::CausalSim;
 use c4_store::Value;
@@ -76,23 +75,17 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> DynamicReport {
     if program.txns.is_empty() {
         return report;
     }
-    // The far relations are computed per run from the run's alphabet
-    // (alphabets are tiny; unknown pairs would otherwise fall back
-    // conservatively).
+    // Each run's DSG uses the far relations of that run's own alphabet
+    // (a wider one would weaken them). The check computes them once per
+    // distinct alphabet of this exploration.
+    let check = ConcreteCheck::new();
     for _ in 0..config.runs {
         let Some((history, schedule, names)) = one_run(program, config, &mut rng) else {
             continue;
         };
-        let alphabet: Alphabet = history.events().map(|e| OpSig::of(&e.op)).collect();
-        let far = FarSpec::compute(RewriteSpec::new(), &alphabet);
-        let dsg = Dsg::build(&history, &schedule, &far, &DepOptions::default());
-        if let Some(cycle) = dsg.find_cycle() {
+        if let Some(cycle) = check.cycle(&history, &schedule) {
             report.cyclic_runs += 1;
-            let sig: BTreeSet<String> = cycle
-                .iter()
-                .flat_map(|e| [e.from, e.to])
-                .map(|t| names[t.index()].clone())
-                .collect();
+            let sig: BTreeSet<String> = cycle.iter().map(|t| names[t.index()].clone()).collect();
             if !report.violations.contains(&sig) {
                 report.violations.push(sig);
             }

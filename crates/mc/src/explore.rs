@@ -42,8 +42,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use c4_algebra::{Alphabet, FarSpec, OpSig, RewriteSpec};
-use c4_dsg::{DepOptions, Dsg};
+use c4_dsg::ConcreteCheck;
 use c4_lang::ast::Program;
 use c4_lang::TxnRunner;
 use c4_store::sim::{CausalSim, PendingDelivery, SimSession};
@@ -139,6 +138,8 @@ struct Ctx<'p> {
     workload: &'p Workload,
     handles: Vec<SimSession>,
     dpor: bool,
+    /// The leaf check, shared by every profile and worker of one call.
+    check: &'p ConcreteCheck,
 }
 
 impl Ctx<'_> {
@@ -197,8 +198,18 @@ impl Ctx<'_> {
         }
     }
 
-    fn txn_name(&self, session: usize, ordinal: usize) -> &str {
-        &self.program.txns[self.workload.scripts[session][ordinal].txn].name
+    /// The name of every transaction of an explored history: the k-th
+    /// transaction of session s is the k-th scripted run of s.
+    fn tx_names(&self, history: &History) -> Vec<String> {
+        let mut counters = vec![0usize; self.workload.scripts.len()];
+        let mut names = Vec::new();
+        for t in history.transactions() {
+            let s = t.session.0 as usize;
+            let entry = &self.workload.scripts[s][counters[s]];
+            names.push(self.program.txns[entry.txn].name.clone());
+            counters[s] += 1;
+        }
+        names
     }
 }
 
@@ -384,28 +395,16 @@ fn settle_leaf(ctx: &Ctx<'_>, node: Node, profile: usize, acc: &mut Acc) {
     }
 }
 
-/// The concrete-DSG cycle check shared with the dynamic baseline:
-/// compute the far relations from the run's alphabet, build the DSG,
-/// and name the transactions on a cycle (if any).
+/// The concrete-DSG cycle check shared with the dynamic baseline
+/// ([`ConcreteCheck`]), naming the transactions on a cycle (if any).
 fn cycle_signature(
     ctx: &Ctx<'_>,
     history: &History,
     schedule: &Schedule,
 ) -> Option<BTreeSet<String>> {
-    let alphabet: Alphabet = history.events().map(|e| OpSig::of(&e.op)).collect();
-    let far = FarSpec::compute(RewriteSpec::new(), &alphabet);
-    let dsg = Dsg::build(history, schedule, &far, &DepOptions::default());
-    let cycle = dsg.find_cycle()?;
-    // The k-th transaction of session s in the history is the k-th
-    // scripted run of s.
-    let mut counters = vec![0usize; ctx.workload.scripts.len()];
-    let mut names = Vec::new();
-    for t in history.transactions() {
-        let s = t.session.0 as usize;
-        names.push(ctx.txn_name(s, counters[s]).to_owned());
-        counters[s] += 1;
-    }
-    Some(cycle.iter().flat_map(|e| [e.from, e.to]).map(|t| names[t.index()].clone()).collect())
+    let cycle = ctx.check.cycle(history, schedule)?;
+    let names = ctx.tx_names(history);
+    Some(cycle.iter().map(|t| names[t.index()].clone()).collect())
 }
 
 /// Depth-first sleep-set exploration from `node`.
@@ -546,13 +545,14 @@ pub fn model_check(program: &Program, config: &McConfig) -> McReport {
     let _sp = c4_obs::span("mc.model_check");
     let workloads = workload::derive(program, config.sessions, config.depth);
     let mut report = McReport { profiles: workloads.len(), ..McReport::default() };
+    let check = ConcreteCheck::new();
     for (pi, w) in workloads.iter().enumerate() {
         report.truncated |= w.truncated;
         if program.txns.is_empty() || w.total_txns() == 0 {
             continue;
         }
         let (_, handles) = Node::root(w.scripts.len());
-        let ctx = Ctx { program, workload: w, handles, dpor: config.dpor };
+        let ctx = Ctx { program, workload: w, handles, dpor: config.dpor, check: &check };
         let acc = explore_workload(&ctx, config, pi);
         report.executions += acc.executions;
         report.cyclic += acc.cyclic;
@@ -586,7 +586,8 @@ pub fn replay_witness(
     let sessions = w.scripts.len();
     let mut sim = CausalSim::new(sessions);
     let handles: Vec<SimSession> = (0..sessions).map(|r| sim.session(r)).collect();
-    let ctx = Ctx { program, workload: w, handles, dpor: false };
+    let check = ConcreteCheck::new();
+    let ctx = Ctx { program, workload: w, handles, dpor: false, check: &check };
     let mut runner = ctx.runner();
     let mut commit_of: HashMap<(usize, usize), usize> = HashMap::new();
     for a in &witness.trace {
@@ -610,13 +611,7 @@ pub fn replay_witness(
     }
     sim.deliver_all();
     let (history, schedule) = sim.into_history();
-    let mut counters = vec![0usize; sessions];
-    let mut names = Vec::new();
-    for t in history.transactions() {
-        let s = t.session.0 as usize;
-        names.push(ctx.txn_name(s, counters[s]).to_owned());
-        counters[s] += 1;
-    }
+    let names = ctx.tx_names(&history);
     (history, schedule, names)
 }
 
@@ -648,12 +643,13 @@ pub fn random_walks(
     if program.txns.is_empty() {
         return report;
     }
+    let check = ConcreteCheck::new();
     for (pi, w) in workloads.iter().enumerate() {
         if w.total_txns() == 0 {
             continue;
         }
         let (root, handles) = Node::root(w.scripts.len());
-        let ctx = Ctx { program, workload: w, handles, dpor: false };
+        let ctx = Ctx { program, workload: w, handles, dpor: false, check: &check };
         let mut runner = ctx.runner();
         for _ in 0..walks {
             let mut node = root.clone();
@@ -763,15 +759,10 @@ mod tests {
         for w in &report.witnesses {
             let (history, schedule, names) = replay_witness(&program, &config, w);
             schedule.check(&history).unwrap();
-            let alphabet: Alphabet = history.events().map(|e| OpSig::of(&e.op)).collect();
-            let far = FarSpec::compute(RewriteSpec::new(), &alphabet);
-            let dsg = Dsg::build(&history, &schedule, &far, &DepOptions::default());
-            let cycle = dsg.find_cycle().expect("witness must replay to a DSG cycle");
-            let sig: BTreeSet<String> = cycle
-                .iter()
-                .flat_map(|e| [e.from, e.to])
-                .map(|t| names[t.index()].clone())
-                .collect();
+            let cycle = ConcreteCheck::new()
+                .cycle(&history, &schedule)
+                .expect("witness must replay to a DSG cycle");
+            let sig: BTreeSet<String> = cycle.iter().map(|t| names[t.index()].clone()).collect();
             assert_eq!(sig, w.violation);
         }
     }

@@ -311,7 +311,8 @@ pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
             r#""generalization_queries":{genq},"subsumed_candidates":{subsumed},"#,
             r#""validation_failures":{vfail},"workers":{workers}}},"#,
             r#""sched":{{"speculative_smt_queries":{spec},"preprune_skips":{pps},"#,
-            r#""preprune_fallbacks":{ppf},"assumption_solves":{asol},"#,
+            r#""preprune_fallbacks":{ppf},"merge_smt_queries":{mergeq},"#,
+            r#""assumption_solves":{asol},"#,
             r#""sat_resolves":{sres},"learnt_clauses":{learnt},"#,
             r#""classes":{classes},"class_members_skipped":{skipped},"#,
             r#""peak_unfoldings_resident":{peak},"per_worker_queries":[{pwq}]}},"#,
@@ -347,6 +348,7 @@ pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
         spec = s.speculative_smt_queries,
         pps = s.preprune_skips,
         ppf = s.preprune_fallbacks,
+        mergeq = s.merge_smt_queries,
         asol = s.assumption_solves,
         sres = s.sat_resolves,
         learnt = s.learnt_clauses,

@@ -19,6 +19,13 @@ cargo test -q
 echo "==> report goldens (release)"
 cargo test --release -q -p c4-tests --test report_golden
 
+# Release-only sweeps: the stats ledger over the whole suite at 1 and 4
+# workers, and the dynamic side's goldens (model checker at 1 and 4
+# workers, random walks, the §9.5 exploration) over every row (debug
+# builds above check a cheap subset of both).
+echo "==> stats coherence and model-checking goldens (release)"
+cargo test --release -q -p c4-tests --test stats_coherence --test mc_golden
+
 # c4-perf is a package of its own, outside the workspace: its unit tests
 # and its smoke run (every oracle check, reduced inputs) build from its
 # own manifest.

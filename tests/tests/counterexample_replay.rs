@@ -11,12 +11,12 @@
 //! causally-consistent store, not just in the relational model.
 
 use c4::{AnalysisFeatures, Checker};
-use c4_algebra::{Alphabet, FarSpec, OpSig, RewriteSpec};
-use c4_dsg::{DepOptions, Dsg};
+use c4_dsg::ConcreteCheck;
 
 #[test]
 fn every_sat_counterexample_replays_to_a_cycle() {
     let mut replayed = 0usize;
+    let check = ConcreteCheck::new();
     for b in c4_suite::benchmarks() {
         let program = c4_lang::parse(b.source).expect("suite sources parse");
         let history = c4_lang::abstract_history(&program).expect("suite sources interpret");
@@ -29,11 +29,8 @@ fn every_sat_counterexample_replays_to_a_cycle() {
             s.check(&h).unwrap_or_else(|e| {
                 panic!("{}: replayed execution has an illegal schedule: {e}", b.name)
             });
-            let alphabet: Alphabet = h.events().map(|e| OpSig::of(&e.op)).collect();
-            let far = FarSpec::compute(RewriteSpec::new(), &alphabet);
-            let dsg = Dsg::build(&h, &s, &far, &DepOptions::default());
             assert!(
-                dsg.find_cycle().is_some(),
+                check.cycle(&h, &s).is_some(),
                 "{}: replayed counter-example has an acyclic DSG",
                 b.name
             );

@@ -13,9 +13,10 @@
 //!   driver that merged in completion order would make it
 //!   scheduling-dependent.
 //! * **Scheduling-dependent counters** — `speculative_smt_queries`,
-//!   `preprune_skips`, `preprune_fallbacks`, `per_worker_queries` —
-//!   describe the work the pool actually performed and may legitimately
-//!   differ between runs; only their invariants are checked here.
+//!   `preprune_skips`, `preprune_fallbacks`, `merge_smt_queries`,
+//!   `per_worker_queries` — describe the work the pool and the merge
+//!   thread actually performed and may legitimately differ between
+//!   runs; only their invariants are checked here.
 
 use c4::{AnalysisFeatures, Checker};
 use c4_suite::benchmarks;
@@ -93,6 +94,7 @@ fn stats_are_coherent_and_replay_counters_agree() {
             b.name
         );
         assert_eq!(seq.stats.workers, 1);
+        assert_eq!(seq.stats.merge_smt_queries, 0, "{}: no merge thread at 1 worker", b.name);
         assert_eq!(par.stats.workers, 4);
         // With the batched probe (part of `incremental_smt`) and symmetry
         // replay both off, every committed verdict is one worker solve and

@@ -18,8 +18,7 @@
 use std::collections::BTreeSet;
 
 use c4::AnalysisFeatures;
-use c4_algebra::{Alphabet, FarSpec, OpSig, RewriteSpec};
-use c4_dsg::{DepOptions, Dsg};
+use c4_dsg::ConcreteCheck;
 use c4_mc::{derive_workloads, model_check, random_walks, replay_witness, McConfig};
 use c4_tests::{check_source, signatures};
 
@@ -87,17 +86,10 @@ fn three_way_agreement_on_the_suite() {
             schedule.check(&history).unwrap_or_else(|e| {
                 panic!("{}: witness replay produced an illegal schedule: {e}", b.name)
             });
-            let alphabet: Alphabet = history.events().map(|e| OpSig::of(&e.op)).collect();
-            let far = FarSpec::compute(RewriteSpec::new(), &alphabet);
-            let dsg = Dsg::build(&history, &schedule, &far, &DepOptions::default());
-            let cycle = dsg
-                .find_cycle()
+            let cycle = ConcreteCheck::new()
+                .cycle(&history, &schedule)
                 .unwrap_or_else(|| panic!("{}: witness did not replay to a cycle", b.name));
-            let sig: BTreeSet<String> = cycle
-                .iter()
-                .flat_map(|e| [e.from, e.to])
-                .map(|t| names[t.index()].clone())
-                .collect();
+            let sig: BTreeSet<String> = cycle.iter().map(|t| names[t.index()].clone()).collect();
             assert_eq!(sig, w.violation, "{}: replayed cycle differs from witness", b.name);
         }
 

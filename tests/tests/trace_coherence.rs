@@ -2,8 +2,8 @@
 //! Figure-2 pipeline, must (a) never perturb the analysis — reports
 //! are byte-identical with tracing on and off, at 1 and 4 workers —
 //! and (b) tell the truth: span nesting is well-formed per thread,
-//! the per-query events sum exactly to `speculative_smt_queries`, the
-//! counter events mirror `AnalysisStats`, and both exporters emit
+//! the per-query events sum exactly to the pool's and the merge
+//! thread's solves, the counter events mirror `AnalysisStats`, and both exporters emit
 //! exactly one record per ledger event, as valid JSON.
 //!
 //! The recorder is process-global, so every test that enables it runs
@@ -101,9 +101,10 @@ fn span_nesting_is_well_formed() {
 }
 
 /// The per-query accounting invariant: End events named `smt_query`
-/// tagged sat/unsat/probe sum exactly to `speculative_smt_queries`
-/// (replay commits are Instant events and do not disturb the sum),
-/// and the counter events mirror the final `AnalysisStats`.
+/// tagged sat/unsat/probe sum exactly to the pool's solves
+/// (`speculative_smt_queries`) plus the merge thread's own
+/// (`merge_smt_queries`); replay commits are Instant events and do not
+/// disturb the sum. The counter events mirror the final `AnalysisStats`.
 #[test]
 fn query_events_sum_to_speculative_smt_queries() {
     let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -116,7 +117,8 @@ fn query_events_sum_to_speculative_smt_queries() {
                 t == c4_obs::tag::SAT || t == c4_obs::tag::UNSAT || t == c4_obs::tag::PROBE
             });
             assert_eq!(
-                queries, s.speculative_smt_queries,
+                queries,
+                s.speculative_smt_queries + s.merge_smt_queries,
                 "{} at {workers} workers: smt_query events diverge from the stats",
                 b.name
             );
@@ -143,6 +145,7 @@ fn query_events_sum_to_speculative_smt_queries() {
                 ("smt_queries", s.smt_queries as u64),
                 ("classes", s.classes as u64),
                 ("speculative_smt_queries", s.speculative_smt_queries as u64),
+                ("merge_smt_queries", s.merge_smt_queries as u64),
             ] {
                 assert_eq!(
                     log.last_counter(name),
