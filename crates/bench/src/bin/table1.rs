@@ -3,10 +3,10 @@
 //! aggregate statistics.
 //!
 //! Usage: `table1 [--threads N] [--budget SECS] [--stats] [--json]
-//! [--cache-dir DIR] [--trace PATH] [--no-incremental] [--no-symmetry]
-//! [benchmark-name …]` (all benchmarks by default). `--threads` sets
-//! `AnalysisFeatures::parallelism` (0 = one worker per hardware
-//! thread); results are identical for every setting. `--budget` caps
+//! [--cache-dir DIR] [--trace PATH] [benchmark-name …]` (all benchmarks
+//! by default). `--threads` sets `AnalysisFeatures::parallelism` (0 =
+//! one worker per hardware thread); results are identical for every
+//! setting. `--budget` caps
 //! each analysis run's wall clock (deadline hits are reported in the
 //! aggregates); `--stats` prints per-benchmark analysis statistics;
 //! `--json` emits one machine-readable JSON object per benchmark
@@ -19,11 +19,7 @@
 //! (Perfetto / `chrome://tracing`-loadable), compact JSONL when PATH
 //! ends in `.jsonl` — and prints a `trace: N events (M dropped)`
 //! ledger line (tracing is verdict-neutral: all outputs are identical
-//! with and without it); `--no-incremental` falls back to the legacy
-//! fresh-encoder-per-query SMT path (results are identical, only
-//! timing differs); `--no-symmetry` disables the symmetry-reduced
-//! enumeration and analyzes every unfolding individually (results are
-//! identical, only timing differs). Exits nonzero if any run reports
+//! with and without it). Exits nonzero if any run reports
 //! counter-example validation failures.
 
 use c4::{AnalysisFeatures, VerdictCache};
@@ -42,8 +38,6 @@ fn main() {
     let mut json = false;
     let mut cache_dir: Option<String> = None;
     let mut trace_path: Option<String> = None;
-    let mut incremental = true;
-    let mut symmetry = true;
     let mut names: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -61,10 +55,6 @@ fn main() {
             cache_dir = Some(args.next().expect("--cache-dir needs a value"));
         } else if a == "--trace" {
             trace_path = Some(args.next().expect("--trace needs a path"));
-        } else if a == "--no-incremental" {
-            incremental = false;
-        } else if a == "--no-symmetry" {
-            symmetry = false;
         } else {
             names.push(a);
         }
@@ -82,8 +72,6 @@ fn main() {
     if let Some(b) = budget {
         features.time_budget_secs = b;
     }
-    features.incremental_smt = incremental;
-    features.symmetry_reduction = symmetry;
     let all = benchmarks();
     for name in &names {
         assert!(

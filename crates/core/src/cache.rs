@@ -17,11 +17,11 @@
 //! declaration interleaving — map to the same key, while any semantic
 //! edit changes the hash. The fingerprint covers exactly the
 //! verdict-relevant [`AnalysisFeatures`] fields; execution-strategy
-//! fields (`parallelism`, `incremental_smt`, `time_budget_secs`) are
-//! excluded, because the determinism suites guarantee they cannot change
-//! the verdict — a report computed at one worker count is served
-//! byte-identically at any other. Partial (deadline-hit) results are
-//! never stored, so the budget exclusion is sound.
+//! fields (`parallelism`, `time_budget_secs`) are excluded, because the
+//! determinism suites guarantee they cannot change the verdict — a
+//! report computed at one worker count is served byte-identically at
+//! any other. Partial (deadline-hit) results are never stored, so the
+//! budget exclusion is sound.
 //!
 //! Stale entries can never produce a wrong verdict: lookups decode the
 //! stored bytes, and a [`crate::report::DecodeError::VersionMismatch`]
@@ -182,12 +182,10 @@ impl CacheKey {
 
 /// The verdict-relevant feature fields, serialized for key derivation.
 ///
-/// `parallelism`, `incremental_smt`, `symmetry_reduction` and
-/// `time_budget_secs` are excluded: the first three are execution
-/// strategies with differentially-tested identical output (symmetry
-/// reduction replays class-representative verdicts but commits the very
-/// same report bytes), and budget-truncated (partial) results are never
-/// cached, so the budget cannot influence any cached verdict.
+/// `parallelism` and `time_budget_secs` are excluded: the worker count
+/// is an execution strategy with differentially-tested identical output,
+/// and budget-truncated (partial) results are never cached, so the
+/// budget cannot influence any cached verdict.
 fn features_fingerprint(f: &AnalysisFeatures) -> [u8; 16] {
     let bits: u64 = (f.commutativity as u64)
         | (f.absorption as u64) << 1
@@ -549,7 +547,7 @@ mod tests {
         let base = CacheKey::derive("src", "program", &f);
         let mut g = f.clone();
         g.parallelism = 7;
-        g.incremental_smt = !g.incremental_smt;
+        assert_eq!(base, CacheKey::derive("src", "program", &g));
         g.time_budget_secs = 1;
         assert_eq!(base, CacheKey::derive("src", "program", &g));
     }

@@ -7,34 +7,45 @@
 //! establishes that the found violations subsume all cycles on any number
 //! of sessions, or the `k` bound is reached.
 //!
-//! # Parallel driver
+//! # The bounded-search driver
 //!
-//! Per-unfolding work — SC1 pre-filter, SSG construction, candidate-cycle
-//! enumeration, SMT solving, and counter-example validation — is
-//! independent across unfoldings except for the violation subsumption
-//! set. The driver therefore splits the bounded search into two phases:
+//! One driver runs `CheckBounded`, in two steps per unfolding:
 //!
-//! 1. **Parallel discovery.** A scoped worker pool pulls
-//!    `(unfolding_index, Unfolding)` items from a shared dispenser and
-//!    evaluates them against the shared read-only [`PairTables`] and
-//!    [`FarSpec`], emitting one [`WorkRecord`] per unfolding with the
-//!    per-candidate SMT verdicts. Workers consult a best-effort snapshot
-//!    of the merged subsumption set to skip already-covered candidates
-//!    early; the snapshot only ever prunes work, never changes output.
-//! 2. **Sequential merge.** The driver thread replays records in
-//!    ascending `unfolding_index`, applying exactly the sequential
-//!    subsumption logic (`subsumes`/`retain`). Because a candidate's SMT
-//!    verdict depends only on the unfolding and the candidate — not on
-//!    the violation set — the merged `AnalysisResult` is identical to the
-//!    sequential run's.
+//! 1. **Discover.** The unfolding is classified by symmetry (DESIGN
+//!    §5.12): the first member of an equivalence class is its
+//!    representative, later members replay its verdicts. A
+//!    representative gets the SC1 pre-filter, the SSG stage, candidate
+//!    enumeration and the batched refutation probe; a permuted member
+//!    gets only the SSG stage; an identity member gets nothing. The result
+//!    is one [`WorkRecord`].
+//! 2. **Merge.** Records are committed strictly in enumeration order
+//!    with the sequential subsumption semantics (`subsumes`/`retain`). A
+//!    candidate that is still unsubsumed when reached and has no verdict
+//!    yet is solved right there.
 //!
-//! The snapshot-prune is sound for the replay because subsumption is
-//! *monotone*: the merged set only ever replaces a violation by a
-//! transaction-subset of itself, so a candidate subsumed by any merged
-//! prefix stays subsumed at its own replay point. Cancellation is
-//! cooperative: a wall-clock [`Deadline`] is checked per unfolding and
-//! per SMT query by every worker and by the sequential path, so a single
-//! expensive round can no longer blow the budget unboundedly.
+//! With `n > 1` workers, discovery runs on a scoped pool that pulls
+//! unfoldings from a shared dispenser and *solves eagerly*: every
+//! candidate the best-effort subsumption snapshot does not cover is
+//! solved on the worker. The calling thread merges concurrently. Because
+//! a candidate's SMT verdict depends only on the unfolding and the
+//! candidate, not on the violation set, the merged result does not depend
+//! on scheduling. The snapshot only ever prunes work: subsumption is
+//! *monotone* (the merged set only ever replaces a violation by a
+//! transaction-subset of itself), so a candidate a merged prefix subsumes
+//! stays subsumed at its own merge point.
+//!
+//! With one worker there is no thread, channel or stash: each record is
+//! merged on the calling thread as soon as it is discovered, and the
+//! merge *solves lazily* through the unfolding's shared incremental
+//! session, so a verdict committed by one candidate is seen before the
+//! next candidate is solved and no query is speculative.
+//!
+//! Cancellation is cooperative: a wall-clock [`Deadline`] is checked per
+//! unfolding and per SMT query, on every worker and in the merge.
+//!
+//! [`Checker::run_reference`] is the same search with none of the
+//! driver's policies (no pool, no symmetry classes, no probe, no shared
+//! session). The differential tests compare the two.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -47,6 +58,7 @@ use std::sync::Arc;
 
 use crate::abstract_history::{AbsArg, AbsTx, AbstractHistory};
 use crate::counterexample::CounterExample;
+use crate::encode::CycleEncoder;
 use crate::intern::TxArena;
 use crate::report::{AnalysisResult, AnalysisStats, Violation};
 use crate::ssg::{candidate_cycles_with, CandidateCycle, PairLookup, PairTables, Ssg, SsgLabel};
@@ -83,29 +95,12 @@ pub struct AnalysisFeatures {
     /// Re-validate every counter-example against the concrete DSG
     /// machinery (defense against encoding bugs).
     pub validate_counterexamples: bool,
-    /// Incremental SMT: one shared encoder per suspicious unfolding, with
-    /// candidate queries solved under assumption literals so learnt
-    /// clauses, the Tseitin table and theory blocking clauses carry over
-    /// between candidates. Off: the legacy fresh-encoder-per-candidate
-    /// path. Both modes produce byte-identical results (SAT verdicts are
-    /// re-solved on a fresh encoder for the canonical counter-example
-    /// model); the toggle exists for differential testing and
-    /// benchmarking.
-    pub incremental_smt: bool,
     /// Worker threads for the bounded search: `0` = one per available
-    /// hardware thread, `1` = the exact legacy sequential path, `n > 1`
-    /// = a pool of `n` workers. Every setting produces the same
-    /// violations, `generalized` flag, `max_k` and counter-example
+    /// hardware thread, `1` = discovery and merge inline on the calling
+    /// thread, `n > 1` = a pool of `n` workers. Every setting produces the
+    /// same violations, `generalized` flag, `max_k` and counter-example
     /// renderings (see the module docs for the determinism argument).
     pub parallelism: usize,
-    /// Symmetry reduction: unfoldings identical up to session renaming
-    /// form an equivalence class; the SSG + SMT stages run once on the
-    /// first-enumerated representative and verdicts are replayed onto the
-    /// other members (DESIGN §5.12). Off: every unfolding is analyzed
-    /// independently (the legacy path). Both modes produce byte-identical
-    /// reports; the toggle exists for differential testing and
-    /// benchmarking.
-    pub symmetry_reduction: bool,
 }
 
 impl Default for AnalysisFeatures {
@@ -121,9 +116,7 @@ impl Default for AnalysisFeatures {
             max_k: 4,
             time_budget_secs: 120,
             validate_counterexamples: true,
-            incremental_smt: true,
             parallelism: 0,
-            symmetry_reduction: true,
         }
     }
 }
@@ -202,96 +195,84 @@ impl Deadline {
     }
 }
 
-/// Worker verdict for one candidate cycle.
+/// A candidate cycle's verdict, as discovered and as committed.
+#[derive(Clone)]
 enum CandOutcome {
-    /// Skipped early: the best-effort subsumption snapshot covered it.
-    Pruned,
+    /// No verdict yet: the merge solves the candidate if it is still
+    /// unsubsumed when reached. In a [`ClassRecord`], the candidate was
+    /// subsumed at the representative's position, so members re-check
+    /// their own transaction set and, if live, solve.
+    Pending,
     /// The SMT stage refuted the cycle.
     Refuted,
     /// The SMT stage found a model. `rendered` is the counter-example
     /// rendering, `None` when validation was requested and failed.
     Sat { rendered: Option<String> },
-    /// Symmetry member in parallel mode: the worker ran only the SSG
-    /// stage; the merge resolves the verdict from the class record.
-    Deferred,
 }
 
-/// One candidate cycle's worker result, replayed by the merge.
-struct CandidateRecord {
-    txs: BTreeSet<usize>,
-    labels: Vec<SsgLabel>,
-    cand: CandidateCycle,
-    outcome: CandOutcome,
-}
-
-/// One unfolding's worker result.
+/// One unfolding's discovery result, committed by the merge.
 struct WorkRecord {
+    /// Position in the enumeration order.
     index: usize,
-    /// SC1 passed and at least one candidate cycle exists.
-    suspicious: bool,
-    /// The unfolding, kept for suspicious records so the merge can
-    /// re-solve a pre-pruned candidate if the replay ever needs it.
-    unfolding: Option<Unfolding>,
-    cands: Vec<CandidateRecord>,
-    /// The candidate list was cut short by the deadline, so a class
-    /// record built from it must not be treated as exhaustive.
-    truncated: bool,
-    /// Symmetry role assigned by the dispenser.
+    /// Symmetry role assigned at classification.
     sym: SymTag,
+    /// SC1 passed and at least one candidate cycle exists (not computed
+    /// for identity members).
+    suspicious: bool,
+    /// Candidates in enumeration order, with the worker's verdicts.
+    cands: Vec<(CandidateCycle, CandOutcome)>,
 }
 
-/// Symmetry role of a dispensed unfolding (DESIGN §5.12).
+/// Symmetry role of an enumerated unfolding (DESIGN §5.12).
 enum SymTag {
-    /// Symmetry reduction off: the legacy path.
-    Plain,
     /// First enumerated member of its equivalence class: analyzed in
     /// full, and its verdicts are recorded for the other members.
     Rep { fp: Vec<u64> },
     /// Member whose fingerprint sequence equals the representative's
     /// verbatim: instance indices line up one-to-one, so the rep's
     /// candidate list (and rendered counter-examples) replay directly.
-    Identity { rep: usize },
+    Identity { class: usize },
     /// Member that matches the representative only after a session
     /// permutation: the SSG stage runs to get member-order candidates,
     /// and verdicts are looked up in rep coordinates.
-    Permuted { rep: usize, fp: Vec<u64> },
+    Permuted { class: usize, fp: Vec<u64> },
 }
 
-/// A representative's recorded verdicts, replayed onto every other
-/// member of its equivalence class.
+/// Classifies an unfolding against the classes seen so far, keyed by
+/// canonical form and numbered in order of first appearance (`class`).
+/// Classification follows the enumeration order, so it does not depend
+/// on the worker count.
+fn classify(seen: &mut HashMap<Vec<u64>, (usize, Vec<u64>)>, u: &Unfolding) -> SymTag {
+    let fp = u.fp_seq();
+    let mut key = fp.clone();
+    key.sort_unstable();
+    match seen.get(&key) {
+        Some(&(class, ref rep_fp)) if fp == *rep_fp => SymTag::Identity { class },
+        Some(&(class, _)) => SymTag::Permuted { class, fp },
+        None => {
+            seen.insert(key, (seen.len(), fp.clone()));
+            SymTag::Rep { fp }
+        }
+    }
+}
+
+/// A representative's committed verdicts, replayed onto every other
+/// member of its equivalence class. Only refutations transfer across a
+/// session permutation: the SMT encoding is isomorphic under session
+/// renaming, so satisfiability is invariant, but a SAT rendering names
+/// the rep's transactions and is reused verbatim by identity members
+/// only.
 struct ClassRecord {
     /// The representative's per-session fingerprints (unsorted).
     rep_fp: Vec<u64>,
     /// The representative had candidate cycles. By the isomorphism
     /// between class members, so does every member (and vice versa).
     suspicious: bool,
-    /// The candidate list is exhaustive (no deadline truncation).
-    complete: bool,
     /// Candidates in the representative's enumeration order.
-    cands: Vec<RepCand>,
+    cands: Vec<(CandidateCycle, CandOutcome)>,
     /// Lookup from a candidate's canonical key (rep coordinates, minimal
     /// node first) to its position in `cands`.
     by_key: HashMap<CandKey, usize>,
-}
-
-struct RepCand {
-    cand: CandidateCycle,
-    outcome: RepOutcome,
-}
-
-/// The position-independent part of a representative's verdict.
-enum RepOutcome {
-    /// UNSAT — transfers to every member (the SMT encoding is isomorphic
-    /// under session renaming, so satisfiability is invariant).
-    Refuted,
-    /// SAT with the canonical model's rendering. Reusable verbatim for
-    /// identity members only; permuted members re-solve so their
-    /// rendering reflects their own session order.
-    Sat { rendered: Option<String> },
-    /// Subsumed at the representative's position. Subsumption depends on
-    /// the member's transaction set, so members re-check and, if live,
-    /// re-solve.
-    Skipped,
 }
 
 /// A candidate cycle in class-canonical form: nodes and steps in rep
@@ -345,16 +326,18 @@ fn cand_key_mapped(cand: &CandidateCycle, map: &[usize]) -> CandKey {
     (rot_nodes, rot_steps)
 }
 
-impl ClassRecord {
-    fn push(&mut self, cand: CandidateCycle, outcome: RepOutcome, map: &[usize]) {
-        let key = cand_key_mapped(&cand, map);
-        self.by_key.insert(key, self.cands.len());
-        self.cands.push(RepCand { cand, outcome });
-    }
+/// The original transactions a candidate cycle runs through.
+fn tx_set(u: &Unfolding, cand: &CandidateCycle) -> BTreeSet<usize> {
+    cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect()
 }
 
-/// Per-worker counters and stage clocks, folded into [`AnalysisStats`]
-/// after the pool drains.
+/// Whether any committed violation subsumes a candidate's transactions.
+fn subsumed(result: &AnalysisResult, txs: &BTreeSet<usize>) -> bool {
+    result.violations.iter().any(|v| v.subsumes(txs))
+}
+
+/// Per-thread counters and stage clocks, folded into [`AnalysisStats`]
+/// at the end of a round.
 #[derive(Default)]
 struct WorkerLocal {
     queries: usize,
@@ -367,6 +350,63 @@ struct WorkerLocal {
     encoder_build: Duration,
     query_solve: Duration,
     validate: Duration,
+}
+
+impl WorkerLocal {
+    /// Retires an unfolding's shared session, keeping its learnt-clause
+    /// count.
+    fn retire(&mut self, session: Option<CycleEncoder<'_>>) {
+        if let Some(enc) = session {
+            self.learnt_clauses += enc.session_stats().2;
+        }
+    }
+
+    /// Folds this ledger into `stats`: as worker `w`'s when `worker` is
+    /// `Some(w)`, as the pool's merge thread's otherwise.
+    fn fold(&self, stats: &mut AnalysisStats, worker: Option<usize>) {
+        match worker {
+            Some(w) => {
+                stats.speculative_smt_queries += self.queries;
+                if let Some(q) = stats.per_worker_queries.get_mut(w) {
+                    *q += self.queries;
+                }
+            }
+            None => stats.merge_smt_queries += self.queries,
+        }
+        stats.preprune_skips += self.preprune_skips;
+        stats.assumption_solves += self.assumption_solves;
+        stats.sat_resolves += self.sat_resolves;
+        stats.learnt_clauses += self.learnt_clauses;
+        stats.timings.ssg_filter += self.ssg_filter;
+        stats.timings.smt += self.smt;
+        stats.timings.encoder_build += self.encoder_build;
+        stats.timings.query_solve += self.query_solve;
+        stats.timings.validate += self.validate;
+    }
+}
+
+/// The shared state of one `k` round, read by discovery and the merge.
+struct Round<'r> {
+    k: usize,
+    tables: &'r PairTables,
+    deadline: &'r Deadline,
+    /// The merged violations' transaction sets, republished by the merge
+    /// after every record that committed a SAT verdict.
+    snapshot: RwLock<Vec<BTreeSet<usize>>>,
+    /// Discovery runs on a pool and solves eagerly; otherwise it runs
+    /// inline and the merge solves lazily.
+    pool: bool,
+}
+
+/// The merge's own state in one `k` round.
+struct Merge<'r> {
+    round: &'r Round<'r>,
+    /// Class records, indexed by class number: the in-order merge
+    /// commits every representative, in class order, before its members.
+    classes: Vec<ClassRecord>,
+    /// The ledger charged for the solves the merge runs itself: the
+    /// worker's own at one worker, the merge thread's in the pool.
+    local: WorkerLocal,
 }
 
 /// The Algorithm 1 driver.
@@ -441,52 +481,93 @@ impl Checker {
 
     /// Runs the full check (Algorithm 1).
     pub fn run(&self) -> AnalysisResult {
+        let workers = self.effective_parallelism();
+        self.search(workers, |arena, tables, k, deadline, result| {
+            self.check_bounded(arena, tables, k, workers, deadline, result)
+        })
+    }
+
+    /// The differential oracle: the same search with none of the driver's
+    /// policies — sequential, no symmetry classes, no batched probe, no
+    /// shared session, one fresh encoder per candidate. Its report bytes
+    /// equal [`run`](Self::run)'s; its `classes`, session counters and
+    /// merge counters stay zero.
+    #[doc(hidden)]
+    pub fn run_reference(&self) -> AnalysisResult {
+        self.search(1, |arena, tables, k, deadline, result| {
+            let mut local = WorkerLocal::default();
+            for u in unfoldings(&self.h, arena, k) {
+                if deadline.expired() {
+                    break;
+                }
+                result.stats.unfoldings += 1;
+                let cands = self.filter_candidates(&u, tables, &mut local);
+                if !cands.is_empty() {
+                    result.stats.suspicious_unfoldings += 1;
+                }
+                for cand in cands {
+                    let txs = tx_set(&u, &cand);
+                    if subsumed(result, &txs) {
+                        result.stats.subsumed_candidates += 1;
+                        continue;
+                    }
+                    if deadline.expired() {
+                        break;
+                    }
+                    result.stats.smt_queries += 1;
+                    let outcome = self.solve_candidate(&u, &cand, None, &mut local);
+                    self.commit_outcome(txs, &cand, outcome, k, result);
+                }
+            }
+            local.fold(&mut result.stats, Some(0));
+        })
+    }
+
+    /// `Check(H)`: bounded rounds `k = 2, 3, …` until the generalization
+    /// fires, `max_k` is reached or the deadline expires. `round` runs
+    /// one `CheckBounded`.
+    fn search(
+        &self,
+        workers: usize,
+        mut round: impl FnMut(&Arc<TxArena>, &PairTables, usize, &Deadline, &mut AnalysisResult),
+    ) -> AnalysisResult {
         let _span = c4_obs::span("analysis");
         let deadline = Deadline::new(self.features.time_budget_secs, self.cancel.clone());
-        let workers = self.effective_parallelism();
         let mut result = AnalysisResult::default();
         result.stats.workers = workers;
         result.stats.per_worker_queries = vec![0; workers];
         let t0 = Instant::now();
-        {
-            let _unfold = c4_obs::span("unfold");
-            let arena = arena_for(&self.h);
-            let tables = PairTables::compute(arena.bodies(), &self.far);
-            result.stats.timings.unfold += t0.elapsed();
-            drop(_unfold);
-            let mut k = 2usize;
-            loop {
-                {
-                    let _k_span = c4_obs::span_arg("check_bounded", k as u64);
-                    if workers <= 1 {
-                        self.check_bounded(&arena, &tables, k, &deadline, &mut result);
-                    } else {
-                        self.check_bounded_parallel(
-                            &arena, &tables, k, workers, &deadline, &mut result,
-                        );
-                    }
-                }
-                result.max_k = k;
-                let generalized = {
-                    let _gen_span = c4_obs::span_arg("generalize", k as u64);
-                    !deadline.expired()
-                        && self.generalizes(
-                            &arena,
-                            &tables,
-                            k,
-                            &deadline,
-                            &result.violations,
-                            &mut result.stats,
-                        )
-                };
-                if generalized {
-                    result.generalized = true;
-                    break;
-                }
-                k += 1;
-                if k > self.features.max_k || deadline.expired() {
-                    break;
-                }
+        let _unfold = c4_obs::span("unfold");
+        let arena = arena_for(&self.h);
+        let tables = PairTables::compute(arena.bodies(), &self.far);
+        result.stats.timings.unfold += t0.elapsed();
+        drop(_unfold);
+        let mut k = 2usize;
+        loop {
+            {
+                let _k_span = c4_obs::span_arg("check_bounded", k as u64);
+                round(&arena, &tables, k, &deadline, &mut result);
+            }
+            result.max_k = k;
+            let generalized = {
+                let _gen_span = c4_obs::span_arg("generalize", k as u64);
+                !deadline.expired()
+                    && self.generalizes(
+                        &arena,
+                        &tables,
+                        k,
+                        &deadline,
+                        &result.violations,
+                        &mut result.stats,
+                    )
+            };
+            if generalized {
+                result.generalized = true;
+                break;
+            }
+            k += 1;
+            if k > self.features.max_k || deadline.expired() {
+                break;
             }
         }
         result.stats.deadline_hit = deadline.was_hit();
@@ -539,21 +620,31 @@ impl Checker {
         cands
     }
 
+    /// Builds an unfolding's shared incremental session.
+    fn session<'a>(&'a self, u: &'a Unfolding, local: &mut WorkerLocal) -> CycleEncoder<'a> {
+        let t0 = Instant::now();
+        let enc = CycleEncoder::new(u, &self.far, &self.features);
+        let dt = t0.elapsed();
+        local.encoder_build += dt;
+        local.smt += dt;
+        enc
+    }
+
     /// Solves one candidate cycle: SMT query plus counter-example
     /// decoding, validation and rendering. Independent of the violation
     /// set, hence safe to run on any worker in any order.
     ///
-    /// With a `shared` incremental encoder, the candidate is first decided
-    /// through the persistent session under an assumption literal; only a
-    /// SAT verdict falls through to a fresh encoder, which produces the
-    /// canonical counter-example model. The fresh path is authoritative:
-    /// its outcome is what gets committed, so both modes yield
-    /// byte-identical results.
+    /// With a `shared` incremental session, the candidate is first decided
+    /// through it under an assumption literal; only a SAT verdict falls
+    /// through to a fresh encoder, which produces the canonical
+    /// counter-example model. The fresh path is authoritative: its outcome
+    /// is what gets committed, so a verdict does not depend on the
+    /// session's history.
     fn solve_candidate(
         &self,
         u: &Unfolding,
         cand: &CandidateCycle,
-        shared: Option<&mut crate::encode::CycleEncoder>,
+        shared: Option<&mut CycleEncoder>,
         local: &mut WorkerLocal,
     ) -> CandOutcome {
         if let Some(enc) = shared {
@@ -573,7 +664,7 @@ impl Checker {
             local.sat_resolves += 1;
         }
         let t0 = Instant::now();
-        let enc = crate::encode::CycleEncoder::new(u, &self.far, &self.features);
+        let enc = CycleEncoder::new(u, &self.far, &self.features);
         local.encoder_build += t0.elapsed();
         let t1 = Instant::now();
         let mut q = c4_obs::span("smt_query");
@@ -607,37 +698,29 @@ impl Checker {
     }
 
     /// Commits one candidate verdict to the result with the sequential
-    /// subsumption semantics. Shared between the legacy sequential path
-    /// and the parallel merge so both produce identical results.
+    /// subsumption semantics. A SAT verdict drops the committed violations
+    /// it strictly subsumes (a smaller cycle subsumes a larger one) and
+    /// joins the set.
     fn commit_outcome(
         &self,
         txs: BTreeSet<usize>,
-        labels: Vec<SsgLabel>,
+        cand: &CandidateCycle,
         outcome: CandOutcome,
         k: usize,
         result: &mut AnalysisResult,
     ) {
         match outcome {
-            CandOutcome::Pruned => unreachable!("pruned candidates are re-solved before commit"),
-            CandOutcome::Deferred => {
-                unreachable!("deferred candidates are resolved from the class record before commit")
-            }
+            CandOutcome::Pending => unreachable!("pending candidates are solved before commit"),
             CandOutcome::Refuted => result.stats.smt_refuted += 1,
             CandOutcome::Sat { rendered } => {
                 result.stats.smt_sat += 1;
                 if rendered.is_none() && self.features.validate_counterexamples {
                     result.stats.validation_failures += 1;
                 }
-                // Subsumption housekeeping: drop previously found
-                // violations strictly subsumed by this one? No —
-                // a *smaller* cycle subsumes a larger one, so keep
-                // the new one only; existing entries were not
-                // subsumed by it (checked above in reverse), but
-                // the new one might subsume older larger entries.
                 result.violations.retain(|v| !(txs.is_subset(&v.txs) && txs != v.txs));
                 result.violations.push(Violation {
                     txs,
-                    labels,
+                    labels: cand.steps.iter().map(|s| s.label).collect(),
                     sessions: k,
                     counterexample: rendered,
                 });
@@ -645,566 +728,9 @@ impl Checker {
         }
     }
 
-    /// `CheckBounded`: finds all unsubsumed violations on `k` sessions —
-    /// the exact legacy sequential path (`parallelism = 1`), with
-    /// per-unfolding and per-query deadline checks.
+    /// `CheckBounded`: finds all unsubsumed violations on `k` sessions.
+    /// One worker discovers and merges inline; more run the pool.
     fn check_bounded(
-        &self,
-        arena: &Arc<TxArena>,
-        tables: &PairTables,
-        k: usize,
-        deadline: &Deadline,
-        result: &mut AnalysisResult,
-    ) {
-        let mut local = WorkerLocal::default();
-        let symmetry = self.features.symmetry_reduction;
-        // Equivalence classes of this k-round, keyed by canonical form.
-        let mut classes: HashMap<Vec<u64>, ClassRecord> = HashMap::new();
-        let mut any = false;
-        for u in unfoldings(&self.h, arena, k) {
-            if deadline.expired() {
-                break;
-            }
-            any = true;
-            result.stats.unfoldings += 1;
-            if symmetry {
-                let fp = u.fp_seq();
-                let mut key = fp.clone();
-                key.sort_unstable();
-                if let Some(rec) = classes.get(&key) {
-                    result.stats.class_members_skipped += 1;
-                    self.replay_member(&u, &fp, rec, tables, k, deadline, result, &mut local);
-                    continue;
-                }
-                result.stats.classes += 1;
-                let rec =
-                    self.process_rep(&u, Some(fp), tables, k, deadline, result, &mut local);
-                classes.insert(key, rec);
-            } else {
-                self.process_rep(&u, None, tables, k, deadline, result, &mut local);
-            }
-        }
-        if any {
-            // The streaming enumeration keeps exactly one unfolding (plus
-            // the class records) resident at a time on this path.
-            result.stats.peak_unfoldings_resident =
-                result.stats.peak_unfoldings_resident.max(1);
-        }
-        result.stats.speculative_smt_queries += local.queries;
-        result.stats.preprune_skips += local.preprune_skips;
-        result.stats.assumption_solves += local.assumption_solves;
-        result.stats.sat_resolves += local.sat_resolves;
-        result.stats.learnt_clauses += local.learnt_clauses;
-        if let Some(q) = result.stats.per_worker_queries.get_mut(0) {
-            *q += local.queries;
-        }
-        result.stats.timings.ssg_filter += local.ssg_filter;
-        result.stats.timings.smt += local.smt;
-        result.stats.timings.encoder_build += local.encoder_build;
-        result.stats.timings.query_solve += local.query_solve;
-        result.stats.timings.validate += local.validate;
-    }
-
-    /// Analyzes one unfolding on the sequential path — the exact legacy
-    /// per-unfolding body — and, when `fp` is given (symmetry reduction
-    /// on), captures a [`ClassRecord`] of its verdicts for the other
-    /// members of its equivalence class.
-    #[allow(clippy::too_many_arguments)]
-    fn process_rep(
-        &self,
-        u: &Unfolding,
-        fp: Option<Vec<u64>>,
-        tables: &PairTables,
-        k: usize,
-        deadline: &Deadline,
-        result: &mut AnalysisResult,
-        local: &mut WorkerLocal,
-    ) -> ClassRecord {
-        let mut rec = ClassRecord {
-            rep_fp: fp.unwrap_or_default(),
-            suspicious: false,
-            complete: true,
-            cands: Vec::new(),
-            by_key: HashMap::new(),
-        };
-        let capture = !rec.rep_fp.is_empty();
-        let cands = self.filter_candidates(u, tables, local);
-        if cands.is_empty() {
-            return rec;
-        }
-        rec.suspicious = true;
-        result.stats.suspicious_unfoldings += 1;
-        // The rep's own coordinates are already canonical (identity map).
-        let idmap: Vec<usize> = (0..u.instances.len()).collect();
-        // One shared incremental encoder per suspicious unfolding,
-        // built lazily at the first candidate that actually solves.
-        let mut shared: Option<crate::encode::CycleEncoder> = None;
-        // Batched refutation probe: one disjunctive solve over the
-        // not-yet-subsumed candidates. UNSAT refutes them all — the
-        // common case — so the per-candidate assumption solves collapse
-        // into a single solver call; SAT falls back to the exact
-        // per-candidate loop below. The pending set matches the loop's
-        // subsumption checks because the violation set cannot change
-        // while every verdict is Refuted.
-        let mut all_refuted = false;
-        if self.features.incremental_smt && cands.len() >= 2 && !deadline.expired() {
-            let pending: Vec<&CandidateCycle> = cands
-                .iter()
-                .filter(|cand| {
-                    let txs: BTreeSet<usize> =
-                        cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect();
-                    !result.violations.iter().any(|v| v.subsumes(&txs))
-                })
-                .collect();
-            if pending.len() >= 2 {
-                let t0 = Instant::now();
-                shared = Some(crate::encode::CycleEncoder::new(u, &self.far, &self.features));
-                let dt = t0.elapsed();
-                local.encoder_build += dt;
-                local.smt += dt;
-                let t1 = Instant::now();
-                let _probe = c4_obs::span_arg("smt_query", c4_obs::tag::PROBE);
-                let sat = shared
-                    .as_mut()
-                    .expect("just built")
-                    .check_shared_any(&pending);
-                drop(_probe);
-                let dt = t1.elapsed();
-                local.smt += dt;
-                local.query_solve += dt;
-                local.queries += 1;
-                local.assumption_solves += 1;
-                all_refuted = !sat;
-            }
-        }
-        for cand in cands {
-            let txs: BTreeSet<usize> =
-                cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect();
-            if result.violations.iter().any(|v| v.subsumes(&txs)) {
-                result.stats.subsumed_candidates += 1;
-                if capture {
-                    rec.push(cand, RepOutcome::Skipped, &idmap);
-                }
-                continue;
-            }
-            if deadline.expired() {
-                rec.complete = false;
-                break;
-            }
-            if !all_refuted && self.features.incremental_smt && shared.is_none() {
-                let t0 = Instant::now();
-                shared = Some(crate::encode::CycleEncoder::new(u, &self.far, &self.features));
-                let dt = t0.elapsed();
-                local.encoder_build += dt;
-                local.smt += dt;
-            }
-            result.stats.smt_queries += 1;
-            let labels = cand.steps.iter().map(|s| s.label).collect();
-            let outcome = if all_refuted {
-                CandOutcome::Refuted
-            } else {
-                self.solve_candidate(u, &cand, shared.as_mut(), local)
-            };
-            if capture {
-                let rep_outcome = match &outcome {
-                    CandOutcome::Refuted => RepOutcome::Refuted,
-                    CandOutcome::Sat { rendered } => {
-                        RepOutcome::Sat { rendered: rendered.clone() }
-                    }
-                    CandOutcome::Pruned | CandOutcome::Deferred => {
-                        unreachable!("solve_candidate returns only Refuted or Sat")
-                    }
-                };
-                rec.push(cand, rep_outcome, &idmap);
-            }
-            self.commit_outcome(txs, labels, outcome, k, result);
-        }
-        if let Some(enc) = &shared {
-            local.learnt_clauses += enc.session_stats().2;
-        }
-        rec
-    }
-
-    /// Replays a representative's verdicts onto another member of its
-    /// class (sequential path). Identity members (same fingerprint
-    /// sequence) reuse the rep's candidate list — and rendered
-    /// counter-examples — verbatim; permuted members re-run the SSG stage
-    /// for member-order candidates and look verdicts up in rep
-    /// coordinates. Only UNSAT verdicts transfer across a permutation;
-    /// SAT members re-solve on the authoritative fresh path so renderings
-    /// reflect their own session order, and rep-subsumed candidates are
-    /// re-checked against the member's transaction set.
-    #[allow(clippy::too_many_arguments)]
-    fn replay_member(
-        &self,
-        u: &Unfolding,
-        fp: &[u64],
-        rec: &ClassRecord,
-        tables: &PairTables,
-        k: usize,
-        deadline: &Deadline,
-        result: &mut AnalysisResult,
-        local: &mut WorkerLocal,
-    ) {
-        if !rec.suspicious {
-            // The SSG stage is isomorphic across the class: no candidates
-            // on the rep means none here either.
-            return;
-        }
-        if fp == rec.rep_fp && rec.complete {
-            result.stats.suspicious_unfoldings += 1;
-            for rc in &rec.cands {
-                let txs: BTreeSet<usize> =
-                    rc.cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect();
-                if result.violations.iter().any(|v| v.subsumes(&txs)) {
-                    result.stats.subsumed_candidates += 1;
-                    continue;
-                }
-                if deadline.expired() {
-                    break;
-                }
-                result.stats.smt_queries += 1;
-                let labels = rc.cand.steps.iter().map(|s| s.label).collect();
-                let outcome = match &rc.outcome {
-                    RepOutcome::Refuted => {
-                        c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
-                        CandOutcome::Refuted
-                    }
-                    RepOutcome::Sat { rendered } => {
-                        c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
-                        CandOutcome::Sat { rendered: rendered.clone() }
-                    }
-                    RepOutcome::Skipped => self.solve_candidate(u, &rc.cand, None, local),
-                };
-                self.commit_outcome(txs, labels, outcome, k, result);
-            }
-            return;
-        }
-        // Permuted member (or an incomplete record): candidate order is
-        // member-specific, so the SSG stage runs here.
-        let found = self.filter_candidates(u, tables, local);
-        if found.is_empty() {
-            return;
-        }
-        result.stats.suspicious_unfoldings += 1;
-        let map = instance_map(u, fp, &rec.rep_fp);
-        for cand in found {
-            let txs: BTreeSet<usize> =
-                cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect();
-            if result.violations.iter().any(|v| v.subsumes(&txs)) {
-                result.stats.subsumed_candidates += 1;
-                continue;
-            }
-            if deadline.expired() {
-                break;
-            }
-            result.stats.smt_queries += 1;
-            let labels = cand.steps.iter().map(|s| s.label).collect();
-            let key = cand_key_mapped(&cand, &map);
-            let outcome = match rec.by_key.get(&key).map(|&i| &rec.cands[i].outcome) {
-                // Only refutations transfer: a rep-side Sat witness is a
-                // model of the rep's instances and renders with the rep's
-                // transaction names, so the member re-solves to keep the
-                // report identical to the symmetry-off run.
-                Some(RepOutcome::Refuted) => {
-                    c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
-                    CandOutcome::Refuted
-                }
-                _ => self.solve_candidate(u, &cand, None, local),
-            };
-            self.commit_outcome(txs, labels, outcome, k, result);
-        }
-    }
-
-    /// Worker body: evaluates one unfolding into a [`WorkRecord`].
-    #[allow(clippy::too_many_arguments)]
-    fn process_unfolding(
-        &self,
-        index: usize,
-        u: Unfolding,
-        tables: &PairTables,
-        snapshot: &RwLock<Vec<BTreeSet<usize>>>,
-        deadline: &Deadline,
-        local: &mut WorkerLocal,
-        sym: SymTag,
-    ) -> WorkRecord {
-        let found = self.filter_candidates(&u, tables, local);
-        if found.is_empty() {
-            return WorkRecord {
-                index,
-                suspicious: false,
-                unfolding: None,
-                cands: Vec::new(),
-                truncated: false,
-                sym,
-            };
-        }
-        let mut cands = Vec::with_capacity(found.len());
-        let mut truncated = false;
-        // One shared incremental encoder per suspicious unfolding; the
-        // session is worker-private, so determinism of the merge is
-        // untouched.
-        let mut shared: Option<crate::encode::CycleEncoder> = None;
-        // Batched refutation probe against the current snapshot (see
-        // `process_rep`). The snapshot only grows, so every candidate the
-        // loop below finds un-pruned was part of the probed pending set
-        // and UNSAT covers it.
-        let mut all_refuted = false;
-        if self.features.incremental_smt && found.len() >= 2 && !deadline.expired() {
-            let pending: Vec<&CandidateCycle> = {
-                let snap = snapshot.read().expect("subsumption snapshot lock");
-                found
-                    .iter()
-                    .filter(|cand| {
-                        let txs: BTreeSet<usize> =
-                            cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect();
-                        !snap.iter().any(|v| v.is_subset(&txs))
-                    })
-                    .collect()
-            };
-            if pending.len() >= 2 {
-                let t0 = Instant::now();
-                shared =
-                    Some(crate::encode::CycleEncoder::new(&u, &self.far, &self.features));
-                let dt = t0.elapsed();
-                local.encoder_build += dt;
-                local.smt += dt;
-                let t1 = Instant::now();
-                let _probe = c4_obs::span_arg("smt_query", c4_obs::tag::PROBE);
-                let sat = shared
-                    .as_mut()
-                    .expect("just built")
-                    .check_shared_any(&pending);
-                drop(_probe);
-                let dt = t1.elapsed();
-                local.smt += dt;
-                local.query_solve += dt;
-                local.queries += 1;
-                local.assumption_solves += 1;
-                all_refuted = !sat;
-            }
-        }
-        for cand in found {
-            if deadline.expired() {
-                // Truncated record: the merge replays only what exists.
-                truncated = true;
-                break;
-            }
-            let txs: BTreeSet<usize> =
-                cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect();
-            let labels = cand.steps.iter().map(|s| s.label).collect();
-            let pruned = snapshot
-                .read()
-                .expect("subsumption snapshot lock")
-                .iter()
-                .any(|v| v.is_subset(&txs));
-            let outcome = if pruned {
-                local.preprune_skips += 1;
-                CandOutcome::Pruned
-            } else if all_refuted {
-                CandOutcome::Refuted
-            } else {
-                if self.features.incremental_smt && shared.is_none() {
-                    let t0 = Instant::now();
-                    shared =
-                        Some(crate::encode::CycleEncoder::new(&u, &self.far, &self.features));
-                    let dt = t0.elapsed();
-                    local.encoder_build += dt;
-                    local.smt += dt;
-                }
-                self.solve_candidate(&u, &cand, shared.as_mut(), local)
-            };
-            cands.push(CandidateRecord { txs, labels, cand, outcome });
-        }
-        if let Some(enc) = &shared {
-            local.learnt_clauses += enc.session_stats().2;
-        }
-        drop(shared);
-        WorkRecord { index, suspicious: true, unfolding: Some(u), cands, truncated, sym }
-    }
-
-    /// Fresh, authoritative solve on the merge thread (the legacy
-    /// sequential path), with its counters and clocks folded straight
-    /// into the result. Its queries count as the merge thread's own
-    /// (`merge_smt_queries`), not toward any worker's.
-    fn resolve_on_merge(
-        &self,
-        u: &Unfolding,
-        cand: &CandidateCycle,
-        result: &mut AnalysisResult,
-    ) -> CandOutcome {
-        let mut local = WorkerLocal::default();
-        let o = self.solve_candidate(u, cand, None, &mut local);
-        result.stats.merge_smt_queries += local.queries;
-        result.stats.timings.smt += local.smt;
-        result.stats.timings.encoder_build += local.encoder_build;
-        result.stats.timings.query_solve += local.query_solve;
-        result.stats.timings.validate += local.validate;
-        o
-    }
-
-    /// Merge phase: replays one record with the sequential semantics and
-    /// refreshes the shared subsumption snapshot. `classes` maps a
-    /// representative's unfolding index to its recorded verdicts; the
-    /// strictly in-order merge guarantees a member's representative was
-    /// merged first (its index is smaller), except when a deadline abort
-    /// dropped the rep record — members then skip, exactly like the rest
-    /// of the post-deadline tail.
-    fn merge_record(
-        &self,
-        rec: WorkRecord,
-        k: usize,
-        snapshot: &RwLock<Vec<BTreeSet<usize>>>,
-        classes: &mut HashMap<usize, ClassRecord>,
-        result: &mut AnalysisResult,
-    ) {
-        let _span = c4_obs::span("merge");
-        result.stats.unfoldings += 1;
-        let WorkRecord { index, suspicious, unfolding, cands, truncated, sym } = rec;
-        let mut pushed = false;
-        match sym {
-            SymTag::Identity { rep } => {
-                result.stats.class_members_skipped += 1;
-                let Some(class) = classes.get(&rep) else { return };
-                if !class.suspicious {
-                    return;
-                }
-                let u = unfolding.expect("identity member carries its unfolding");
-                result.stats.suspicious_unfoldings += 1;
-                for rc in &class.cands {
-                    let txs: BTreeSet<usize> =
-                        rc.cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect();
-                    if result.violations.iter().any(|v| v.subsumes(&txs)) {
-                        result.stats.subsumed_candidates += 1;
-                        continue;
-                    }
-                    result.stats.smt_queries += 1;
-                    let labels = rc.cand.steps.iter().map(|s| s.label).collect();
-                    let outcome = match &rc.outcome {
-                        RepOutcome::Refuted => {
-                            c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
-                            CandOutcome::Refuted
-                        }
-                        RepOutcome::Sat { rendered } => {
-                            c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
-                            CandOutcome::Sat { rendered: rendered.clone() }
-                        }
-                        RepOutcome::Skipped => self.resolve_on_merge(&u, &rc.cand, result),
-                    };
-                    if matches!(outcome, CandOutcome::Sat { .. }) {
-                        pushed = true;
-                    }
-                    self.commit_outcome(txs, labels, outcome, k, result);
-                }
-            }
-            SymTag::Permuted { rep, fp } => {
-                result.stats.class_members_skipped += 1;
-                if !suspicious {
-                    return;
-                }
-                let Some(class) = classes.get(&rep) else { return };
-                let u = unfolding.expect("permuted member carries its unfolding");
-                result.stats.suspicious_unfoldings += 1;
-                let map = instance_map(&u, &fp, &class.rep_fp);
-                for c in cands {
-                    if result.violations.iter().any(|v| v.subsumes(&c.txs)) {
-                        result.stats.subsumed_candidates += 1;
-                        continue;
-                    }
-                    result.stats.smt_queries += 1;
-                    let key = cand_key_mapped(&c.cand, &map);
-                    let outcome = match class.by_key.get(&key).map(|&i| &class.cands[i].outcome)
-                    {
-                        Some(RepOutcome::Refuted) => {
-                            c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
-                            CandOutcome::Refuted
-                        }
-                        _ => self.resolve_on_merge(&u, &c.cand, result),
-                    };
-                    if matches!(outcome, CandOutcome::Sat { .. }) {
-                        pushed = true;
-                    }
-                    self.commit_outcome(c.txs, c.labels, outcome, k, result);
-                }
-            }
-            sym @ (SymTag::Plain | SymTag::Rep { .. }) => {
-                let capture = matches!(sym, SymTag::Rep { .. });
-                let mut class = ClassRecord {
-                    rep_fp: match sym {
-                        SymTag::Rep { fp } => fp,
-                        _ => Vec::new(),
-                    },
-                    suspicious,
-                    complete: !truncated,
-                    cands: Vec::new(),
-                    by_key: HashMap::new(),
-                };
-                if capture {
-                    result.stats.classes += 1;
-                }
-                if !suspicious {
-                    if capture {
-                        classes.insert(index, class);
-                    }
-                    return;
-                }
-                result.stats.suspicious_unfoldings += 1;
-                let u = unfolding.expect("suspicious record carries its unfolding");
-                // The rep's own coordinates are already canonical.
-                let idmap: Vec<usize> = (0..u.instances.len()).collect();
-                for c in cands {
-                    if result.violations.iter().any(|v| v.subsumes(&c.txs)) {
-                        result.stats.subsumed_candidates += 1;
-                        if capture {
-                            class.push(c.cand, RepOutcome::Skipped, &idmap);
-                        }
-                        continue;
-                    }
-                    result.stats.smt_queries += 1;
-                    let outcome = match c.outcome {
-                        CandOutcome::Pruned => {
-                            // The worker's snapshot claimed subsumption but
-                            // the replay set does not — impossible while
-                            // the snapshot holds only merged violations
-                            // (monotonicity), so this is a self-check
-                            // path; re-solve (on the legacy fresh path) to
-                            // stay exact.
-                            result.stats.preprune_fallbacks += 1;
-                            self.resolve_on_merge(&u, &c.cand, result)
-                        }
-                        o => o,
-                    };
-                    if capture {
-                        let rep_outcome = match &outcome {
-                            CandOutcome::Refuted => RepOutcome::Refuted,
-                            CandOutcome::Sat { rendered } => {
-                                RepOutcome::Sat { rendered: rendered.clone() }
-                            }
-                            CandOutcome::Pruned | CandOutcome::Deferred => {
-                                unreachable!("rep verdicts are resolved before capture")
-                            }
-                        };
-                        class.push(c.cand.clone(), rep_outcome, &idmap);
-                    }
-                    if matches!(outcome, CandOutcome::Sat { .. }) {
-                        pushed = true;
-                    }
-                    self.commit_outcome(c.txs, c.labels, outcome, k, result);
-                }
-                if capture {
-                    classes.insert(index, class);
-                }
-            }
-        }
-        if pushed {
-            *snapshot.write().expect("subsumption snapshot lock") =
-                result.violations.iter().map(|v| v.txs.clone()).collect();
-        }
-    }
-
-    /// `CheckBounded`, parallel flavor: work-stealing discovery over a
-    /// shared dispenser plus deterministic in-order merge on this thread.
-    fn check_bounded_parallel(
         &self,
         arena: &Arc<TxArena>,
         tables: &PairTables,
@@ -1213,18 +739,271 @@ impl Checker {
         deadline: &Deadline,
         result: &mut AnalysisResult,
     ) {
-        let snapshot: RwLock<Vec<BTreeSet<usize>>> =
-            RwLock::new(result.violations.iter().map(|v| v.txs.clone()).collect());
-        let symmetry = self.features.symmetry_reduction;
-        // The dispenser classifies each unfolding under its lock: the
-        // first member of an equivalence class (by canonical fingerprint
-        // key) becomes the representative, later members are tagged with
-        // the rep's index. Classification is part of the enumeration
-        // order, so it is deterministic regardless of worker count.
-        let dispenser = Mutex::new((
-            unfoldings(&self.h, arena, k).enumerate(),
-            HashMap::<Vec<u64>, (usize, Vec<u64>)>::new(),
-        ));
+        let round = Round {
+            k,
+            tables,
+            deadline,
+            snapshot: RwLock::new(result.violations.iter().map(|v| v.txs.clone()).collect()),
+            pool: workers > 1,
+        };
+        let mut m = Merge { round: &round, classes: Vec::new(), local: WorkerLocal::default() };
+        if round.pool {
+            self.discover_on_pool(arena, workers, &mut m, result);
+            m.local.fold(&mut result.stats, None);
+            return;
+        }
+        let mut seen = HashMap::new();
+        let mut any = false;
+        for (index, u) in unfoldings(&self.h, arena, k).enumerate() {
+            if deadline.expired() {
+                break;
+            }
+            any = true;
+            let mut sym = classify(&mut seen, &u);
+            if let SymTag::Permuted { class, .. } = sym {
+                // The SSG stage is isomorphic across a class: a member of
+                // a class without candidates has none either, so it needs
+                // no SSG stage, just like an identity member.
+                if !m.classes[class].suspicious {
+                    sym = SymTag::Identity { class };
+                }
+            }
+            let mut session = None;
+            let rec = self.discover(index, &u, sym, &round, &mut session, &mut m.local);
+            self.merge_record(rec, &u, &mut session, &mut m, result);
+        }
+        if any {
+            // The streaming enumeration keeps exactly one unfolding (plus
+            // the class records) resident at a time.
+            result.stats.peak_unfoldings_resident = result.stats.peak_unfoldings_resident.max(1);
+        }
+        m.local.fold(&mut result.stats, Some(0));
+    }
+
+    /// Discovery for one unfolding: the SSG stage and, for a
+    /// representative, the batched refutation probe. On the pool the
+    /// worker also solves every candidate the snapshot does not cover;
+    /// inline, candidates the probe did not refute stay
+    /// [`CandOutcome::Pending`] for the merge. The unfolding's shared
+    /// session, if one is built, is left in `session` (an out-parameter:
+    /// the encoder is large, and most unfoldings build none).
+    fn discover<'a>(
+        &'a self,
+        index: usize,
+        u: &'a Unfolding,
+        sym: SymTag,
+        round: &Round,
+        session: &mut Option<CycleEncoder<'a>>,
+        local: &mut WorkerLocal,
+    ) -> WorkRecord {
+        let Round { tables, deadline, pool: eager, .. } = *round;
+        let mut rec = WorkRecord { index, sym, suspicious: false, cands: Vec::new() };
+        if matches!(rec.sym, SymTag::Identity { .. }) {
+            // All work replays off the rep's class record at merge time.
+            return rec;
+        }
+        let found = self.filter_candidates(u, tables, local);
+        rec.suspicious = !found.is_empty();
+        if matches!(rec.sym, SymTag::Permuted { .. }) {
+            // Candidate order is member specific, so only the SSG stage
+            // runs here; verdicts resolve from the class record.
+            rec.cands = found.into_iter().map(|c| (c, CandOutcome::Pending)).collect();
+            return rec;
+        }
+        let covered = |cand: &CandidateCycle| {
+            let txs = tx_set(u, cand);
+            round.snapshot.read().expect("subsumption snapshot lock").iter().any(|v| v.is_subset(&txs))
+        };
+        // Batched refutation probe: one disjunctive solve over the
+        // candidates the snapshot does not cover. UNSAT refutes them all —
+        // the common case — so the per-candidate assumption solves
+        // collapse into a single solver call; SAT falls back to solving
+        // each candidate. The snapshot only grows and the violation set
+        // cannot change while every verdict is Refuted, so every candidate
+        // the merge finds live was part of the probed set.
+        rec.cands.reserve_exact(found.len());
+        let mut all_refuted = false;
+        if found.len() >= 2 && !deadline.expired() {
+            let pending: Vec<&CandidateCycle> = found.iter().filter(|c| !covered(c)).collect();
+            if pending.len() >= 2 {
+                let enc = session.insert(self.session(u, local));
+                let t1 = Instant::now();
+                let _probe = c4_obs::span_arg("smt_query", c4_obs::tag::PROBE);
+                let sat = enc.check_shared_any(&pending);
+                drop(_probe);
+                let dt = t1.elapsed();
+                local.smt += dt;
+                local.query_solve += dt;
+                local.queries += 1;
+                local.assumption_solves += 1;
+                all_refuted = !sat;
+            }
+        }
+        for cand in found {
+            // Inline, nothing below costs time worth a deadline check.
+            if eager && deadline.expired() {
+                break;
+            }
+            let outcome = if eager && covered(&cand) {
+                local.preprune_skips += 1;
+                CandOutcome::Pending
+            } else if all_refuted {
+                CandOutcome::Refuted
+            } else if !eager {
+                CandOutcome::Pending
+            } else {
+                let enc = session.get_or_insert_with(|| self.session(u, local));
+                self.solve_candidate(u, &cand, Some(enc), local)
+            };
+            rec.cands.push((cand, outcome));
+        }
+        rec
+    }
+
+    /// Commits one record with the sequential semantics: in enumeration
+    /// order, a candidate a committed violation subsumes is skipped, and
+    /// a live one counts a query and commits its verdict, solving it
+    /// first if it is still pending. `session` is the unfolding's shared
+    /// session when discovery ran inline.
+    fn merge_record<'a>(
+        &'a self,
+        rec: WorkRecord,
+        u: &'a Unfolding,
+        session: &mut Option<CycleEncoder<'a>>,
+        m: &mut Merge,
+        result: &mut AnalysisResult,
+    ) {
+        result.stats.unfoldings += 1;
+        let sat_before = result.stats.smt_sat;
+        let WorkRecord { sym, suspicious, cands, .. } = rec;
+        match sym {
+            SymTag::Rep { fp } => {
+                result.stats.classes += 1;
+                if suspicious {
+                    result.stats.suspicious_unfoldings += 1;
+                }
+                let mut class = ClassRecord {
+                    rep_fp: fp,
+                    suspicious,
+                    cands: Vec::with_capacity(cands.len()),
+                    by_key: HashMap::new(),
+                };
+                // The rep's own coordinates are already canonical.
+                let idmap: Vec<usize> =
+                    if suspicious { (0..u.instances.len()).collect() } else { Vec::new() };
+                for (cand, outcome) in cands {
+                    let txs = tx_set(u, &cand);
+                    let committed = if subsumed(result, &txs) {
+                        result.stats.subsumed_candidates += 1;
+                        CandOutcome::Pending
+                    } else if m.round.deadline.expired() {
+                        break;
+                    } else {
+                        result.stats.smt_queries += 1;
+                        let outcome = match outcome {
+                            // Pre-pruned by the worker's snapshot yet live
+                            // here — impossible while the snapshot holds
+                            // only merged violations (monotonicity), so
+                            // this is a self-check path.
+                            CandOutcome::Pending if m.round.pool => {
+                                result.stats.preprune_fallbacks += 1;
+                                self.solve_candidate(u, &cand, None, &mut m.local)
+                            }
+                            CandOutcome::Pending => {
+                                let enc =
+                                    session.get_or_insert_with(|| self.session(u, &mut m.local));
+                                self.solve_candidate(u, &cand, Some(enc), &mut m.local)
+                            }
+                            o => o,
+                        };
+                        self.commit_outcome(txs, &cand, outcome.clone(), m.round.k, result);
+                        outcome
+                    };
+                    class.by_key.insert(cand_key_mapped(&cand, &idmap), class.cands.len());
+                    class.cands.push((cand, committed));
+                }
+                m.local.retire(session.take());
+                m.classes.push(class);
+            }
+            SymTag::Identity { class } => {
+                result.stats.class_members_skipped += 1;
+                let class = &m.classes[class];
+                if !class.suspicious {
+                    return;
+                }
+                result.stats.suspicious_unfoldings += 1;
+                for (cand, known) in &class.cands {
+                    let txs = tx_set(u, cand);
+                    if subsumed(result, &txs) {
+                        result.stats.subsumed_candidates += 1;
+                        continue;
+                    }
+                    if m.round.deadline.expired() {
+                        break;
+                    }
+                    result.stats.smt_queries += 1;
+                    let outcome = match known {
+                        CandOutcome::Pending => self.solve_candidate(u, cand, None, &mut m.local),
+                        o => {
+                            c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
+                            o.clone()
+                        }
+                    };
+                    self.commit_outcome(txs, cand, outcome, m.round.k, result);
+                }
+            }
+            SymTag::Permuted { class, fp } => {
+                result.stats.class_members_skipped += 1;
+                if !suspicious {
+                    return;
+                }
+                let class = &m.classes[class];
+                result.stats.suspicious_unfoldings += 1;
+                let map = instance_map(u, &fp, &class.rep_fp);
+                for (cand, _) in cands {
+                    let txs = tx_set(u, &cand);
+                    if subsumed(result, &txs) {
+                        result.stats.subsumed_candidates += 1;
+                        continue;
+                    }
+                    if m.round.deadline.expired() {
+                        break;
+                    }
+                    result.stats.smt_queries += 1;
+                    let key = cand_key_mapped(&cand, &map);
+                    let outcome = match class.by_key.get(&key).map(|&i| &class.cands[i].1) {
+                        Some(CandOutcome::Refuted) => {
+                            c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
+                            CandOutcome::Refuted
+                        }
+                        _ => self.solve_candidate(u, &cand, None, &mut m.local),
+                    };
+                    self.commit_outcome(txs, &cand, outcome, m.round.k, result);
+                }
+            }
+        }
+        if result.stats.smt_sat != sat_before {
+            *m.round.snapshot.write().expect("subsumption snapshot lock") =
+                result.violations.iter().map(|v| v.txs.clone()).collect();
+        }
+    }
+
+    /// Pool discovery: workers pull unfoldings from a shared dispenser
+    /// and solve eagerly, while this thread merges their records in
+    /// ascending enumeration order. The merge is clocked and spanned here,
+    /// where it runs beside the workers.
+    fn discover_on_pool(
+        &self,
+        arena: &Arc<TxArena>,
+        workers: usize,
+        m: &mut Merge,
+        result: &mut AnalysisResult,
+    ) {
+        let round = m.round;
+        // The dispenser classifies each unfolding under its lock, in
+        // enumeration order.
+        let dispenser =
+            Mutex::new((unfoldings(&self.h, arena, round.k).enumerate(), HashMap::new()));
         // Unfoldings handed out but not yet merged — the resident window
         // the streaming enumeration keeps alive at any instant.
         let dispensed = AtomicUsize::new(0);
@@ -1234,13 +1013,12 @@ impl Checker {
         // skip as subsumed. The merge never blocks on a *specific* index
         // (out-of-order records are stashed), so a full buffer cannot
         // deadlock — workers just wait for the merge to drain.
-        let (record_tx, record_rx) = mpsc::sync_channel::<WorkRecord>(workers * 2);
+        let (record_tx, record_rx) = mpsc::sync_channel::<(WorkRecord, Unfolding)>(workers * 2);
         // Unfoldings are cheap to reject individually, so workers claim
         // them in small chunks to keep dispenser-lock traffic low without
         // widening the in-flight window.
         const CHUNK: usize = 4;
         let locals: Vec<WorkerLocal> = std::thread::scope(|scope| {
-            let snapshot = &snapshot;
             let dispenser = &dispenser;
             let dispensed = &dispensed;
             let handles: Vec<_> = (0..workers)
@@ -1248,102 +1026,29 @@ impl Checker {
                     let record_tx = record_tx.clone();
                     scope.spawn(move || {
                         let mut local = WorkerLocal::default();
-                        let mut chunk: Vec<(usize, Unfolding, SymTag)> =
-                            Vec::with_capacity(CHUNK);
+                        let mut chunk: Vec<(usize, Unfolding, SymTag)> = Vec::with_capacity(CHUNK);
                         'pull: loop {
-                            if deadline.expired() {
+                            if round.deadline.expired() {
                                 break;
                             }
                             {
                                 let mut guard = dispenser.lock().expect("dispenser lock");
                                 let (it, seen) = &mut *guard;
                                 for (index, u) in it.by_ref().take(CHUNK) {
-                                    let tag = if symmetry {
-                                        let fp = u.fp_seq();
-                                        let mut key = fp.clone();
-                                        key.sort_unstable();
-                                        match seen.get(&key) {
-                                            Some((rep, rep_fp)) => {
-                                                if fp == *rep_fp {
-                                                    SymTag::Identity { rep: *rep }
-                                                } else {
-                                                    SymTag::Permuted { rep: *rep, fp }
-                                                }
-                                            }
-                                            None => {
-                                                seen.insert(key, (index, fp.clone()));
-                                                SymTag::Rep { fp }
-                                            }
-                                        }
-                                    } else {
-                                        SymTag::Plain
-                                    };
-                                    chunk.push((index, u, tag));
+                                    let sym = classify(seen, &u);
+                                    chunk.push((index, u, sym));
                                 }
                                 dispensed.fetch_add(chunk.len(), Ordering::Relaxed);
                             }
                             if chunk.is_empty() {
                                 break;
                             }
-                            for (index, u, tag) in chunk.drain(..) {
-                                let rec = match tag {
-                                    tag @ (SymTag::Plain | SymTag::Rep { .. }) => self
-                                        .process_unfolding(
-                                            index, u, tables, snapshot, deadline, &mut local,
-                                            tag,
-                                        ),
-                                    tag @ SymTag::Identity { .. } => {
-                                        // All work replays off the rep's
-                                        // class record at merge time.
-                                        WorkRecord {
-                                            index,
-                                            suspicious: false,
-                                            unfolding: Some(u),
-                                            cands: Vec::new(),
-                                            truncated: false,
-                                            sym: tag,
-                                        }
-                                    }
-                                    tag @ SymTag::Permuted { .. } => {
-                                        // Candidate order is member
-                                        // specific, so only the SSG stage
-                                        // runs here; verdicts resolve from
-                                        // the class record at merge time.
-                                        let found =
-                                            self.filter_candidates(&u, tables, &mut local);
-                                        let suspicious = !found.is_empty();
-                                        let cands = found
-                                            .into_iter()
-                                            .map(|cand| {
-                                                let txs = cand
-                                                    .nodes
-                                                    .iter()
-                                                    .map(|&n| u.instances[n].orig_tx)
-                                                    .collect();
-                                                let labels = cand
-                                                    .steps
-                                                    .iter()
-                                                    .map(|s| s.label)
-                                                    .collect();
-                                                CandidateRecord {
-                                                    txs,
-                                                    labels,
-                                                    cand,
-                                                    outcome: CandOutcome::Deferred,
-                                                }
-                                            })
-                                            .collect();
-                                        WorkRecord {
-                                            index,
-                                            suspicious,
-                                            unfolding: Some(u),
-                                            cands,
-                                            truncated: false,
-                                            sym: tag,
-                                        }
-                                    }
-                                };
-                                if record_tx.send(rec).is_err() {
+                            for (index, u, sym) in chunk.drain(..) {
+                                let mut session = None;
+                                let rec =
+                                    self.discover(index, &u, sym, round, &mut session, &mut local);
+                                local.retire(session);
+                                if record_tx.send((rec, u)).is_err() {
                                     break 'pull;
                                 }
                             }
@@ -1353,54 +1058,30 @@ impl Checker {
                 })
                 .collect();
             drop(record_tx);
-            // Deterministic replay, concurrent with discovery: records
-            // merge strictly in ascending unfolding index, so the
-            // published snapshot is always a fully merged prefix.
-            let mut classes: HashMap<usize, ClassRecord> = HashMap::new();
-            let mut stash: BTreeMap<usize, WorkRecord> = BTreeMap::new();
+            let mut stash: BTreeMap<usize, (WorkRecord, Unfolding)> = BTreeMap::new();
             let mut next_merge = 0usize;
-            let mut merged = 0usize;
-            let mut merge_clock = Duration::ZERO;
-            while let Ok(rec) = record_rx.recv() {
-                stash.insert(rec.index, rec);
-                while let Some(rec) = stash.remove(&next_merge) {
+            while let Ok(item) = record_rx.recv() {
+                stash.insert(item.0.index, item);
+                while let Some((rec, u)) = stash.remove(&next_merge) {
+                    let _span = c4_obs::span("merge");
                     let t0 = Instant::now();
-                    self.merge_record(rec, k, snapshot, &mut classes, result);
-                    merge_clock += t0.elapsed();
+                    self.merge_record(rec, &u, &mut None, m, result);
+                    result.stats.timings.merge += t0.elapsed();
                     next_merge += 1;
-                    merged += 1;
                 }
                 // Dispensed-but-unmerged unfoldings are the live window:
                 // in-flight on workers, in the channel, or stashed here.
-                let resident = dispensed.load(Ordering::Relaxed).saturating_sub(merged);
+                let resident = dispensed.load(Ordering::Relaxed).saturating_sub(next_merge);
                 result.stats.peak_unfoldings_resident =
                     result.stats.peak_unfoldings_resident.max(resident);
             }
-            // A deadline abort can leave index gaps; replay stragglers in
-            // ascending order (exactness is moot once the budget fired,
-            // but partial results must still be well-formed).
-            for (_, rec) in std::mem::take(&mut stash) {
-                let t0 = Instant::now();
-                self.merge_record(rec, k, snapshot, &mut classes, result);
-                merge_clock += t0.elapsed();
-            }
-            result.stats.timings.merge += merge_clock;
+            // A worker stops only between chunks and sends every unfolding
+            // it took, so the records have no index gaps and the stash
+            // drains completely, even after a deadline abort.
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
         });
         for (w, local) in locals.iter().enumerate() {
-            result.stats.speculative_smt_queries += local.queries;
-            result.stats.preprune_skips += local.preprune_skips;
-            result.stats.assumption_solves += local.assumption_solves;
-            result.stats.sat_resolves += local.sat_resolves;
-            result.stats.learnt_clauses += local.learnt_clauses;
-            if let Some(q) = result.stats.per_worker_queries.get_mut(w) {
-                *q += local.queries;
-            }
-            result.stats.timings.ssg_filter += local.ssg_filter;
-            result.stats.timings.smt += local.smt;
-            result.stats.timings.encoder_build += local.encoder_build;
-            result.stats.timings.query_solve += local.query_solve;
-            result.stats.timings.validate += local.validate;
+            local.fold(&mut result.stats, Some(w));
         }
     }
 

@@ -945,7 +945,7 @@ impl<'a> CycleEncoder<'a> {
     /// counter-example re-check with a fresh encoder via
     /// [`CycleEncoder::check`] — the fresh path stays the canonical source
     /// of models, which keeps analysis results byte-identical with the
-    /// legacy mode.
+    /// fresh-encoder-per-candidate reference search.
     pub fn check_shared(&mut self, cand: &CandidateCycle) -> bool {
         let m = cand.nodes.len();
         let mut step_terms = Vec::with_capacity(m);

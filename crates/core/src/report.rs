@@ -31,8 +31,8 @@ impl Violation {
 
 /// Cumulative wall-clock time per analysis stage.
 ///
-/// Sequential runs measure each stage inline, so the stage times sum to
-/// (roughly) the total wall-clock time. Parallel runs accumulate the
+/// One-worker runs measure each stage inline, so the stage times sum to
+/// (roughly) the total wall-clock time. Pool runs accumulate the
 /// per-worker time of the `ssg_filter` / `smt` / `validate` stages, so
 /// their sum is *CPU* time and can exceed the wall clock; `unfold` and
 /// `merge` always run on the driver thread and remain wall-clock times.
@@ -49,12 +49,13 @@ pub struct StageTimings {
     pub smt: Duration,
     /// Counter-example decoding, concrete validation, and rendering.
     pub validate: Duration,
-    /// Deterministic in-order replay of worker records (parallel runs
-    /// only; zero on the exact sequential path).
+    /// Deterministic in-order merge of worker records, clocked where the
+    /// pool runs it beside the workers (zero at one worker, where the
+    /// merge is inline and its solves count toward the other stages).
     pub merge: Duration,
     /// Constructing `CycleEncoder`s — symbol declarations plus structural
-    /// axiom assertion (a sub-span of `smt`; with `incremental_smt` this
-    /// is paid once per suspicious unfolding instead of once per query).
+    /// axiom assertion (a sub-span of `smt`; the shared incremental
+    /// session pays it once per suspicious unfolding, not once per query).
     pub encoder_build: Duration,
     /// Solving candidate queries against an already-built encoder — the
     /// per-candidate marginal cost (a sub-span of `smt`).
@@ -128,7 +129,7 @@ pub struct AnalysisStats {
     /// Bounded-search queries answered through a shared incremental
     /// encoder session under an assumption literal (scheduling-dependent:
     /// like `speculative_smt_queries`, this counts work actually
-    /// performed by workers; zero with `incremental_smt` off).
+    /// performed; zero in `Checker::run_reference`).
     pub assumption_solves: usize,
     /// Incremental-SAT verdicts re-solved with a fresh encoder for the
     /// canonical counter-example model (scheduling-dependent; a subset of
@@ -140,28 +141,27 @@ pub struct AnalysisStats {
     /// state carried between queries).
     pub learnt_clauses: usize,
     /// Symmetry equivalence classes analyzed in full (one representative
-    /// per class; equals `unfoldings` with symmetry reduction off or when
-    /// every class is a singleton). Deterministic for a fixed history —
-    /// classification happens in enumeration order — but excluded from
-    /// the replay counters because it depends on the
-    /// `symmetry_reduction` feature toggle.
+    /// per class; equals `unfoldings` when every class is a singleton).
+    /// Deterministic for a fixed history — classification happens in
+    /// enumeration order — but excluded from the replay counters because
+    /// the reference search (`Checker::run_reference`) forms no classes.
     pub classes: usize,
     /// Unfoldings whose SSG + SMT work was replayed from their class
-    /// representative's record instead of being recomputed (zero with
-    /// symmetry reduction off).
+    /// representative's record instead of being recomputed (zero in the
+    /// reference search).
     pub class_members_skipped: usize,
     /// High-water mark of unfoldings simultaneously resident: dispensed
-    /// by the streaming enumeration but not yet merged. 1 on the
-    /// sequential path; bounded by the dispenser chunking and channel
-    /// backpressure (≈ `workers · (CHUNK + 2)`) on the parallel path,
+    /// by the streaming enumeration but not yet merged. 1 at one worker;
+    /// bounded by the dispenser chunking and channel backpressure
+    /// (≈ `workers · (CHUNK + 2)`) on the pool,
     /// demonstrating the enumeration never materializes the O(n^k)
     /// unfolding space.
     pub peak_unfoldings_resident: usize,
     /// Whether the wall-clock budget expired and the run returned a
     /// partial (still well-formed) result.
     pub deadline_hit: bool,
-    /// Worker threads used by the bounded search (1 on the exact
-    /// sequential path).
+    /// Worker threads used by the bounded search (1 when discovery and
+    /// merge run inline on the calling thread).
     pub workers: usize,
     /// SMT queries solved per worker, indexed by worker id
     /// (scheduling-dependent; sums to `speculative_smt_queries`).
@@ -439,8 +439,8 @@ impl AnalysisResult {
     ///
     /// Timings and scheduling-dependent counters are deliberately
     /// excluded: for a fixed history and feature set the encoding is
-    /// byte-identical across runs, `parallelism` settings and
-    /// `incremental_smt` modes (as long as no deadline fires), which is
+    /// byte-identical across runs, `parallelism` settings and the
+    /// reference search (as long as no deadline fires), which is
     /// what lets the content-addressed verdict cache serve stored bytes
     /// verbatim and lets differential tests compare daemon-served and
     /// directly-computed reports with `==` on bytes.

@@ -5,7 +5,7 @@
 //!    <command>
 //!
 //! c4 ... submit [--no-wait] [--timing] [--budget S]
-//!        [--threads N] [--max-k K] [--no-incremental] [--out FILE] FILE
+//!        [--threads N] [--max-k K] [--out FILE] FILE
 //! c4 ... status [--out FILE] JOB
 //! c4 ... cancel JOB
 //! c4 ... stats
@@ -58,7 +58,7 @@ fn usage() -> ! {
          [--retry N] <command>\n\
          commands:\n\
          \x20 submit [--no-wait] [--timing] [--budget S] [--threads N] [--max-k K] \
-         [--no-incremental] [--out FILE] FILE\n\
+         [--out FILE] FILE\n\
          \x20 status [--out FILE] JOB\n\
          \x20 cancel JOB\n\
          \x20 stats\n\
@@ -163,7 +163,6 @@ fn submit(client: &Client, mut args: Vec<String>) {
             "--budget" => features.time_budget_secs = num(&mut args, "--budget"),
             "--threads" => features.parallelism = num(&mut args, "--threads"),
             "--max-k" => features.max_k = num(&mut args, "--max-k"),
-            "--no-incremental" => features.incremental_smt = false,
             "--out" => out = Some(PathBuf::from(required(&mut args, "--out"))),
             other if !other.starts_with('-') && file.is_none() => file = Some(a),
             _ => usage(),

@@ -437,6 +437,8 @@ impl<'a> Reader<'a> {
 // AnalysisFeatures
 // ---------------------------------------------------------------------
 
+/// Feature bits 8 and 9 are reserved (they carried two driver toggles
+/// that no longer exist): written as 0, ignored on read.
 fn put_features(out: &mut Vec<u8>, f: &AnalysisFeatures) {
     let bits: u16 = (f.commutativity as u16)
         | (f.absorption as u16) << 1
@@ -445,9 +447,7 @@ fn put_features(out: &mut Vec<u8>, f: &AnalysisFeatures) {
         | (f.asymmetric as u16) << 4
         | (f.freshness as u16) << 5
         | (f.ret_justification as u16) << 6
-        | (f.validate_counterexamples as u16) << 7
-        | (f.incremental_smt as u16) << 8
-        | (f.symmetry_reduction as u16) << 9;
+        | (f.validate_counterexamples as u16) << 7;
     out.extend_from_slice(&bits.to_be_bytes());
     put_u32(out, f.max_k as u32);
     put_u64(out, f.time_budget_secs);
@@ -466,8 +466,6 @@ fn read_features(r: &mut Reader<'_>) -> Result<AnalysisFeatures, ProtoError> {
         freshness: bit(5),
         ret_justification: bit(6),
         validate_counterexamples: bit(7),
-        incremental_smt: bit(8),
-        symmetry_reduction: bit(9),
         max_k: r.u32()? as usize,
         time_budget_secs: r.u64()?,
         parallelism: r.u32()? as usize,
@@ -1004,7 +1002,6 @@ mod tests {
     fn requests_roundtrip() {
         let mut f = AnalysisFeatures::default();
         f.parallelism = 3;
-        f.incremental_smt = false;
         f.max_k = 6;
         f.time_budget_secs = 17;
         let ctx = TraceCtx { trace_id: 0xDEAD_BEEF_0123, parent_span: 7, sampled: true };
@@ -1046,6 +1043,21 @@ mod tests {
             assert_eq!(decoded, req);
             assert_eq!(version, PROTO_VERSION);
         }
+    }
+
+    /// Feature bits 8 and 9 once carried the removed incremental-SMT and
+    /// symmetry-reduction toggles. They are reserved: written as 0, and a
+    /// frame from an older peer with them set decodes to the same
+    /// features.
+    #[test]
+    fn reserved_feature_bits_are_written_as_zero_and_ignored() {
+        let f = AnalysisFeatures { parallelism: 2, ..AnalysisFeatures::default() };
+        let req = Request::Submit { wait: true, features: f, source: "s".into(), ctx: None };
+        let mut bytes = req.encode();
+        // Tag, version and wait flag precede the big-endian feature bits.
+        assert_eq!(bytes[4] & 0b11, 0, "reserved bits must be written as zero");
+        bytes[4] |= 0b11;
+        assert_eq!(Request::decode(&bytes).unwrap(), req);
     }
 
     /// A v1 peer's frames (version field 1, no v2 message tags) must

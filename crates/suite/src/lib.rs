@@ -277,9 +277,8 @@ pub fn analyze_with_cache(
 /// determinism contract:
 ///
 /// * `"stats"` — the replay counters plus run shape: identical across
-///   worker counts and feature toggles (the symmetry/incremental
-///   differential smokes compare these byte-for-byte);
-/// * `"sched"` — scheduling- and feature-dependent counters
+///   worker counts (differential tests compare these byte-for-byte);
+/// * `"sched"` — scheduling-dependent counters
 ///   (speculative/prepruned/assumption solves, symmetry class
 ///   accounting, residency, per-worker query distribution): allowed
 ///   to differ run-to-run, stripped by [`strip_volatile`];
@@ -375,9 +374,7 @@ pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
 /// Strips the run-to-run volatile parts of a [`json_line`] record —
 /// the `fe_ms`/`be_ms` wall clocks, the `"sched"` block, and the
 /// `"timings_ms"` block — leaving the deterministic remainder that
-/// differential tests and the ci.sh smokes compare byte-for-byte.
-/// (The ci.sh `strip_timings` sed is the shell twin of this function;
-/// keep them in sync.)
+/// differential tests compare byte-for-byte.
 pub fn strip_volatile(line: &str) -> String {
     let mut s = line.to_string();
     if let Some(i) = s.find("\"fe_ms\":") {

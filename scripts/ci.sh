@@ -15,7 +15,7 @@ cargo test -q
 
 # The golden report oracle over the whole suite (debug builds above check
 # only the cheap programs): report digests at 1 and 4 workers plus the
-# incremental-SMT counters at 1 worker.
+# incremental-SMT session counters at 1 worker.
 echo "==> report goldens (release)"
 cargo test --release -q -p c4-tests --test report_golden
 
@@ -25,6 +25,12 @@ cargo test --release -q -p c4-tests --test report_golden
 # builds above check a cheap subset of both).
 echo "==> stats coherence and model-checking goldens (release)"
 cargo test --release -q -p c4-tests --test stats_coherence --test mc_golden
+
+# The driver against the policy-free reference search over the whole
+# suite, at 1 worker (incremental_differential) and 4 workers
+# (symmetry_differential); debug builds above check the cheap programs.
+echo "==> reference differential, suite programs (release)"
+cargo test --release -q -p c4-tests --test incremental_differential --test symmetry_differential suite_programs
 
 # c4-perf is a package of its own, outside the workspace: its unit tests
 # and its smoke run (every oracle check, reduced inputs) build from its
@@ -52,30 +58,6 @@ tn_end=$(date +%s)
 t1=$((t1_end - t1_start))
 tn=$((tn_end - tn_start))
 echo "==> table1 slice wall time: ${t1}s at 1 thread, ${tn}s at ${N} threads"
-
-# The legacy fresh-encoder SMT path must stay green (the differential
-# suite checks byte-identical results; this smokes the flag end-to-end).
-echo "==> table1 smoke, --no-incremental"
-./target/release/table1 --threads 1 --no-incremental "${SLICE[@]}"
-
-# Symmetry smoke: the reduced enumeration must produce byte-identical
-# machine-readable output to --no-symmetry once the (non-deterministic)
-# timing fields and the scheduling-/feature-dependent "sched" block are
-# stripped. The differential suite proves this on report bytes; this
-# checks the real binary end-to-end on a slice. (Shell twin of
-# `c4_suite::strip_volatile` — keep the two in sync.)
-echo "==> table1 symmetry smoke (--json vs --no-symmetry)"
-strip_timings() {
-    sed -E 's/"fe_ms":[0-9.]+,"be_ms":[0-9.]+,//; s/"sched":\{[^}]*\},//; s/"timings_ms":\{[^}]*\},//' "$1"
-}
-SYM_DIR="$(mktemp -d)"
-./target/release/table1 --threads 1 --json "${SLICE[@]}" > "$SYM_DIR/on.json"
-./target/release/table1 --threads 1 --json --no-symmetry "${SLICE[@]}" > "$SYM_DIR/off.json"
-strip_timings "$SYM_DIR/on.json" > "$SYM_DIR/on.stripped"
-strip_timings "$SYM_DIR/off.json" > "$SYM_DIR/off.stripped"
-cmp "$SYM_DIR/on.stripped" "$SYM_DIR/off.stripped"
-rm -rf "$SYM_DIR"
-echo "==> symmetry smoke OK"
 
 # Peak-RSS guard on the heaviest row: the streaming enumeration must not
 # materialize the 88 620-unfolding Relatd run. The bound is generous
@@ -140,10 +122,6 @@ echo "==> model-checker smoke OK"
 # re-run it by name so a CI log shows the agreement verdict explicitly.
 echo "==> three-way agreement suite"
 cargo test -q -p c4-tests --test three_way_agreement
-
-# Smoke the incremental-vs-fresh criterion bench (runs each closure once).
-echo "==> encode_vs_incremental bench smoke"
-cargo bench -p c4-bench --bench encode_vs_incremental -- --test
 
 # Daemon smoke: start c4d over a temp cache dir, submit two suite
 # programs twice (second round must be cache hits with byte-identical

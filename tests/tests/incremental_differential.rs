@@ -1,179 +1,68 @@
-//! The incremental-SMT differential contract: for every program,
-//! `incremental_smt` on (one shared encoder per suspicious unfolding,
-//! candidate queries solved under assumption literals) and off (the
-//! legacy fresh-encoder-per-candidate path) produce byte-identical
-//! `AnalysisResult`s — violations (transaction sets, labels, session
-//! counts, rendered counter-examples, in the same order), `generalized`
-//! flag, `max_k`, and replay counters — at 1 and 4 worker threads.
+//! The reference differential (see `common`) for the one-worker driver
+//! and the shared incremental session: at one worker discovery and merge
+//! run on the calling thread, candidates the batched probe did not refute
+//! solve lazily through the unfolding's shared encoder, and the report
+//! must equal `Checker::run_reference`, which solves every candidate on a
+//! fresh encoder. The random-history crossing property takes the pool at
+//! the default features against the same reference.
 
-use c4::{AnalysisFeatures, AnalysisResult, Checker};
-use c4_suite::benchmarks;
+mod common;
+
+use c4::{AnalysisFeatures, Checker};
+use common::arb_history;
 use proptest::prelude::*;
 
-fn features(incremental_smt: bool, parallelism: usize) -> AnalysisFeatures {
-    AnalysisFeatures { incremental_smt, parallelism, ..AnalysisFeatures::default() }
-}
-
-/// Unoptimized builds pay roughly an order of magnitude per SMT query;
-/// keep the differential sweep representative but bounded there. Release
-/// builds cover the full suite.
-fn selection() -> Vec<c4_suite::Benchmark> {
-    let mut bs = benchmarks();
-    if cfg!(debug_assertions) {
-        bs.retain(|b| b.paper.t * b.paper.e <= 60);
-    }
-    bs
-}
-
-fn assert_identical(name: &str, inc: &AnalysisResult, fresh: &AnalysisResult) {
-    assert!(
-        inc.same_verdict(fresh),
-        "{name}: incremental verdict diverged\nincremental: {inc}\nfresh: {fresh}"
-    );
-    // `same_verdict` covers the renderings via `Violation: PartialEq`;
-    // spell the field comparison out anyway so a future weakening of
-    // `same_verdict` fails loudly here.
-    assert_eq!(inc.violations.len(), fresh.violations.len(), "{name}: violation counts");
-    for (vi, vf) in inc.violations.iter().zip(&fresh.violations) {
-        assert_eq!(vi.txs, vf.txs, "{name}: transaction sets differ");
-        assert_eq!(vi.labels, vf.labels, "{name}: cycle labels differ");
-        assert_eq!(vi.sessions, vf.sessions, "{name}: session counts differ");
-        assert_eq!(
-            vi.counterexample, vf.counterexample,
-            "{name}: counter-example renderings differ"
-        );
-    }
-    assert_eq!(
-        inc.stats.replay_counters(),
-        fresh.stats.replay_counters(),
-        "{name}: replay counters diverged"
-    );
-    assert!(
-        !inc.stats.deadline_hit && !fresh.stats.deadline_hit,
-        "{name}: budget fired mid-differential"
-    );
-}
-
-/// Every suite program, default feature set, incremental on vs. off, at
-/// one and four workers.
+/// Every suite program, default feature set, one worker against the
+/// reference.
 #[test]
 fn suite_programs_agree_across_incremental_modes() {
-    for b in selection() {
-        let p = c4_lang::parse(b.source).expect("parse");
-        let h = c4_lang::abstract_history(&p).expect("interp");
-        for workers in [1usize, 4] {
-            let inc = Checker::new(h.clone(), features(true, workers)).run();
-            let fresh = Checker::new(h.clone(), features(false, workers)).run();
-            assert_identical(b.name, &inc, &fresh);
-            // The legacy path must never touch an incremental session.
-            assert_eq!(
-                fresh.stats.assumption_solves, 0,
-                "{}: fresh path used the session",
-                b.name
-            );
-            assert_eq!(fresh.stats.sat_resolves, 0);
-            assert_eq!(fresh.stats.learnt_clauses, 0);
-            // The incremental path answers every bounded verdict through
-            // the session first (counting speculative worker solves too,
-            // assumption solves cover at least the committed verdicts
-            // minus pre-pruned candidates, which are never solved).
-            if inc.stats.smt_sat + inc.stats.smt_refuted > 0 {
-                assert!(
-                    inc.stats.assumption_solves > 0,
-                    "{}: incremental mode never used the session",
-                    b.name
-                );
-            }
-        }
-    }
-}
-
-/// Random small abstract histories: 1–3 straight-line transactions over a
-/// shared map/set with randomly chosen key arguments and free session
-/// order (the same generator as the parallel-determinism suite).
-fn arb_history() -> impl Strategy<Value = c4::abstract_history::AbstractHistory> {
-    use c4::abstract_history::{ev, straight_line_tx, AbsArg, AbstractHistory};
-    use c4_store::op::OpKind;
-    use c4_store::Value;
-    let arb_key = prop_oneof![
-        Just(0u8), // Wild
-        Just(1u8), // Param(0)
-        Just(2u8), // session-local constant
-        Just(3u8), // literal constant
-    ];
-    let arb_ev = (arb_key, 0u8..4);
-    proptest::collection::vec(proptest::collection::vec(arb_ev, 1..=3), 1..=3).prop_map(
-        |txs| {
-            let mut h = AbstractHistory::new();
-            let local = h.local("u");
-            for (ti, events) in txs.into_iter().enumerate() {
-                let events = events
-                    .into_iter()
-                    .map(|(key, op)| {
-                        let key = match key {
-                            0 => AbsArg::Wild,
-                            1 => AbsArg::Param(0),
-                            2 => local.clone(),
-                            _ => AbsArg::Const(Value::int(7)),
-                        };
-                        match op {
-                            0 => ev("M", OpKind::MapPut, vec![key, AbsArg::Wild]),
-                            1 => ev("M", OpKind::MapGet, vec![key]),
-                            2 => ev("S", OpKind::SetAdd, vec![key]),
-                            _ => ev("S", OpKind::SetContains, vec![key]),
-                        }
-                    })
-                    .collect();
-                h.add_tx(straight_line_tx(format!("t{ti}"), vec!["p".into()], events));
-            }
-            h.free_session_order();
-            h
-        },
-    )
+    common::suite_programs_agree_with_reference(1);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 24 }))]
 
-    /// Differential check on random histories, incremental on vs. off;
-    /// `max_k = 3` exercises session reuse across unfoldings of more than
-    /// one round.
+    /// One worker against the reference on random histories; `max_k = 3`
+    /// carries the shared session and the subsumption set across rounds.
     #[test]
     fn random_histories_agree_across_incremental_modes(h in arb_history()) {
-        let f = |incremental_smt| AnalysisFeatures {
+        let checker = Checker::new(h, AnalysisFeatures {
             max_k: 3,
-            incremental_smt,
             parallelism: 1,
             ..AnalysisFeatures::default()
-        };
-        let inc = Checker::new(h.clone(), f(true)).run();
-        let fresh = Checker::new(h, f(false)).run();
+        });
+        let run = checker.run();
+        let reference = checker.run_reference();
         prop_assert!(
-            inc.same_verdict(&fresh),
-            "incremental verdict diverged\nincremental: {}\nfresh: {}", inc, fresh
+            !run.stats.deadline_hit && !reference.stats.deadline_hit,
+            "budget fired mid-differential"
         );
-        prop_assert_eq!(inc.stats.replay_counters(), fresh.stats.replay_counters());
-        prop_assert_eq!(fresh.stats.assumption_solves, 0);
+        prop_assert_eq!(
+            run.encode_report(),
+            reference.encode_report(),
+            "report bytes diverged\nrun: {}\nreference: {}", run, reference
+        );
+        prop_assert_eq!(run.stats.replay_counters(), reference.stats.replay_counters());
+        prop_assert_eq!(reference.stats.assumption_solves, 0);
+        prop_assert_eq!(reference.stats.sat_resolves, 0);
+        prop_assert_eq!(reference.stats.learnt_clauses, 0);
     }
 
-    /// The parallel incremental path (per-worker sessions) agrees with the
-    /// sequential fresh path — crossing both toggles at once.
+    /// The pool (per-worker sessions, dispenser-classified members,
+    /// eager solves) against the reference, with the default features.
     #[test]
     fn random_histories_agree_crossing_parallelism(h in arb_history()) {
-        let inc_par = Checker::new(h.clone(), AnalysisFeatures {
-            incremental_smt: true,
+        let checker = Checker::new(h, AnalysisFeatures {
             parallelism: 4,
             ..AnalysisFeatures::default()
-        }).run();
-        let fresh_seq = Checker::new(h, AnalysisFeatures {
-            incremental_smt: false,
-            parallelism: 1,
-            ..AnalysisFeatures::default()
-        }).run();
+        });
+        let run = checker.run();
+        let reference = checker.run_reference();
         prop_assert!(
-            inc_par.same_verdict(&fresh_seq),
-            "crossed verdict diverged\nincremental/4: {}\nfresh/1: {}", inc_par, fresh_seq
+            run.same_verdict(&reference),
+            "crossed verdict diverged\nrun/4: {}\nreference: {}", run, reference
         );
-        prop_assert_eq!(inc_par.stats.replay_counters(), fresh_seq.stats.replay_counters());
+        prop_assert_eq!(run.stats.replay_counters(), reference.stats.replay_counters());
+        prop_assert_eq!(run.encode_report(), reference.encode_report());
     }
 }

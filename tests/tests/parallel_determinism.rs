@@ -1,28 +1,18 @@
-//! The parallel driver's determinism contract: for every program,
-//! `parallelism = 1` (the exact legacy sequential path) and
-//! `parallelism = 4` produce identical violations (transaction sets,
-//! labels, session counts, rendered counter-examples, in the same
-//! order), the same `generalized` flag and `max_k`, and identical
-//! replay counters.
+//! The driver's determinism contract: for every program,
+//! `parallelism = 1` (discovery and merge inline on the calling thread)
+//! and `parallelism = 4` (the worker pool) produce identical violations
+//! (transaction sets, labels, session counts, rendered counter-examples,
+//! in the same order), the same `generalized` flag and `max_k`, and
+//! identical replay counters.
+
+mod common;
 
 use c4::{AnalysisFeatures, Checker};
-use c4_suite::benchmarks;
+use common::{arb_history, selection};
 use proptest::prelude::*;
 
 fn features(parallelism: usize) -> AnalysisFeatures {
     AnalysisFeatures { parallelism, ..AnalysisFeatures::default() }
-}
-
-/// Unoptimized builds pay roughly an order of magnitude per SMT query;
-/// keep the differential sweep representative but bounded there. Release
-/// builds (CI, `scripts/ci.sh` runs tests via the default profile; the
-/// recorded runs use `--release`) cover the full suite.
-fn selection() -> Vec<c4_suite::Benchmark> {
-    let mut bs = benchmarks();
-    if cfg!(debug_assertions) {
-        bs.retain(|b| b.paper.t * b.paper.e <= 60);
-    }
-    bs
 }
 
 /// Every suite program, full default feature set, 1 vs 4 workers.
@@ -65,49 +55,6 @@ fn suite_programs_agree_across_parallelism() {
         );
         assert_eq!(par.stats.workers, 4, "{}: worker count not recorded", b.name);
     }
-}
-
-/// Random small abstract histories: 1–3 straight-line transactions over a
-/// shared map with randomly chosen key arguments and free session order.
-fn arb_history() -> impl Strategy<Value = c4::abstract_history::AbstractHistory> {
-    use c4::abstract_history::{ev, straight_line_tx, AbsArg, AbstractHistory};
-    use c4_store::op::OpKind;
-    use c4_store::Value;
-    let arb_key = prop_oneof![
-        Just(0u8), // Wild
-        Just(1u8), // Param(0)
-        Just(2u8), // session-local constant
-        Just(3u8), // literal constant
-    ];
-    let arb_ev = (arb_key, 0u8..4);
-    proptest::collection::vec(proptest::collection::vec(arb_ev, 1..=3), 1..=3).prop_map(
-        |txs| {
-            let mut h = AbstractHistory::new();
-            let local = h.local("u");
-            for (ti, events) in txs.into_iter().enumerate() {
-                let events = events
-                    .into_iter()
-                    .map(|(key, op)| {
-                        let key = match key {
-                            0 => AbsArg::Wild,
-                            1 => AbsArg::Param(0),
-                            2 => local.clone(),
-                            _ => AbsArg::Const(Value::int(7)),
-                        };
-                        match op {
-                            0 => ev("M", OpKind::MapPut, vec![key, AbsArg::Wild]),
-                            1 => ev("M", OpKind::MapGet, vec![key]),
-                            2 => ev("S", OpKind::SetAdd, vec![key]),
-                            _ => ev("S", OpKind::SetContains, vec![key]),
-                        }
-                    })
-                    .collect();
-                h.add_tx(straight_line_tx(format!("t{ti}"), vec!["p".into()], events));
-            }
-            h.free_session_order();
-            h
-        },
-    )
 }
 
 proptest! {

@@ -1,5 +1,5 @@
-//! Coherence of `AnalysisStats` across the sequential and parallel
-//! drivers.
+//! Coherence of `AnalysisStats` across worker counts and against the
+//! reference search.
 //!
 //! The counters split into two groups (see the determinism contract on
 //! `AnalysisStats`):
@@ -95,27 +95,20 @@ fn stats_are_coherent_and_replay_counters_agree() {
         );
         assert_eq!(seq.stats.workers, 1);
         assert_eq!(seq.stats.merge_smt_queries, 0, "{}: no merge thread at 1 worker", b.name);
+        assert_eq!(seq.stats.preprune_skips, 0, "{}: no snapshot pruning at 1 worker", b.name);
         assert_eq!(par.stats.workers, 4);
-        // With the batched probe (part of `incremental_smt`) and symmetry
-        // replay both off, every committed verdict is one worker solve and
+        // The reference search has no batched probe, no symmetry replay
+        // and no shared session: every committed verdict is one solve and
         // the session counters are dead — the strict solve-per-verdict
         // ledger holds exactly there, and the replay counters still agree
-        // with the optimized runs bit-for-bit.
-        let plain = Checker::new(
-            h2,
-            AnalysisFeatures {
-                parallelism: 1,
-                incremental_smt: false,
-                symmetry_reduction: false,
-                ..Default::default()
-            },
-        )
-        .run();
+        // with the driver's runs bit-for-bit.
+        let plain = Checker::new(h2, AnalysisFeatures { parallelism: 1, ..Default::default() })
+            .run_reference();
         check_invariants(b.name, &plain);
         assert_eq!(
             plain.stats.speculative_smt_queries,
             plain.stats.smt_sat + plain.stats.smt_refuted,
-            "{}: plain sequential run must solve exactly the committed verdicts",
+            "{}: reference run must solve exactly the committed verdicts",
             b.name
         );
         assert_eq!(plain.stats.assumption_solves, 0, "{}: session unused", b.name);
@@ -123,7 +116,7 @@ fn stats_are_coherent_and_replay_counters_agree() {
         assert_eq!(
             plain.stats.replay_counters(),
             seq.stats.replay_counters(),
-            "{}: replay counters must not depend on incremental_smt/symmetry",
+            "{}: replay counters must match the reference search",
             b.name
         );
     }

@@ -1,184 +1,74 @@
-//! The symmetry-reduction differential contract: for every program,
-//! `symmetry_reduction` on (one SSG + SMT pass per canonical unfolding
-//! class, verdicts replayed onto the class members) and off (every
-//! unfolding analyzed individually) produce byte-identical reports —
-//! the `encode_report` wire bytes, which cover violations (transaction
-//! sets, labels, session counts, rendered counter-examples, in order),
-//! the `generalized` flag, `max_k`, and the replay counters — at 1 and
-//! 4 worker threads.
+//! The reference differential (see `common`) for symmetry-class replay
+//! and the worker pool: the driver analyzes one representative per
+//! canonical unfolding class and replays its verdicts onto the members,
+//! and the report must equal `Checker::run_reference`, which forms no
+//! classes.
 
-use c4::{AnalysisFeatures, AnalysisResult, Checker};
-use c4_suite::benchmarks;
+mod common;
+
+use c4::{AnalysisFeatures, Checker};
+use common::arb_history;
 use proptest::prelude::*;
 
-fn features(symmetry_reduction: bool, parallelism: usize) -> AnalysisFeatures {
-    AnalysisFeatures { symmetry_reduction, parallelism, ..AnalysisFeatures::default() }
-}
-
-/// Unoptimized builds pay roughly an order of magnitude per SMT query;
-/// keep the differential sweep representative but bounded there. Release
-/// builds cover the full suite.
-fn selection() -> Vec<c4_suite::Benchmark> {
-    let mut bs = benchmarks();
-    if cfg!(debug_assertions) {
-        bs.retain(|b| b.paper.t * b.paper.e <= 60);
-    }
-    bs
-}
-
-fn assert_identical(name: &str, sym: &AnalysisResult, plain: &AnalysisResult) {
-    // The report wire encoding is the strongest equality we have: it is
-    // what the verdict cache stores and the service ships, and it covers
-    // every user-visible field including counter-example renderings.
-    assert_eq!(
-        sym.encode_report(),
-        plain.encode_report(),
-        "{name}: report bytes diverged\nsymmetry: {sym}\nplain: {plain}"
-    );
-    assert!(sym.same_verdict(plain), "{name}: verdicts diverged");
-    assert_eq!(
-        sym.stats.replay_counters(),
-        plain.stats.replay_counters(),
-        "{name}: replay counters diverged"
-    );
-    assert!(
-        !sym.stats.deadline_hit && !plain.stats.deadline_hit,
-        "{name}: budget fired mid-differential"
-    );
-}
-
-/// Every suite program, default feature set, symmetry on vs. off, at one
-/// and four workers.
+/// Every suite program, default feature set, four workers against the
+/// reference.
 #[test]
 fn suite_programs_agree_across_symmetry_modes() {
-    for b in selection() {
-        let p = c4_lang::parse(b.source).expect("parse");
-        let h = c4_lang::abstract_history(&p).expect("interp");
-        for workers in [1usize, 4] {
-            let sym = Checker::new(h.clone(), features(true, workers)).run();
-            let plain = Checker::new(h.clone(), features(false, workers)).run();
-            assert_identical(b.name, &sym, &plain);
-            // The plain path must never form a class or replay a member.
-            assert_eq!(plain.stats.classes, 0, "{}: plain path formed classes", b.name);
-            assert_eq!(
-                plain.stats.class_members_skipped, 0,
-                "{}: plain path replayed members",
-                b.name
-            );
-            // The reduced path must account for every unfolding: each one
-            // is a class representative, a replayed member, or (only when
-            // no unfolding is suspicious at all) plain.
-            assert!(
-                sym.stats.classes + sym.stats.class_members_skipped <= sym.stats.unfoldings,
-                "{}: class accounting exceeds the unfolding count",
-                b.name
-            );
-        }
-    }
-}
-
-/// Random small abstract histories: 1–3 straight-line transactions over a
-/// shared map/set with randomly chosen key arguments and free session
-/// order (the same generator as the incremental-differential suite).
-/// Duplicate transaction bodies are common under this generator, which is
-/// exactly what makes symmetry classes non-trivial.
-fn arb_history() -> impl Strategy<Value = c4::abstract_history::AbstractHistory> {
-    use c4::abstract_history::{ev, straight_line_tx, AbsArg, AbstractHistory};
-    use c4_store::op::OpKind;
-    use c4_store::Value;
-    let arb_key = prop_oneof![
-        Just(0u8), // Wild
-        Just(1u8), // Param(0)
-        Just(2u8), // session-local constant
-        Just(3u8), // literal constant
-    ];
-    let arb_ev = (arb_key, 0u8..4);
-    proptest::collection::vec(proptest::collection::vec(arb_ev, 1..=3), 1..=3).prop_map(
-        |txs| {
-            let mut h = AbstractHistory::new();
-            let local = h.local("u");
-            for (ti, events) in txs.into_iter().enumerate() {
-                let events = events
-                    .into_iter()
-                    .map(|(key, op)| {
-                        let key = match key {
-                            0 => AbsArg::Wild,
-                            1 => AbsArg::Param(0),
-                            2 => local.clone(),
-                            _ => AbsArg::Const(Value::int(7)),
-                        };
-                        match op {
-                            0 => ev("M", OpKind::MapPut, vec![key, AbsArg::Wild]),
-                            1 => ev("M", OpKind::MapGet, vec![key]),
-                            2 => ev("S", OpKind::SetAdd, vec![key]),
-                            _ => ev("S", OpKind::SetContains, vec![key]),
-                        }
-                    })
-                    .collect();
-                h.add_tx(straight_line_tx(format!("t{ti}"), vec!["p".into()], events));
-            }
-            h.free_session_order();
-            h
-        },
-    )
+    common::suite_programs_agree_with_reference(4);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 24 }))]
 
-    /// Differential check on random histories, symmetry on vs. off;
-    /// `max_k = 3` produces unfoldings with three instances, where
-    /// non-identity session permutations first appear.
+    /// One worker against the reference; `max_k = 3` produces unfoldings
+    /// with three instances, where non-identity session permutations
+    /// first appear.
     #[test]
     fn random_histories_agree_across_symmetry_modes(h in arb_history()) {
-        let f = |symmetry_reduction| AnalysisFeatures {
+        let checker = Checker::new(h, AnalysisFeatures {
             max_k: 3,
             time_budget_secs: 600,
-            symmetry_reduction,
             parallelism: 1,
             ..AnalysisFeatures::default()
-        };
-        let sym = Checker::new(h.clone(), f(true)).run();
-        let plain = Checker::new(h, f(false)).run();
+        });
+        let run = checker.run();
+        let reference = checker.run_reference();
         // Budget-truncated runs are outside the byte-identity contract
-        // (the deadline cuts each mode's enumeration at a different
-        // point); the generous budget above makes this a non-event.
-        if sym.stats.deadline_hit || plain.stats.deadline_hit { return; }
+        // (the deadline cuts each search at a different point); the
+        // generous budget above makes this a non-event.
+        if run.stats.deadline_hit || reference.stats.deadline_hit { return; }
         prop_assert_eq!(
-            sym.encode_report(),
-            plain.encode_report(),
-            "report bytes diverged\nsymmetry: {}\nplain: {}", sym, plain
+            run.encode_report(),
+            reference.encode_report(),
+            "report bytes diverged\nrun: {}\nreference: {}", run, reference
         );
-        prop_assert_eq!(sym.stats.replay_counters(), plain.stats.replay_counters());
-        prop_assert_eq!(plain.stats.classes, 0);
-        prop_assert_eq!(plain.stats.class_members_skipped, 0);
+        prop_assert_eq!(run.stats.replay_counters(), reference.stats.replay_counters());
+        prop_assert_eq!(
+            run.stats.classes + run.stats.class_members_skipped,
+            run.stats.unfoldings
+        );
+        prop_assert_eq!(reference.stats.classes, 0);
+        prop_assert_eq!(reference.stats.class_members_skipped, 0);
     }
 
-    /// The parallel symmetry path (dispenser-tagged classes, in-order
-    /// merge replay) agrees with the sequential plain path — crossing
-    /// both toggles at once.
+    /// The pool (dispenser-tagged classes, in-order merge replay) at
+    /// `max_k = 3` against the reference.
     #[test]
     fn random_histories_agree_crossing_parallelism(h in arb_history()) {
-        let sym_par = Checker::new(h.clone(), AnalysisFeatures {
+        let checker = Checker::new(h, AnalysisFeatures {
             max_k: 3,
             time_budget_secs: 600,
-            symmetry_reduction: true,
             parallelism: 4,
             ..AnalysisFeatures::default()
-        }).run();
-        let plain_seq = Checker::new(h, AnalysisFeatures {
-            max_k: 3,
-            time_budget_secs: 600,
-            symmetry_reduction: false,
-            parallelism: 1,
-            ..AnalysisFeatures::default()
-        }).run();
-        if sym_par.stats.deadline_hit || plain_seq.stats.deadline_hit { return; }
+        });
+        let run = checker.run();
+        let reference = checker.run_reference();
+        if run.stats.deadline_hit || reference.stats.deadline_hit { return; }
         prop_assert_eq!(
-            sym_par.encode_report(),
-            plain_seq.encode_report(),
-            "crossed report bytes diverged\nsymmetry/4: {}\nplain/1: {}", sym_par, plain_seq
+            run.encode_report(),
+            reference.encode_report(),
+            "crossed report bytes diverged\nrun/4: {}\nreference: {}", run, reference
         );
-        prop_assert_eq!(sym_par.stats.replay_counters(), plain_seq.stats.replay_counters());
+        prop_assert_eq!(run.stats.replay_counters(), reference.stats.replay_counters());
     }
 }
