@@ -1,17 +1,15 @@
-//! The gateway event loop: one thread owning the client listeners,
-//! every client connection, and one persistent multiplexed connection
-//! per backend.
+//! The gateway's side of the event loop: request routing, one
+//! persistent multiplexed connection per backend, and a timer heap.
 //!
-//! The loop is the same readiness design as the daemon's
-//! (`c4_service::server`): non-blocking fds, epoll via
-//! `c4_service::poll`, per-connection framing buffers via
-//! `c4_service::conn`, a self-pipe waker for cross-thread notices, and
-//! transient side threads for the one genuinely blocking proxy
-//! (`Trace`). On top of that it runs a timer heap for the two
-//! latency-tolerant decisions — hedging a slow job and retrying after
-//! a backend loss with backoff.
+//! The client listeners and connections belong to the shared
+//! `c4_service::reactor`, the same loop the daemon runs on. This module
+//! adds what only the gateway has: backend links, registered with the
+//! reactor's poller under their own tokens; transient side threads for
+//! the blocking proxies (`Trace`, `ClusterTrace`); and a timer heap for
+//! the two latency-tolerant decisions — hedging a slow job and retrying
+//! after a backend loss with backoff.
 //!
-//! **Backend links.** Each backend gets one connection carrying v3
+//! **Backend links.** Each backend gets one connection carrying
 //! `Forward` frames. The daemon acks `Forwarded { job_id }` in request
 //! order and pushes the terminal `Status { job_id, .. }` whenever the
 //! job finishes, so replies on a link are a FIFO of *direct* acks
@@ -31,10 +29,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io;
-use std::net::TcpListener;
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixListener;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,21 +39,14 @@ use c4_obs::ctx::TraceCtx;
 use c4_obs::flight::FlightEntry;
 use c4_obs::merge::ProcessRing;
 use c4_service::client::{Client, Endpoint};
-use c4_service::conn::{FrameConn, NetStream, ReadOutcome};
-use c4_service::poll::{Poller, WakeRx, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use c4_service::proto::{
-    JobState, ProtoError, ReqTiming, Request, Response, PROTO_VERSION,
-};
+use c4_service::conn::{FrameConn, ReadOutcome};
+use c4_service::poll::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use c4_service::proto::{JobState, ReqTiming, Request, Response};
+use c4_service::reactor::{Handler, Reactor, CALLER_TOKENS};
 
 use crate::{Gateway, Notice};
 
-const TOKEN_WAKER: u64 = 0;
-const TOKEN_LISTENER_BASE: u64 = 1;
-const TOKEN_BACKEND_BASE: u64 = 8;
-const TOKEN_CLIENT_BASE: u64 = 1 << 16;
-
-/// How long the loop keeps flushing write buffers after shutdown acks.
-const SHUTDOWN_LINGER: Duration = Duration::from_secs(5);
+type R = Reactor<Notice>;
 
 /// Idle poll bound: timers, drain checks, and exit progress are
 /// re-evaluated at least this often.
@@ -67,6 +54,23 @@ const POLL_TICK: Duration = Duration::from_millis(500);
 
 fn terminal(s: &JobState) -> bool {
     matches!(s, JobState::Done { .. } | JobState::Cancelled | JobState::Failed { .. })
+}
+
+/// Backend `b`'s poller token.
+fn backend_token(b: usize) -> u64 {
+    CALLER_TOKENS.start + b as u64
+}
+
+/// The ring point a job routes by: its content-addressed cache key.
+/// Unparseable programs still route (and fail) somewhere deterministic:
+/// the raw bytes are hashed instead.
+fn route_point(source: &str, features: &AnalysisFeatures) -> u64 {
+    match c4_service::cache_key(source, features) {
+        Ok(key) => key.ring_point(),
+        Err(_) => u64::from_be_bytes(
+            c4::sha256(source.as_bytes())[..8].try_into().expect("a digest has 8 bytes"),
+        ),
+    }
 }
 
 /// What the next non-status reply on a backend link answers.
@@ -78,7 +82,6 @@ enum Direct {
 struct BackendLink {
     conn: FrameConn,
     pending: VecDeque<Direct>,
-    registered: Option<u32>,
 }
 
 /// One placement of a job on a backend.
@@ -92,7 +95,6 @@ struct Attempt {
 
 struct JobWaiter {
     token: u64,
-    version: u16,
     /// Whether the reply unblocks the client connection's dispatch
     /// (submit-wait: yes; forward: no).
     unblocks: bool,
@@ -111,7 +113,7 @@ struct GwJob {
     hedged: bool,
     cancel_requested: bool,
     created: Instant,
-    /// Distributed trace identity: propagated from a v4 submitter, or
+    /// Distributed trace identity: propagated from the submitter, or
     /// minted at admission. Travels on every `Forward` for this job.
     ctx: TraceCtx,
     /// Failover re-forwards actually sent (distinct from `failures`,
@@ -125,13 +127,6 @@ impl GwJob {
     fn live_attempts(&self) -> usize {
         self.attempts.iter().filter(|a| !a.done).count()
     }
-}
-
-struct ConnEntry {
-    conn: FrameConn,
-    blocked: u32,
-    eof: bool,
-    registered: Option<u32>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,170 +144,145 @@ enum SendKind {
 
 struct EventLoop {
     gw: Arc<Gateway>,
-    poller: Poller,
-    wake_rx: WakeRx,
-    listeners: HashMap<u64, Listener>,
     /// Backend index → live link.
     backends: Vec<Option<BackendLink>>,
-    conns: HashMap<u64, ConnEntry>,
     jobs: HashMap<u64, GwJob>,
     /// (backend index, backend job id) → gateway job id.
     remote: HashMap<(usize, u64), u64>,
     timers: BinaryHeap<Reverse<(Instant, u64, Timer)>>,
     timer_seq: u64,
-    ack_waiting: Vec<(u64, u16)>,
+    /// Clients awaiting `ShutdownAck`.
+    ack_waiting: Vec<u64>,
     next_id: u64,
-    next_token: u64,
-    exiting: bool,
 }
 
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn fd(&self) -> i32 {
-        match self {
-            Listener::Unix(l) => l.as_raw_fd(),
-            Listener::Tcp(l) => l.as_raw_fd(),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Option<NetStream>> {
-        let res = match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| NetStream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| NetStream::Tcp(s)),
-        };
-        match res {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Binds the client listeners, spawns the loop thread, and returns
-/// (join handle, resolved client TCP address).
-pub(crate) fn spawn(
-    gw: Arc<Gateway>,
-    wake_rx: WakeRx,
-) -> io::Result<(JoinHandle<()>, Option<String>)> {
-    let mut listeners = HashMap::new();
-    let mut token = TOKEN_LISTENER_BASE;
-    if let Some(path) = &gw.cfg.unix_socket {
-        let _ = std::fs::remove_file(path);
-        let l = UnixListener::bind(path)?;
-        l.set_nonblocking(true)?;
-        listeners.insert(token, Listener::Unix(l));
-        token += 1;
-    }
-    let mut tcp_addr = None;
-    if let Some(addr) = &gw.cfg.tcp {
-        let l = TcpListener::bind(addr.as_str())?;
-        l.set_nonblocking(true)?;
-        tcp_addr = Some(l.local_addr()?.to_string());
-        listeners.insert(token, Listener::Tcp(l));
-    }
-    let backends = (0..gw.backends.len()).map(|_| None).collect();
+/// Spawns the loop thread over `reactor`, whose listeners are bound.
+pub(crate) fn spawn(gw: Arc<Gateway>, mut reactor: R) -> JoinHandle<()> {
     let mut el = EventLoop {
+        backends: (0..gw.backends.len()).map(|_| None).collect(),
         gw,
-        poller: Poller::new()?,
-        wake_rx,
-        listeners,
-        backends,
-        conns: HashMap::new(),
         jobs: HashMap::new(),
         remote: HashMap::new(),
         timers: BinaryHeap::new(),
         timer_seq: 0,
         ack_waiting: Vec::new(),
         next_id: 1,
-        next_token: TOKEN_CLIENT_BASE,
-        exiting: false,
     };
-    let handle = std::thread::spawn(move || {
-        if let Err(e) = el.run() {
+    std::thread::spawn(move || {
+        if let Err(e) = reactor.run(&mut el) {
             eprintln!("c4-gateway: event loop failed: {e}");
         }
-    });
-    Ok((handle, tcp_addr))
+    })
 }
 
-impl EventLoop {
-    fn run(&mut self) -> io::Result<()> {
-        self.poller.register(self.wake_rx.fd(), EPOLLIN, TOKEN_WAKER)?;
-        for (&token, l) in &self.listeners {
-            self.poller.register(l.fd(), EPOLLIN, token)?;
-        }
-        let mut events = Vec::with_capacity(256);
-        let mut ready: Vec<(u64, u32)> = Vec::new();
-        let mut linger_until: Option<Instant> = None;
-        loop {
-            self.fire_due_timers();
-            self.drain_check();
-            if self.exiting {
-                self.listeners.clear();
-                for b in 0..self.backends.len() {
-                    if let Some(link) = self.backends[b].take() {
-                        if link.registered.is_some() {
-                            self.poller.deregister(link.conn.fd());
-                        }
-                        self.gw.backends[b].connected.store(false, Ordering::Relaxed);
-                    }
-                }
-                self.conns.retain(|_, e| e.conn.wants_write() || e.blocked > 0);
-                let deadline =
-                    *linger_until.get_or_insert_with(|| Instant::now() + SHUTDOWN_LINGER);
-                if self.conns.is_empty() || Instant::now() >= deadline {
-                    return Ok(());
-                }
+impl Handler for EventLoop {
+    type Notice = Notice;
+
+    fn request(&mut self, r: &mut R, token: u64, req: Request) {
+        let _sp = c4_obs::span("gw_dispatch");
+        let draining = self.gw.draining.load(Ordering::SeqCst);
+        let reply = match req {
+            Request::Submit { .. } | Request::Forward { .. } if draining => {
+                self.gw.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                Response::Error { message: "gateway is shutting down".into() }
             }
-            let timeout = if self.exiting {
-                Duration::from_millis(50)
-            } else {
-                let now = Instant::now();
-                self.timers
-                    .peek()
-                    .map(|Reverse((at, _, _))| at.saturating_duration_since(now))
-                    .unwrap_or(POLL_TICK)
-                    .min(POLL_TICK)
-            };
-            self.poller.wait(&mut events, Some(timeout))?;
-            ready.clear();
-            ready.extend(events.iter().map(|e| (e.token(), e.events())));
-            for &(token, bits) in &ready {
-                if token == TOKEN_WAKER {
-                    self.wake_rx.drain();
-                } else if self.listeners.contains_key(&token) {
-                    self.accept_all(token);
-                } else if (TOKEN_BACKEND_BASE..TOKEN_CLIENT_BASE).contains(&token) {
-                    self.backend_event((token - TOKEN_BACKEND_BASE) as usize, bits);
+            Request::Submit { wait, features, source, ctx } => {
+                let id = self.admit(features, source, ctx);
+                if wait {
+                    if let Some(job) = self.jobs.get_mut(&id) {
+                        job.waiters.push(JobWaiter { token, unblocks: true });
+                    }
+                    r.block(token);
                 } else {
-                    self.conn_event(token, bits);
+                    r.reply(token, &Response::Submitted { job_id: id });
                 }
+                self.try_send(r, id, SendKind::Primary);
+                return;
             }
-            for notice in self.gw.notices.take() {
-                match notice {
-                    Notice::Connected { backend, stream } => self.install_backend(backend, stream),
-                    Notice::SideDone { token, version, resp } => {
-                        let known = match self.conns.get_mut(&token) {
-                            Some(e) => {
-                                e.blocked = e.blocked.saturating_sub(1);
-                                true
-                            }
-                            None => false,
-                        };
-                        if known {
-                            self.queue_reply(token, &resp, version);
-                            self.pump_conn(token);
-                        }
+            Request::Forward { features, source, ctx } => {
+                let id = self.admit(features, source, ctx);
+                if let Some(job) = self.jobs.get_mut(&id) {
+                    job.waiters.push(JobWaiter { token, unblocks: false });
+                }
+                r.reply(token, &Response::Forwarded { job_id: id });
+                self.try_send(r, id, SendKind::Primary);
+                return;
+            }
+            Request::Status { job_id } => match self.jobs.get(&job_id) {
+                Some(job) => Response::Status { job_id, state: job.state.clone() },
+                None => Response::Error { message: format!("unknown job {job_id}") },
+            },
+            Request::Cancel { job_id } => {
+                let targets: Option<Vec<(usize, u64)>> = match self.jobs.get_mut(&job_id) {
+                    Some(job) if !terminal(&job.state) => {
+                        job.cancel_requested = true;
+                        Some(
+                            job.attempts
+                                .iter()
+                                .filter(|a| !a.done)
+                                .filter_map(|a| a.remote_id.map(|rid| (a.backend, rid)))
+                                .collect(),
+                        )
                     }
+                    _ => None,
+                };
+                match targets {
+                    Some(targets) => {
+                        for (b, rid) in targets {
+                            self.send_cancel(r, b, rid);
+                        }
+                        Response::Cancelled { ok: true }
+                    }
+                    None => Response::Cancelled { ok: false },
                 }
             }
+            Request::Stats => Response::Stats(self.gw.stats()),
+            Request::Metrics => Response::Metrics { text: self.gw.metrics_text() },
+            Request::Health => Response::Health(self.gw.health()),
+            Request::Trace { features, source } => {
+                self.proxy_trace(r, token, features, source);
+                return;
+            }
+            Request::RingDump => Response::RingDump {
+                now_ns: c4_obs::now_ns(),
+                trace: c4_obs::export::jsonl(&c4_obs::snapshot()),
+            },
+            Request::ClusterTrace => {
+                self.cluster_trace(r, token);
+                return;
+            }
+            Request::Shutdown => {
+                r.block(token);
+                self.ack_waiting.push(token);
+                self.gw.draining.store(true, Ordering::SeqCst);
+                self.drain_check(r);
+                return;
+            }
+        };
+        r.reply(token, &reply);
+    }
+
+    fn notice(&mut self, r: &mut R, notice: Notice) {
+        match notice {
+            Notice::Connected { backend, stream } => self.install_backend(r, backend, stream),
+            Notice::SideDone { token, resp } => r.unblock(token, &resp),
         }
     }
 
+    fn event(&mut self, r: &mut R, token: u64, bits: u32) {
+        self.backend_event(r, (token - CALLER_TOKENS.start) as usize, bits);
+    }
+
+    fn tick(&mut self, r: &mut R) -> Option<Duration> {
+        self.fire_due_timers(r);
+        self.drain_check(r);
+        let now = Instant::now();
+        let next = self.timers.peek().map(|Reverse((at, _, _))| at.saturating_duration_since(now));
+        Some(next.unwrap_or(POLL_TICK).min(POLL_TICK))
+    }
+}
+
+impl EventLoop {
     // -- timers ----------------------------------------------------------
 
     fn arm(&mut self, after: Duration, t: Timer) {
@@ -320,7 +290,7 @@ impl EventLoop {
         self.timers.push(Reverse((Instant::now() + after, self.timer_seq, t)));
     }
 
-    fn fire_due_timers(&mut self) {
+    fn fire_due_timers(&mut self, r: &mut R) {
         let now = Instant::now();
         while let Some(Reverse((at, _, _))) = self.timers.peek() {
             if *at > now {
@@ -337,7 +307,7 @@ impl EventLoop {
                         if let Some(j) = self.jobs.get_mut(&id) {
                             j.hedged = true;
                         }
-                        self.try_send(id, SendKind::Hedge);
+                        self.try_send(r, id, SendKind::Hedge);
                     }
                 }
                 Timer::Retry(id) => {
@@ -346,7 +316,7 @@ impl EventLoop {
                         .get(&id)
                         .is_some_and(|j| !terminal(&j.state) && j.live_attempts() == 0);
                     if eligible {
-                        self.try_send(id, SendKind::Retry);
+                        self.try_send(r, id, SendKind::Retry);
                     }
                 }
             }
@@ -355,32 +325,32 @@ impl EventLoop {
 
     // -- backend links ---------------------------------------------------
 
-    fn install_backend(&mut self, b: usize, stream: std::net::TcpStream) {
-        if self.backends[b].is_some() || self.exiting {
+    fn install_backend(&mut self, r: &mut R, b: usize, stream: std::net::TcpStream) {
+        if self.backends[b].is_some() || r.exiting() {
             return;
         }
-        let conn = match FrameConn::new(stream) {
-            Ok(c) => c,
-            Err(_) => return,
-        };
-        let token = TOKEN_BACKEND_BASE + b as u64;
-        if self.poller.register(conn.fd(), EPOLLIN, token).is_err() {
+        let Ok(mut conn) = FrameConn::new(stream) else { return };
+        if conn.settle(r.poller(), backend_token(b), EPOLLIN).is_err() {
             return;
         }
-        self.backends[b] = Some(BackendLink {
-            conn,
-            pending: VecDeque::new(),
-            registered: Some(EPOLLIN),
-        });
+        self.backends[b] = Some(BackendLink { conn, pending: VecDeque::new() });
         self.gw.backends[b].connected.store(true, Ordering::Relaxed);
     }
 
-    fn backend_event(&mut self, b: usize, bits: u32) {
+    /// Takes backend `b`'s link out of the poller and the rotation.
+    fn close_backend(&mut self, r: &mut R, b: usize) -> Option<BackendLink> {
+        let mut link = self.backends[b].take()?;
+        let _ = link.conn.settle(r.poller(), backend_token(b), 0);
+        self.gw.backends[b].connected.store(false, Ordering::Relaxed);
+        Some(link)
+    }
+
+    fn backend_event(&mut self, r: &mut R, b: usize, bits: u32) {
         if b >= self.backends.len() {
             return;
         }
         if bits & (EPOLLERR | EPOLLHUP) != 0 {
-            self.fail_backend(b);
+            self.fail_backend(r, b);
             return;
         }
         if bits & EPOLLIN != 0 {
@@ -389,49 +359,46 @@ impl EventLoop {
                 None => return,
             };
             match outcome {
-                Ok(ReadOutcome::Open) => self.pump_backend(b),
+                Ok(ReadOutcome::Open) => self.pump_backend(r, b),
                 Ok(ReadOutcome::Eof) => {
                     // Drain what the backend said before it closed.
-                    self.pump_backend(b);
-                    self.fail_backend(b);
+                    self.pump_backend(r, b);
+                    self.fail_backend(r, b);
                 }
-                Err(_) => self.fail_backend(b),
+                Err(_) => self.fail_backend(r, b),
             }
         } else if bits & EPOLLOUT != 0 {
-            self.backend_after_io(b);
+            self.backend_after_io(r, b);
         }
     }
 
-    fn pump_backend(&mut self, b: usize) {
+    fn pump_backend(&mut self, r: &mut R, b: usize) {
         loop {
             let frame = match &mut self.backends[b] {
                 Some(link) => link.conn.next_frame(),
                 None => return,
             };
             match frame {
-                Ok(Some(payload)) => self.handle_backend_frame(b, &payload),
+                Ok(Some(payload)) => self.handle_backend_frame(r, b, &payload),
                 Ok(None) => break,
                 Err(_) => {
-                    self.fail_backend(b);
+                    self.fail_backend(r, b);
                     return;
                 }
             }
         }
-        self.backend_after_io(b);
+        self.backend_after_io(r, b);
     }
 
-    fn handle_backend_frame(&mut self, b: usize, payload: &[u8]) {
-        let resp = match Response::decode(payload) {
-            Ok(r) => r,
-            Err(_) => {
-                self.fail_backend(b);
-                return;
-            }
+    fn handle_backend_frame(&mut self, r: &mut R, b: usize, payload: &[u8]) {
+        let Ok(resp) = Response::decode(payload) else {
+            self.fail_backend(r, b);
+            return;
         };
         if let Response::Status { job_id: rid, state } = resp {
             if terminal(&state) {
                 if let Some(&gid) = self.remote.get(&(b, rid)) {
-                    self.attempt_terminal(gid, b, rid, state);
+                    self.attempt_terminal(r, gid, b, rid, state);
                 }
             }
             return;
@@ -442,26 +409,26 @@ impl EventLoop {
         };
         match direct {
             Some(Direct::ForwardAck { job: gid }) => match resp {
-                Response::Forwarded { job_id: rid } => self.attempt_acked(gid, b, rid),
+                Response::Forwarded { job_id: rid } => self.attempt_acked(r, gid, b, rid),
                 Response::Busy { retry_after_ms } => {
                     self.gw.backends[b].busy.fetch_add(1, Ordering::Relaxed);
                     self.attempt_failed(gid, b);
-                    self.surface_busy(gid, retry_after_ms);
+                    self.surface_busy(r, gid, retry_after_ms);
                 }
-                Response::Error { message } => {
+                Response::Error { .. } => {
                     self.attempt_failed(gid, b);
-                    self.retry_after_loss(gid, &message);
+                    self.retry_after_loss(r, gid);
                 }
-                _ => self.fail_backend(b),
+                _ => self.fail_backend(r, b),
             },
             // Any reply shape settles a cancel; its effect arrives as
             // the job's terminal status push.
             Some(Direct::CancelAck) => {}
-            None => self.fail_backend(b),
+            None => self.fail_backend(r, b),
         }
     }
 
-    fn attempt_acked(&mut self, gid: u64, b: usize, rid: u64) {
+    fn attempt_acked(&mut self, r: &mut R, gid: u64, b: usize, rid: u64) {
         self.remote.insert((b, rid), gid);
         let cancel_now = match self.jobs.get_mut(&gid) {
             Some(job) => {
@@ -478,14 +445,14 @@ impl EventLoop {
             None => true,
         };
         if cancel_now {
-            self.send_cancel(b, rid);
+            self.send_cancel(r, b, rid);
         }
     }
 
     /// A terminal status for `(b, rid)` arrived. First one wins the
     /// job; later ones (losing hedges, post-cancel echoes) only settle
     /// their attempt's accounting.
-    fn attempt_terminal(&mut self, gid: u64, b: usize, rid: u64, state: JobState) {
+    fn attempt_terminal(&mut self, r: &mut R, gid: u64, b: usize, rid: u64, state: JobState) {
         self.remote.remove(&(b, rid));
         let won = match self.jobs.get_mut(&gid) {
             Some(job) => {
@@ -510,7 +477,7 @@ impl EventLoop {
         if let Some(job) = self.jobs.get_mut(&gid) {
             job.winner = Some(b);
         }
-        self.finish_job(gid, state, None);
+        self.finish_job(r, gid, state, None);
     }
 
     /// Marks the live attempt on `b` failed and settles its counters.
@@ -529,20 +496,17 @@ impl EventLoop {
     /// An attempt was lost (backend error or dead link). If a hedge
     /// copy is still running the job just rides on it; otherwise the
     /// job re-routes, bounded by the retry budget.
-    fn retry_after_loss(&mut self, gid: u64, reason: &str) {
+    fn retry_after_loss(&mut self, r: &mut R, gid: u64) {
         let decide = self.jobs.get(&gid).map(|j| (terminal(&j.state), j.live_attempts()));
-        match decide {
-            Some((false, 0)) => self.try_send(gid, SendKind::Retry),
-            _ => {
-                let _ = reason;
-            }
+        if decide == Some((false, 0)) {
+            self.try_send(r, gid, SendKind::Retry);
         }
     }
 
     /// A backend said `Busy`. Hedged jobs ride the other copy; a job
     /// with nowhere else to run surfaces the typed backpressure to its
     /// submitter instead of camping on the queue.
-    fn surface_busy(&mut self, gid: u64, retry_after_ms: u64) {
+    fn surface_busy(&mut self, r: &mut R, gid: u64, retry_after_ms: u64) {
         let decide = self.jobs.get(&gid).map(|j| (terminal(&j.state), j.live_attempts()));
         if !matches!(decide, Some((false, 0))) {
             return;
@@ -551,21 +515,14 @@ impl EventLoop {
         let state = JobState::Failed {
             message: format!("backend busy; retry after {retry_after_ms} ms"),
         };
-        self.finish_job(gid, state, Some(retry_after_ms));
+        self.finish_job(r, gid, state, Some(retry_after_ms));
     }
 
     /// Drops a backend link and re-routes everything that was riding
     /// on it: unacked forwards in its pending queue and acked attempts
     /// in the remote map.
-    fn fail_backend(&mut self, b: usize) {
-        let link = match self.backends[b].take() {
-            Some(l) => l,
-            None => return,
-        };
-        if link.registered.is_some() {
-            self.poller.deregister(link.conn.fd());
-        }
-        self.gw.backends[b].connected.store(false, Ordering::Relaxed);
+    fn fail_backend(&mut self, r: &mut R, b: usize) {
+        let Some(link) = self.close_backend(r, b) else { return };
         self.gw.backends[b].healthy.store(false, Ordering::Relaxed);
         let mut affected: Vec<u64> = link
             .pending
@@ -592,11 +549,11 @@ impl EventLoop {
         c4_obs::instant("gw_backend_lost", b as u64);
         for gid in affected {
             self.attempt_failed(gid, b);
-            self.retry_after_loss(gid, "backend connection lost");
+            self.retry_after_loss(r, gid);
         }
     }
 
-    fn send_cancel(&mut self, b: usize, rid: u64) {
+    fn send_cancel(&mut self, r: &mut R, b: usize, rid: u64) {
         let frame = Request::Cancel { job_id: rid }.encode();
         let queued = match &mut self.backends[b] {
             Some(link) => {
@@ -607,7 +564,7 @@ impl EventLoop {
             None => false,
         };
         if queued {
-            self.backend_after_io(b);
+            self.backend_after_io(r, b);
         }
     }
 
@@ -615,7 +572,7 @@ impl EventLoop {
     /// preference that is connected, preferably probe-healthy, and not
     /// yet tried. With nowhere to place it, hedges dissolve silently,
     /// primaries and retries back off — bounded by the retry budget.
-    fn try_send(&mut self, gid: u64, kind: SendKind) {
+    fn try_send(&mut self, r: &mut R, gid: u64, kind: SendKind) {
         let (point, tried, trace_id, frame) = match self.jobs.get(&gid) {
             Some(job) if !terminal(&job.state) => (
                 job.point,
@@ -661,6 +618,7 @@ impl EventLoop {
                     self.arm(backoff, Timer::Retry(gid));
                 } else {
                     self.finish_job(
+                        r,
                         gid,
                         JobState::Failed { message: "no backends available".into() },
                         None,
@@ -704,7 +662,7 @@ impl EventLoop {
                 }
             }
         }
-        self.backend_after_io(b);
+        self.backend_after_io(r, b);
     }
 
     /// Settles a job terminally: state, counters, waiter replies, and
@@ -714,9 +672,9 @@ impl EventLoop {
     /// A winning `Done` gets its timing summary augmented with the
     /// gateway's view — trace id, winning backend, failover/hedge
     /// counts, end-to-end gateway milliseconds — and every settlement
-    /// (v4 or not) is recorded in the flight ring, with busy/failover/
+    /// is recorded in the flight ring, with busy/failover/
     /// hedge settlements flagged as anomalies.
-    fn finish_job(&mut self, gid: u64, mut state: JobState, busy_hint: Option<u64>) {
+    fn finish_job(&mut self, r: &mut R, gid: u64, mut state: JobState, busy_hint: Option<u64>) {
         let (waiters, trace_id, hedged, retry_sends, winner, gateway_ms) =
             match self.jobs.get_mut(&gid) {
                 Some(job) if !terminal(&job.state) => {
@@ -803,152 +761,48 @@ impl EventLoop {
             })
             .unwrap_or_default();
         for (b, rid) in racing {
-            self.send_cancel(b, rid);
+            self.send_cancel(r, b, rid);
         }
 
-        let mut unblocked = Vec::new();
+        let status = Response::Status { job_id: gid, state };
+        // Typed backpressure for a sequential submitter; a forwarding
+        // peer correlates by job id and gets the failed status instead.
+        let busy = busy_hint.map(|ms| Response::Busy { retry_after_ms: ms });
         for w in waiters {
-            let known = match self.conns.get_mut(&w.token) {
-                Some(e) => {
-                    if w.unblocks {
-                        e.blocked = e.blocked.saturating_sub(1);
-                        unblocked.push(w.token);
-                    }
-                    true
-                }
-                None => false,
-            };
-            if known {
-                let resp = match busy_hint {
-                    // Typed backpressure for a sequential submitter; a
-                    // forwarding peer correlates by job id and gets the
-                    // failed status instead.
-                    Some(ms) if w.unblocks => Response::Busy { retry_after_ms: ms },
-                    _ => Response::Status { job_id: gid, state: state.clone() },
-                };
-                self.queue_reply(w.token, &resp, w.version);
+            match &busy {
+                Some(busy) if w.unblocks => r.unblock(w.token, busy),
+                _ if w.unblocks => r.unblock(w.token, &status),
+                _ => r.reply(w.token, &status),
             }
         }
-        for token in unblocked {
-            self.pump_conn(token);
-        }
-        self.drain_check();
+        self.drain_check(r);
     }
 
-    fn drain_check(&mut self) {
-        if self.exiting
+    /// Once a drain has no jobs left, acks every `Shutdown`, closes the
+    /// backend links, and ends the loop.
+    fn drain_check(&mut self, r: &mut R) {
+        if r.exiting()
             || !self.gw.draining.load(Ordering::SeqCst)
             || self.ack_waiting.is_empty()
             || self.gw.jobs_live.load(Ordering::Relaxed) > 0
         {
             return;
         }
-        for (token, version) in std::mem::take(&mut self.ack_waiting) {
-            let known = match self.conns.get_mut(&token) {
-                Some(e) => {
-                    e.blocked = e.blocked.saturating_sub(1);
-                    true
-                }
-                None => false,
-            };
-            if known {
-                self.queue_reply(token, &Response::ShutdownAck, version);
-            }
+        for token in std::mem::take(&mut self.ack_waiting) {
+            r.unblock(token, &Response::ShutdownAck);
         }
         self.gw.shutdown.store(true, Ordering::SeqCst);
-        self.exiting = true;
+        for b in 0..self.backends.len() {
+            self.close_backend(r, b);
+        }
+        r.exit();
     }
 
-    // -- client connections ---------------------------------------------
-
-    fn accept_all(&mut self, token: u64) {
-        loop {
-            let accepted = match self.listeners.get(&token) {
-                Some(l) => l.accept(),
-                None => return,
-            };
-            match accepted {
-                Ok(Some(stream)) => {
-                    let conn = match FrameConn::new(stream) {
-                        Ok(c) => c,
-                        Err(_) => continue,
-                    };
-                    let t = self.next_token;
-                    self.next_token += 1;
-                    if self.poller.register(conn.fd(), EPOLLIN, t).is_ok() {
-                        self.conns.insert(
-                            t,
-                            ConnEntry { conn, blocked: 0, eof: false, registered: Some(EPOLLIN) },
-                        );
-                    }
-                }
-                Ok(None) => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn conn_event(&mut self, token: u64, bits: u32) {
-        if bits & (EPOLLERR | EPOLLHUP) != 0 {
-            self.drop_conn(token);
-            return;
-        }
-        if bits & EPOLLIN != 0 {
-            let outcome = match self.conns.get_mut(&token) {
-                Some(e) => e.conn.on_readable(),
-                None => return,
-            };
-            match outcome {
-                Ok(ReadOutcome::Open) => {}
-                Ok(ReadOutcome::Eof) => {
-                    if let Some(e) = self.conns.get_mut(&token) {
-                        e.eof = true;
-                    }
-                }
-                Err(_) => {
-                    self.drop_conn(token);
-                    return;
-                }
-            }
-            self.pump_conn(token);
-        } else if bits & EPOLLOUT != 0 {
-            self.after_io(token);
-        }
-    }
-
-    fn pump_conn(&mut self, token: u64) {
-        loop {
-            let entry = match self.conns.get_mut(&token) {
-                Some(e) => e,
-                None => return,
-            };
-            if entry.blocked > 0 {
-                break;
-            }
-            match entry.conn.next_frame() {
-                Ok(Some(frame)) => self.dispatch(token, &frame),
-                Ok(None) => break,
-                Err(_) => {
-                    self.drop_conn(token);
-                    return;
-                }
-            }
-        }
-        self.after_io(token);
-    }
-
-    /// Admits a job and returns its gateway id. A v4 submitter's trace
+    /// Admits a job and returns its gateway id. A submitter's trace
     /// context is propagated; otherwise the gateway mints one, sampled
     /// iff its own recorder ring is armed.
     fn admit(&mut self, features: AnalysisFeatures, source: String, ctx: Option<TraceCtx>) -> u64 {
-        let point = match c4_service::cache_key(&source, &features) {
-            Ok(key) => key.ring_point(),
-            // Unparseable programs still route (and fail) somewhere
-            // deterministic: hash the raw bytes instead.
-            Err(_) => u64::from_be_bytes(
-                c4::sha256(source.as_bytes())[..8].try_into().unwrap(),
-            ),
-        };
+        let point = route_point(&source, &features);
         let ctx = ctx.unwrap_or_else(|| c4_obs::ctx::mint(self.gw.cfg.trace_ring));
         let id = self.next_id;
         self.next_id += 1;
@@ -977,148 +831,22 @@ impl EventLoop {
         id
     }
 
-    fn dispatch(&mut self, token: u64, payload: &[u8]) {
-        let _sp = c4_obs::span("gw_dispatch");
-        let draining = self.gw.draining.load(Ordering::SeqCst);
-        let (reply, version) = match Request::decode_versioned(payload) {
-            Ok((Request::Submit { wait, features, source, ctx }, v)) => {
-                if draining {
-                    self.gw.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    (Some(Response::Error { message: "gateway is shutting down".into() }), v)
-                } else {
-                    let id = self.admit(features, source, ctx);
-                    if wait {
-                        if let Some(job) = self.jobs.get_mut(&id) {
-                            job.waiters.push(JobWaiter { token, version: v, unblocks: true });
-                        }
-                        if let Some(e) = self.conns.get_mut(&token) {
-                            e.blocked += 1;
-                        }
-                        self.try_send(id, SendKind::Primary);
-                        (None, v)
-                    } else {
-                        self.queue_reply(token, &Response::Submitted { job_id: id }, v);
-                        self.try_send(id, SendKind::Primary);
-                        (None, v)
-                    }
-                }
-            }
-            Ok((Request::Forward { features, source, ctx }, v)) => {
-                if draining {
-                    self.gw.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    (Some(Response::Error { message: "gateway is shutting down".into() }), v)
-                } else {
-                    let id = self.admit(features, source, ctx);
-                    if let Some(job) = self.jobs.get_mut(&id) {
-                        job.waiters.push(JobWaiter { token, version: v, unblocks: false });
-                    }
-                    self.queue_reply(token, &Response::Forwarded { job_id: id }, v);
-                    self.try_send(id, SendKind::Primary);
-                    (None, v)
-                }
-            }
-            Ok((Request::Status { job_id }, v)) => {
-                let resp = match self.jobs.get(&job_id) {
-                    Some(job) => Response::Status { job_id, state: job.state.clone() },
-                    None => Response::Error { message: format!("unknown job {job_id}") },
-                };
-                (Some(resp), v)
-            }
-            Ok((Request::Cancel { job_id }, v)) => {
-                let targets: Option<Vec<(usize, u64)>> = match self.jobs.get_mut(&job_id) {
-                    Some(job) if !terminal(&job.state) => {
-                        job.cancel_requested = true;
-                        Some(
-                            job.attempts
-                                .iter()
-                                .filter(|a| !a.done)
-                                .filter_map(|a| a.remote_id.map(|rid| (a.backend, rid)))
-                                .collect(),
-                        )
-                    }
-                    _ => None,
-                };
-                let resp = match targets {
-                    Some(targets) => {
-                        for (b, rid) in targets {
-                            self.send_cancel(b, rid);
-                        }
-                        Response::Cancelled { ok: true }
-                    }
-                    None => Response::Cancelled { ok: false },
-                };
-                (Some(resp), v)
-            }
-            Ok((Request::Stats, v)) => (Some(Response::Stats(self.gw.stats())), v),
-            Ok((Request::Metrics, v)) => {
-                (Some(Response::Metrics { text: self.gw.metrics_text() }), v)
-            }
-            Ok((Request::Health, v)) => (Some(Response::Health(self.gw.health())), v),
-            Ok((Request::Trace { features, source }, v)) => {
-                self.proxy_trace(token, v, features, source);
-                (None, v)
-            }
-            Ok((Request::RingDump, v)) => (
-                Some(Response::RingDump {
-                    now_ns: c4_obs::now_ns(),
-                    trace: c4_obs::export::jsonl(&c4_obs::snapshot()),
-                }),
-                v,
-            ),
-            Ok((Request::ClusterTrace, v)) => {
-                self.cluster_trace(token, v);
-                (None, v)
-            }
-            Ok((Request::Shutdown, v)) => {
-                if let Some(e) = self.conns.get_mut(&token) {
-                    e.blocked += 1;
-                }
-                self.ack_waiting.push((token, v));
-                self.gw.draining.store(true, Ordering::SeqCst);
-                self.drain_check();
-                (None, v)
-            }
-            Err(ProtoError(msg)) => (
-                Some(Response::Error { message: format!("protocol error: {msg}") }),
-                PROTO_VERSION,
-            ),
-        };
-        if let Some(resp) = reply {
-            self.queue_reply(token, &resp, version);
-        }
-    }
-
     /// Proxies a `Trace` to the routed backend on a side thread — the
     /// request is synchronous on the backend, so it must not occupy
     /// the loop or a multiplexed link.
-    fn proxy_trace(&mut self, token: u64, v: u16, features: AnalysisFeatures, source: String) {
-        let point = match c4_service::cache_key(&source, &features) {
-            Ok(key) => key.ring_point(),
-            Err(_) => u64::from_be_bytes(
-                c4::sha256(source.as_bytes())[..8].try_into().unwrap(),
-            ),
-        };
+    fn proxy_trace(&mut self, r: &mut R, token: u64, features: AnalysisFeatures, source: String) {
         let addr = self
             .gw
             .ring
-            .preference(point)
+            .preference(route_point(&source, &features))
             .into_iter()
             .find(|&b| self.backends[b].is_some())
             .map(|b| self.gw.backends[b].addr.clone());
-        let addr = match addr {
-            Some(a) => a,
-            None => {
-                self.queue_reply(
-                    token,
-                    &Response::Error { message: "no backends available".into() },
-                    v,
-                );
-                return;
-            }
+        let Some(addr) = addr else {
+            r.reply(token, &Response::Error { message: "no backends available".into() });
+            return;
         };
-        if let Some(e) = self.conns.get_mut(&token) {
-            e.blocked += 1;
-        }
+        r.block(token);
         let gw = Arc::clone(&self.gw);
         let handle = std::thread::spawn(move || {
             let client = Client::new(Endpoint::Tcp(addr));
@@ -1126,7 +854,7 @@ impl EventLoop {
                 Ok((report, trace)) => Response::Trace { report, trace },
                 Err(e) => Response::Error { message: e.to_string() },
             };
-            gw.notices.post(Notice::SideDone { token, version: v, resp });
+            gw.notices.post(Notice::SideDone { token, resp });
         });
         self.gw.side_threads.lock().unwrap().push(handle);
     }
@@ -1138,7 +866,7 @@ impl EventLoop {
     /// [`proxy_trace`](Self::proxy_trace)); the gateway's ring is
     /// snapshotted here on the loop thread so the trace reflects the
     /// moment of the request.
-    fn cluster_trace(&mut self, token: u64, v: u16) {
+    fn cluster_trace(&mut self, r: &mut R, token: u64) {
         let own = c4_obs::export::jsonl(&c4_obs::snapshot());
         let peers: Vec<(String, i64, u64)> = self
             .gw
@@ -1154,9 +882,7 @@ impl EventLoop {
                 )
             })
             .collect();
-        if let Some(e) = self.conns.get_mut(&token) {
-            e.blocked += 1;
-        }
+        r.block(token);
         let gw = Arc::clone(&self.gw);
         let handle = std::thread::spawn(move || {
             let mut rings = vec![ProcessRing {
@@ -1166,7 +892,7 @@ impl EventLoop {
                 uncertainty_ns: 0,
             }];
             for (addr, offset_ns, uncertainty_ns) in peers {
-                // A backend that fails the pull (restarting, pre-v4) is
+                // A backend that fails the pull (restarting) is
                 // left out rather than failing the whole assembly.
                 if let Ok((_now, jsonl)) = Client::new(Endpoint::Tcp(addr.clone())).ring_dump() {
                     rings.push(ProcessRing { name: addr, jsonl, offset_ns, uncertainty_ns });
@@ -1176,109 +902,17 @@ impl EventLoop {
                 Ok(trace) => Response::Trace { report: Vec::new(), trace },
                 Err(e) => Response::Error { message: format!("trace merge failed: {e}") },
             };
-            gw.notices.post(Notice::SideDone { token, version: v, resp });
+            gw.notices.post(Notice::SideDone { token, resp });
         });
         self.gw.side_threads.lock().unwrap().push(handle);
     }
 
-    fn queue_reply(&mut self, token: u64, resp: &Response, version: u16) {
-        if let Some(e) = self.conns.get_mut(&token) {
-            e.conn.queue_frame(&resp.encode_for_version(version));
-        }
-        self.after_io(token);
-    }
-
-    fn after_io(&mut self, token: u64) {
-        let (fd, cur, want, finished) = {
-            let entry = match self.conns.get_mut(&token) {
-                Some(e) => e,
-                None => return,
-            };
-            let fd = entry.conn.fd();
-            if entry.conn.on_writable().is_err()
-                || (entry.eof && entry.blocked == 0 && !entry.conn.wants_write())
-            {
-                (fd, entry.registered, 0, true)
-            } else {
-                let want = if entry.eof {
-                    if entry.conn.wants_write() {
-                        EPOLLOUT
-                    } else {
-                        0
-                    }
-                } else {
-                    entry.conn.interest()
-                };
-                (fd, entry.registered, want, false)
-            }
-        };
-        if finished {
-            self.drop_conn(token);
-            return;
-        }
-        let outcome = match (cur, want) {
-            (Some(_), 0) => {
-                self.poller.deregister(fd);
-                Ok(None)
-            }
-            (Some(c), w) if c != w => self.poller.reregister(fd, w, token).map(|()| Some(w)),
-            (None, w) if w != 0 => self.poller.register(fd, w, token).map(|()| Some(w)),
-            (r, _) => Ok(r),
-        };
-        match outcome {
-            Ok(registered) => {
-                if let Some(e) = self.conns.get_mut(&token) {
-                    e.registered = registered;
-                }
-            }
-            Err(_) => self.drop_conn(token),
-        }
-    }
-
-    fn backend_after_io(&mut self, b: usize) {
-        let (fd, cur, want, failed) = {
-            let link = match &mut self.backends[b] {
-                Some(l) => l,
-                None => return,
-            };
-            let fd = link.conn.fd();
-            if link.conn.on_writable().is_err() {
-                (fd, link.registered, 0, true)
-            } else {
-                (fd, link.registered, link.conn.interest(), false)
-            }
-        };
-        let _ = fd;
-        if failed {
-            self.fail_backend(b);
-            return;
-        }
-        let outcome = match (cur, want) {
-            (Some(c), w) if c != w => {
-                let token = TOKEN_BACKEND_BASE + b as u64;
-                let fd = self.backends[b].as_ref().unwrap().conn.fd();
-                self.poller.reregister(fd, w, token).map(|()| Some(w))
-            }
-            (r, _) => Ok(r),
-        };
-        match outcome {
-            Ok(registered) => {
-                if let Some(link) = &mut self.backends[b] {
-                    link.registered = registered;
-                }
-            }
-            Err(_) => self.fail_backend(b),
-        }
-    }
-
-    /// Closes and forgets a client connection. Jobs it submitted keep
-    /// running (nowait submissions are queryable by other clients);
-    /// its waiters become no-ops.
-    fn drop_conn(&mut self, token: u64) {
-        if let Some(e) = self.conns.remove(&token) {
-            if e.registered.is_some() {
-                self.poller.deregister(e.conn.fd());
-            }
+    fn backend_after_io(&mut self, r: &mut R, b: usize) {
+        let Some(link) = &mut self.backends[b] else { return };
+        let flushed = link.conn.on_writable().is_ok();
+        let want = link.conn.interest();
+        if !flushed || link.conn.settle(r.poller(), backend_token(b), want).is_err() {
+            self.fail_backend(r, b);
         }
     }
 }

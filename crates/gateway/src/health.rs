@@ -20,8 +20,8 @@ use crate::{connect_timeout, Gateway, Notice};
 
 /// One probe round-trip against `addr`. `None` on any failure.
 ///
-/// A successful probe against a v4 backend (one reporting a non-zero
-/// recorder clock) also yields a clock estimate
+/// A successful probe against a backend reporting a non-zero recorder
+/// clock also yields a clock estimate
 /// `(offset_ns, uncertainty_ns)`: the backend's recorder clock minus
 /// the gateway's at the exchange midpoint, uncertain by half the
 /// round-trip. Trace merging uses it to put backend ring events on the
@@ -125,7 +125,7 @@ mod tests {
         let (h, clock) = probe(&addr, t).expect("healthy probe");
         assert!(h.accepting);
         assert_eq!(h.queue_len, 3);
-        let (_offset, err) = clock.expect("v4 health carries a clock stamp");
+        let (_offset, err) = clock.expect("health carries a clock stamp");
         assert!(err < 500_000_000, "uncertainty bounded by the round-trip");
         assert!(probe(&addr, t).is_none(), "garbage frame is unhealthy");
         assert!(probe(&addr, t).is_none(), "closed stream is unhealthy");

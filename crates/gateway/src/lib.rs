@@ -29,23 +29,21 @@
 //!   so hedging trades spare capacity for tail latency without
 //!   affecting output.
 //! * **Typed backpressure**: a backend's `Busy { retry_after_ms }` is
-//!   surfaced to the submitting client as-is (downgraded to the legacy
-//!   queue-full error for pre-v3 clients) rather than swallowed.
+//!   surfaced to the submitting client as-is rather than swallowed.
 //!
-//! Like the daemon, the gateway is a single-threaded epoll event loop
-//! ([`eloop`], reusing `c4_service::{poll, conn}`): one thread owns the
-//! client listener, every client connection, and one persistent
-//! multiplexed connection per backend (the daemon's v3 `Forward` frame
-//! acks immediately and pushes the terminal `Status` later, so one
-//! link carries any number of in-flight jobs). Thread count is
-//! O(backends), independent of client count.
+//! The gateway runs on the daemon's event loop, `c4_service::reactor`:
+//! one thread owns the client listener and every client connection,
+//! and [`eloop`] adds one persistent multiplexed connection per backend
+//! (the daemon's `Forward` frame acks immediately and pushes the
+//! terminal `Status` later, so one link carries any number of in-flight
+//! jobs). Thread count is O(backends), independent of client count.
 
 pub mod eloop;
 pub mod health;
 pub mod ring;
 
 use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -55,8 +53,8 @@ use std::time::{Duration, Instant};
 use c4_obs::flight::FlightRecorder;
 use c4_obs::hist::Histogram;
 use c4_obs::prom::PromPage;
-use c4_service::poll::Waker;
 use c4_service::proto::{DaemonStats, HealthInfo, Response};
+use c4_service::reactor::{MetricsServer, NoticeBox, Reactor};
 
 use ring::Ring;
 
@@ -167,23 +165,7 @@ pub(crate) enum Notice {
     /// The probe thread (re-)established a backend connection.
     Connected { backend: usize, stream: TcpStream },
     /// A side thread produced the reply for a blocked client.
-    SideDone { token: u64, version: u16, resp: Response },
-}
-
-pub(crate) struct NoticeBox {
-    pub queue: Mutex<Vec<Notice>>,
-    pub waker: Waker,
-}
-
-impl NoticeBox {
-    pub fn post(&self, n: Notice) {
-        self.queue.lock().unwrap().push(n);
-        self.waker.wake();
-    }
-
-    pub fn take(&self) -> Vec<Notice> {
-        std::mem::take(&mut *self.queue.lock().unwrap())
-    }
+    SideDone { token: u64, resp: Response },
 }
 
 /// State shared between the event loop, the probe thread, and the
@@ -200,12 +182,10 @@ pub(crate) struct Gateway {
     pub draining: AtomicBool,
     /// Everything is over; probe and metrics threads exit.
     pub shutdown: AtomicBool,
-    pub notices: NoticeBox,
+    pub notices: Arc<NoticeBox<Notice>>,
     pub side_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Submit-to-terminal latency across all backends.
     pub forward_hist: Histogram,
-    pub metrics_addr: Option<String>,
-    pub unix_path: Option<PathBuf>,
     /// Per-request flight recorder (always on; dumps when configured).
     pub flight: FlightRecorder,
 }
@@ -389,7 +369,7 @@ pub struct GatewayHandle {
     gw: Arc<Gateway>,
     event_loop: JoinHandle<()>,
     prober: JoinHandle<()>,
-    metrics: Option<JoinHandle<()>>,
+    metrics: Option<MetricsServer>,
     /// The bound client-facing TCP address (port resolved).
     pub tcp_addr: Option<String>,
     /// The bound metrics address (port resolved).
@@ -401,18 +381,12 @@ impl GatewayHandle {
     pub fn wait(self) {
         let _ = self.event_loop.join();
         let _ = self.prober.join();
-        if let Some(addr) = &self.gw.metrics_addr {
-            let _ = TcpStream::connect(addr);
-        }
-        if let Some(h) = self.metrics {
-            let _ = h.join();
+        if let Some(m) = self.metrics {
+            m.stop();
         }
         let handles: Vec<_> = self.gw.side_threads.lock().unwrap().drain(..).collect();
         for h in handles {
             let _ = h.join();
-        }
-        if let Some(path) = &self.gw.unix_path {
-            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -429,23 +403,6 @@ pub(crate) fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<TcpSt
     Ok(stream)
 }
 
-/// The metrics acceptor, identical in shape to the daemon's.
-fn metrics_loop(gw: Arc<Gateway>, listener: TcpListener) {
-    loop {
-        if gw.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => continue,
-        };
-        if gw.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        c4_obs::prom::serve_http_conn(&mut stream, &|| gw.metrics_text());
-    }
-}
-
 /// Starts the gateway: binds the client listeners, connects to the
 /// backends it can reach (the probe thread keeps trying the rest), and
 /// returns immediately.
@@ -456,17 +413,11 @@ fn metrics_loop(gw: Arc<Gateway>, listener: TcpListener) {
 /// errors binding a listener. Unreachable backends are not startup
 /// errors — they enter rotation when their probes succeed.
 pub fn serve(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
-    if cfg.tcp.is_none() && cfg.unix_socket.is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "no listener configured (need a socket path or TCP address)",
-        ));
-    }
+    let reactor = Reactor::bind(cfg.unix_socket.as_deref(), cfg.tcp.as_deref())?;
     if cfg.backends.is_empty() {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "no backends configured"));
     }
 
-    let (wake, wake_rx) = c4_service::poll::waker()?;
     let ring = Ring::new(&cfg.backends, cfg.vnodes);
     let backends: Vec<BackendState> = cfg
         .backends
@@ -491,14 +442,6 @@ pub fn serve(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         c4_obs::enable(TRACE_CAPACITY);
     }
 
-    let mut metrics_listener = None;
-    let mut metrics_addr = None;
-    if let Some(addr) = &cfg.metrics_addr {
-        let l = TcpListener::bind(addr.as_str())?;
-        metrics_addr = Some(l.local_addr()?.to_string());
-        metrics_listener = Some(l);
-    }
-
     let gw = Arc::new(Gateway {
         backends,
         ring,
@@ -507,14 +450,21 @@ pub fn serve(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         started: Instant::now(),
         draining: AtomicBool::new(false),
         shutdown: AtomicBool::new(false),
-        notices: NoticeBox { queue: Mutex::new(Vec::new()), waker: wake },
+        notices: reactor.notices(),
         side_threads: Mutex::new(Vec::new()),
         forward_hist: Histogram::latency_ms(),
-        metrics_addr: metrics_addr.clone(),
-        unix_path: cfg.unix_socket.clone(),
         flight: FlightRecorder::new(cfg.flight_cap, cfg.flight_latency_ms, cfg.flight_dir.clone()),
         cfg,
     });
+    let metrics = match &gw.cfg.metrics_addr {
+        Some(addr) => Some(MetricsServer::start(
+            addr,
+            Arc::clone(&gw),
+            |gw| gw.shutdown.load(Ordering::SeqCst),
+            Gateway::metrics_text,
+        )?),
+        None => None,
+    };
 
     // Reach the backends that are already up so the first submissions
     // don't wait for a probe tick. An initial connection marks the
@@ -526,15 +476,12 @@ pub fn serve(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         }
     }
 
-    let (event_loop, tcp_addr) = eloop::spawn(Arc::clone(&gw), wake_rx)?;
+    let tcp_addr = reactor.tcp_addr();
+    let event_loop = eloop::spawn(Arc::clone(&gw), reactor);
     let prober = {
         let gw = Arc::clone(&gw);
         std::thread::spawn(move || health::probe_loop(&gw))
     };
-    let metrics = metrics_listener.map(|l| {
-        let gw = Arc::clone(&gw);
-        std::thread::spawn(move || metrics_loop(gw, l))
-    });
-
+    let metrics_addr = metrics.as_ref().map(MetricsServer::addr);
     Ok(GatewayHandle { gw, event_loop, prober, metrics, tcp_addr, metrics_addr })
 }

@@ -34,7 +34,7 @@
 //! trace: against a gateway that is its own recorder ring plus every
 //! connected backend's, clock-offset corrected onto the gateway's
 //! timeline; against a bare daemon, its single ring. `submit --timing`
-//! prints the per-request timing summary a v4 peer rides back on the
+//! prints the per-request timing summary the peer rides back on the
 //! verdict — trace id, winning backend, gateway time, failover/hedge
 //! counts, and per-stage pipeline milliseconds on a computed miss.
 //! Exit status: 0 on success (including a `done` job), 3 if the job
@@ -190,14 +190,13 @@ fn submit(client: &Client, mut args: Vec<String>) {
     }
 }
 
-/// The `--timing` breakdown: the per-request summary a v4 peer rides
-/// back on the verdict. Older peers (or non-`Done` outcomes) simply
-/// have none to print.
+/// The `--timing` breakdown: the per-request summary the peer rides
+/// back on the verdict. Non-`Done` outcomes have none to print.
 fn print_timing(state: &JobState) {
     let timing = match state {
         JobState::Done { timing: Some(t), .. } => t,
         JobState::Done { timing: None, .. } => {
-            println!("timing: unavailable (pre-v4 peer)");
+            println!("timing: unavailable");
             return;
         }
         _ => return,

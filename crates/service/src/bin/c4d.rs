@@ -11,7 +11,7 @@
 //! `--metrics-addr` additionally serves the Prometheus text-format
 //! metrics page over HTTP at `/metrics` (`:0` picks a free port; the
 //! resolved address is printed at startup). `--trace-ring` keeps the
-//! recorder ring armed so sampled v4 requests leave pipeline spans
+//! recorder ring armed so sampled requests leave pipeline spans
 //! behind for `RingDump`/`ClusterTrace` pulls. `--flight-dir` makes
 //! flight-recorder anomalies (busy rejections, over-threshold latency
 //! per `--flight-latency-ms`) dump the last `--flight-cap` request

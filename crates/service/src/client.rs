@@ -241,12 +241,11 @@ impl Client {
         }
     }
 
-    /// The daemon's health snapshot (v3+ daemons).
+    /// The daemon's health snapshot.
     ///
     /// # Errors
     ///
-    /// Connection/protocol errors (a pre-v3 daemon rejects the
-    /// request).
+    /// Connection/protocol errors.
     pub fn health(&self) -> io::Result<HealthInfo> {
         match self.roundtrip(&Request::Health)? {
             Response::Health(h) => Ok(h),
@@ -254,11 +253,11 @@ impl Client {
         }
     }
 
-    /// The daemon's Prometheus text-format metrics page (v2+ daemons).
+    /// The daemon's Prometheus text-format metrics page.
     ///
     /// # Errors
     ///
-    /// Connection/protocol errors (a v1 daemon rejects the request).
+    /// Connection/protocol errors.
     pub fn metrics(&self) -> io::Result<String> {
         match self.roundtrip(&Request::Metrics)? {
             Response::Metrics { text } => Ok(text),
@@ -266,9 +265,9 @@ impl Client {
         }
     }
 
-    /// Analyzes `source` synchronously with structured tracing enabled
-    /// (v2+ daemons); returns the encoded report — byte-identical to
-    /// an untraced run — and the JSONL trace text.
+    /// Analyzes `source` synchronously with structured tracing enabled;
+    /// returns the encoded report — byte-identical to an untraced run —
+    /// and the JSONL trace text.
     ///
     /// # Errors
     ///
@@ -285,13 +284,13 @@ impl Client {
         }
     }
 
-    /// A non-destructive snapshot of the peer's recorder ring (v4+):
-    /// its recorder clock at snapshot time and the ring as compact
+    /// A non-destructive snapshot of the peer's recorder ring: its
+    /// recorder clock at snapshot time and the ring as compact
     /// JSONL (empty when the peer is not recording).
     ///
     /// # Errors
     ///
-    /// Connection/protocol errors (a pre-v4 peer rejects the request).
+    /// Connection/protocol errors.
     pub fn ring_dump(&self) -> io::Result<(u64, String)> {
         match self.roundtrip(&Request::RingDump)? {
             Response::RingDump { now_ns, trace } => Ok((now_ns, trace)),
@@ -299,13 +298,13 @@ impl Client {
         }
     }
 
-    /// One merged cluster trace (v4+): a gateway assembles its own
+    /// One merged cluster trace: a gateway assembles its own
     /// ring with every backend's (clock-offset corrected); a bare
     /// daemon answers with the single-process merge of its own ring.
     ///
     /// # Errors
     ///
-    /// Connection/protocol errors (a pre-v4 peer rejects the request).
+    /// Connection/protocol errors.
     pub fn cluster_trace(&self) -> io::Result<String> {
         match self.roundtrip(&Request::ClusterTrace)? {
             Response::Trace { trace, .. } => Ok(trace),

@@ -17,7 +17,10 @@
 //!   state: always `EPOLLIN`, plus `EPOLLOUT` exactly while bytes are
 //!   pending, so an idle connection costs one registered fd and ~0
 //!   bytes of buffer — the property that lets one `c4d` hold thousands
-//!   of idle editor/CI connections.
+//!   of idle editor/CI connections;
+//! * [`FrameConn::settle`] reconciles the connection's epoll
+//!   registration with the interest its owner wants, tracking what is
+//!   registered so a change costs one `epoll_ctl` and no change none.
 //!
 //! Wire format is unchanged from [`proto`]: 4-byte big-endian length,
 //! then the payload, capped at [`proto::MAX_FRAME`].
@@ -27,7 +30,7 @@ use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 
-use crate::poll::{self, EPOLLIN, EPOLLOUT};
+use crate::poll::{self, Poller, EPOLLIN, EPOLLOUT};
 use crate::proto::MAX_FRAME;
 
 /// Either transport the daemons accept, behind one readiness-driven
@@ -96,6 +99,8 @@ pub struct FrameConn {
     rpos: usize,
     wbuf: Vec<u8>,
     wpos: usize,
+    /// Present in a poller's interest set, and with which bits.
+    registered: Option<u32>,
 }
 
 impl FrameConn {
@@ -110,7 +115,14 @@ impl FrameConn {
             s.set_nodelay(true)?;
         }
         poll::set_nonblocking(stream.as_raw_fd())?;
-        Ok(FrameConn { stream, rbuf: Vec::new(), rpos: 0, wbuf: Vec::new(), wpos: 0 })
+        Ok(FrameConn {
+            stream,
+            rbuf: Vec::new(),
+            rpos: 0,
+            wbuf: Vec::new(),
+            wpos: 0,
+            registered: None,
+        })
     }
 
     /// The fd to register with a poller.
@@ -121,6 +133,32 @@ impl FrameConn {
     /// The epoll interest implied by buffer state.
     pub fn interest(&self) -> u32 {
         if self.wants_write() { EPOLLIN | EPOLLOUT } else { EPOLLIN }
+    }
+
+    /// Registers, re-registers or deregisters the fd with `poller` so
+    /// its interest set is exactly `want` (0: no events at all).
+    ///
+    /// # Errors
+    ///
+    /// `epoll_ctl` failures; the owner should drop the connection.
+    pub fn settle(&mut self, poller: &Poller, token: u64, want: u32) -> io::Result<()> {
+        let fd = self.fd();
+        self.registered = match (self.registered, want) {
+            (Some(_), 0) => {
+                poller.deregister(fd);
+                None
+            }
+            (Some(cur), w) if cur != w => {
+                poller.reregister(fd, w, token)?;
+                Some(w)
+            }
+            (None, w) if w != 0 => {
+                poller.register(fd, w, token)?;
+                Some(w)
+            }
+            (r, _) => r,
+        };
+        Ok(())
     }
 
     /// True while queued reply bytes are waiting for the socket.
@@ -246,39 +284,51 @@ mod tests {
 
     #[test]
     fn partial_reads_reassemble_into_whole_frames() {
+        use std::io::Write as _;
         let (mut conn, mut peer) = pair();
+        let frames = [b"hello".to_vec(), b"world!".to_vec()];
         let mut wire = Vec::new();
-        write_frame(&mut wire, b"hello").unwrap();
-        write_frame(&mut wire, b"world!").unwrap();
-
-        // Feed the two frames one byte at a time; frames must appear
-        // exactly at their completion points and never earlier.
-        let mut seen: Vec<Vec<u8>> = Vec::new();
-        for &b in &wire {
-            use std::io::Write as _;
-            peer.write_all(&[b]).unwrap();
-            peer.flush().unwrap();
-            // Busy-poll the nonblocking side until the byte lands.
-            loop {
-                match conn.on_readable().unwrap() {
-                    ReadOutcome::Open => {}
-                    ReadOutcome::Eof => panic!("peer still open"),
-                }
-                match conn.next_frame().unwrap() {
-                    Some(f) => {
+        for f in &frames {
+            write_frame(&mut wire, f).unwrap();
+        }
+        // Frame `i` is complete once this many bytes have arrived.
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, f| {
+                *at += 4 + f.len();
+                Some(*at)
+            })
+            .collect();
+        // Send the two frames in two writes split at every byte offset,
+        // then one byte per write: after each write, exactly the frames
+        // complete so far must come out, never a partial one.
+        let rounds = (0..=wire.len())
+            .map(|k| vec![k, wire.len()])
+            .chain(std::iter::once((1..=wire.len()).collect::<Vec<_>>()));
+        for cuts in rounds {
+            let mut seen: Vec<Vec<u8>> = Vec::new();
+            let mut sent = 0;
+            for &cut in &cuts {
+                peer.write_all(&wire[sent..cut]).unwrap();
+                peer.flush().unwrap();
+                sent = cut;
+                // Busy-poll the nonblocking side until every sent byte
+                // is either in a yielded frame or buffered.
+                loop {
+                    assert_eq!(conn.on_readable().unwrap(), ReadOutcome::Open, "peer still open");
+                    while let Some(f) = conn.next_frame().unwrap() {
                         seen.push(f);
+                    }
+                    let yielded: usize = seen.iter().map(|f| 4 + f.len()).sum();
+                    if yielded + conn.rbuf.len() - conn.rpos == sent {
                         break;
                     }
-                    None => {
-                        if conn.rbuf.len() - conn.rpos > 0 || seen.len() == 2 {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
+                    std::thread::yield_now();
                 }
+                let complete = ends.iter().filter(|&&e| e <= sent).count();
+                assert_eq!(seen, frames[..complete], "cuts {cuts:?}, after {sent} bytes");
             }
         }
-        assert_eq!(seen, vec![b"hello".to_vec(), b"world!".to_vec()]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct Job {
     pub cancel: CancelToken,
     /// Admission time, for queue-latency accounting.
     pub submitted_at: Instant,
-    /// Distributed trace context the submission carried (v4+), if any.
+    /// Distributed trace context the submission carried, if any.
     pub ctx: Option<TraceCtx>,
     state: Mutex<JobState>,
     cv: Condvar,

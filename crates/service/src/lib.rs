@@ -12,11 +12,14 @@
 //! Layering:
 //!
 //! - [`proto`] — length-prefixed binary frames over Unix-domain or TCP
-//!   sockets; std-only, versioned, allocation-bounded.
+//!   sockets; std-only, one protocol version, allocation-bounded.
+//! - [`reactor`] — the epoll event loop `c4d` and `c4-gateway` share:
+//!   listeners, client connections, framing, blocked-dispatch order,
+//!   cross-thread notices, and the `/metrics` HTTP listener.
 //! - [`job`] — per-job state machine and the bounded scheduler queue
 //!   with admission control and drain support.
-//! - [`server`] — the daemon: accept loops, scheduler workers, the
-//!   cache-then-compute pipeline, cancellation, graceful shutdown.
+//! - [`server`] — the daemon: scheduler workers, the cache-then-compute
+//!   pipeline, cancellation, graceful shutdown.
 //! - [`client`] — a blocking connect-per-request client used by the
 //!   `c4` binary and the test suites.
 
@@ -25,6 +28,7 @@ pub mod conn;
 pub mod job;
 pub mod poll;
 pub mod proto;
+pub mod reactor;
 pub mod server;
 
 use c4::{AnalysisFeatures, AnalysisResult, CacheKey, CancelToken, Checker};

@@ -7,31 +7,18 @@
 //! `u32` length prefix. Frames are capped at [`MAX_FRAME`] so a corrupt
 //! or hostile peer cannot make either side allocate unboundedly.
 //!
-//! The protocol is versioned by [`PROTO_VERSION`], carried in every
-//! request; the daemon serves every version in
-//! [`MIN_PROTO_VERSION`]`..=`[`PROTO_VERSION`] and rejects others with
-//! an [`Response::Error`] rather than misparsing. Version 2 added the
-//! latency-summary fields on [`DaemonStats`] plus the `Metrics` and
-//! `Trace` messages; a v1 peer still gets the legacy 18-field stats
-//! payload (see [`Response::encode_for_version`]). Version 3 added the
-//! cluster frames: [`Request::Health`]/[`Response::Health`] (gateway
-//! health checks), [`Request::Forward`]/[`Response::Forwarded`]
-//! (multiplexed gateway→backend submission: the terminal
-//! [`Response::Status`] arrives later on the same connection), and the
-//! typed [`Response::Busy`] backpressure signal, which v1/v2 peers
-//! receive downgraded to the pre-v3 [`Response::Error`] text. Report
-//! payloads inside [`Response::Status`] use the independent report wire
-//! format of `c4::report` (itself versioned), so a cache serving old
-//! bytes can never be misdecoded.
+//! Every peer is built from this repository, so there is one protocol
+//! version, [`PROTO_VERSION`], carried in every request. A request
+//! stamped with any other version is rejected with a [`ProtoError`],
+//! which the daemon and the gateway answer as [`Response::Error`].
+//! Responses carry no version: each decodes its one shape exactly, and
+//! a short or over-long payload is an error, never zero-filled fields.
 //!
-//! Version 4 added the distributed-tracing surface: an optional
-//! [`TraceCtx`] rides at the tail of `Submit`/`Forward` (absent
-//! context encodes to the exact v3 bytes, so old peers parse
-//! v4-origin frames unchanged), [`JobState::Done`] may carry a
-//! [`ReqTiming`] breakdown (encoded for v4 peers only), [`HealthInfo`]
-//! reports the responder's recorder clock for clock-offset estimation,
-//! and [`Request::RingDump`]/[`Request::ClusterTrace`] pull recorder
-//! rings for cross-process trace assembly (`c4 trace --cluster`).
+//! The only optional field is the [`TraceCtx`] at the tail of
+//! `Submit`/`Forward`: an absent context encodes to nothing. Report
+//! payloads inside [`Response::Status`] use the independent report
+//! wire format of `c4::report` (itself versioned), so a cache serving
+//! old bytes can never be misdecoded.
 
 use std::io::{self, Read, Write};
 
@@ -41,12 +28,14 @@ pub use c4_obs::ctx::TraceCtx;
 /// Protocol version spoken by this build.
 pub const PROTO_VERSION: u16 = 4;
 
-/// Oldest peer version the daemon still serves.
-pub const MIN_PROTO_VERSION: u16 = 1;
-
 /// Maximum frame payload size (64 MiB): far above any realistic report,
 /// far below an allocation hazard.
 pub const MAX_FRAME: u32 = 64 << 20;
+
+/// Largest `parallelism` a frame may ask for. The checker spawns that
+/// many workers and sizes its channels by it, so an unchecked value
+/// from the wire could exhaust memory and abort the process.
+pub const MAX_PARALLELISM: u32 = 256;
 
 /// A client-to-daemon request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,8 +50,7 @@ pub enum Request {
         features: AnalysisFeatures,
         /// CCL source text.
         source: String,
-        /// Distributed trace context (v4+; `None` encodes to the exact
-        /// pre-v4 bytes).
+        /// Distributed trace context (`None` encodes to nothing).
         ctx: Option<TraceCtx>,
     },
     /// Query a job's state.
@@ -80,10 +68,10 @@ pub enum Request {
     /// Graceful shutdown: stop admitting, drain all admitted jobs,
     /// flush the cache index, acknowledge, exit.
     Shutdown,
-    /// The Prometheus text-format metrics page (v2+).
+    /// The Prometheus text-format metrics page.
     Metrics,
     /// Analyze a program synchronously with structured tracing enabled
-    /// and return both the report and the recorded trace (v2+). Trace
+    /// and return both the report and the recorded trace. Trace
     /// requests bypass the queue and the cache: the point is the fresh
     /// recording, not the verdict.
     Trace {
@@ -92,11 +80,11 @@ pub enum Request {
         /// CCL source text.
         source: String,
     },
-    /// Liveness/readiness probe (v3+): answered from scheduler state
+    /// Liveness/readiness probe: answered from scheduler state
     /// without touching the queue, cheap enough for tight-interval
     /// health checking.
     Health,
-    /// A gateway-forwarded submission (v3+). Unlike `Submit{wait}`,
+    /// A gateway-forwarded submission. Unlike `Submit{wait}`,
     /// the daemon acknowledges immediately with
     /// [`Response::Forwarded`] and pushes the terminal
     /// [`Response::Status`] later *on the same connection*, so one
@@ -106,16 +94,16 @@ pub enum Request {
         features: AnalysisFeatures,
         /// CCL source text.
         source: String,
-        /// Distributed trace context (v4+), minted or propagated by
+        /// Distributed trace context, minted or propagated by
         /// the gateway.
         ctx: Option<TraceCtx>,
     },
-    /// A non-destructive snapshot of this process's recorder ring
-    /// (v4+): the building block of cluster trace assembly. The
+    /// A non-destructive snapshot of this process's recorder ring:
+    /// the building block of cluster trace assembly. The
     /// response carries the ring as compact JSONL plus the responder's
     /// recorder clock.
     RingDump,
-    /// Assemble one merged cluster trace (v4+): the gateway snapshots
+    /// Assemble one merged cluster trace: the gateway snapshots
     /// its own ring, pulls each backend's via [`Request::RingDump`],
     /// applies the probe-estimated clock offsets and answers with
     /// [`Response::Trace`] (empty report, merged Chrome trace). A bare
@@ -140,8 +128,7 @@ pub enum JobState {
         run_ms: u64,
         /// The encoded report (`c4::AnalysisResult::encode_report`).
         report: Vec<u8>,
-        /// Per-request timing breakdown (v4+; truncated away for
-        /// older peers).
+        /// Per-request timing breakdown.
         timing: Option<ReqTiming>,
     },
     /// Cancelled before completion (no verdict).
@@ -192,22 +179,22 @@ pub struct DaemonStats {
     pub cache_mem_entries: u64,
     /// Cache: entries on disk.
     pub cache_disk_entries: u64,
-    /// Queue-wait latency: median upper bound, ms (v2+, 0 from v1 peers).
+    /// Queue-wait latency: median upper bound, ms.
     pub wait_p50_ms: u64,
-    /// Queue-wait latency: 95th-percentile upper bound, ms (v2+).
+    /// Queue-wait latency: 95th-percentile upper bound, ms.
     pub wait_p95_ms: u64,
-    /// Queue-wait latency: maximum observed, ms (v2+).
+    /// Queue-wait latency: maximum observed, ms.
     pub wait_max_ms: u64,
-    /// Job run-time latency: median upper bound, ms (v2+).
+    /// Job run-time latency: median upper bound, ms.
     pub run_p50_ms: u64,
-    /// Job run-time latency: 95th-percentile upper bound, ms (v2+).
+    /// Job run-time latency: 95th-percentile upper bound, ms.
     pub run_p95_ms: u64,
-    /// Job run-time latency: maximum observed, ms (v2+).
+    /// Job run-time latency: maximum observed, ms.
     pub run_max_ms: u64,
 }
 
 /// The compact per-request timing summary that rides back on
-/// [`JobState::Done`] for v4 peers — what `c4 submit --timing` prints.
+/// [`JobState::Done`] — what `c4 submit --timing` prints.
 /// The daemon fills the stage breakdown; the gateway stamps the
 /// routing fields (winning backend, retries, hedging, its own
 /// residency time) as the status passes through it.
@@ -231,7 +218,7 @@ pub struct ReqTiming {
     pub stages: Vec<(String, u64)>,
 }
 
-/// A daemon's health snapshot (v3+), the payload of
+/// A daemon's health snapshot, the payload of
 /// [`Response::Health`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthInfo {
@@ -249,9 +236,9 @@ pub struct HealthInfo {
     /// Milliseconds since the daemon started.
     pub uptime_ms: u64,
     /// The responder's recorder clock (`c4_obs::now_ns`) when the
-    /// snapshot was taken (v4+, 0 from older peers). Paired with the
-    /// prober's own send/receive stamps this yields the clock-offset
-    /// estimate the merged cluster trace is built on.
+    /// snapshot was taken. Paired with the prober's own send/receive
+    /// stamps this yields the clock-offset estimate the merged cluster
+    /// trace is built on.
     pub now_ns: u64,
 }
 
@@ -284,12 +271,12 @@ pub enum Response {
         /// Human-readable reason.
         message: String,
     },
-    /// The Prometheus text-format metrics page (v2+).
+    /// The Prometheus text-format metrics page.
     Metrics {
         /// Exposition-format text (version 0.0.4).
         text: String,
     },
-    /// A traced synchronous analysis (v2+).
+    /// A traced synchronous analysis.
     Trace {
         /// The encoded report (`c4::AnalysisResult::encode_report`) —
         /// byte-identical to an untraced run of the same program.
@@ -297,23 +284,22 @@ pub enum Response {
         /// The recorded trace in compact JSONL (one event per line).
         trace: String,
     },
-    /// Typed backpressure (v3+): the job queue is full; try again
-    /// after the hinted delay. v1/v2 peers receive this downgraded to
-    /// the legacy queue-full [`Response::Error`].
+    /// Typed backpressure: the job queue is full; try again after the
+    /// hinted delay.
     Busy {
         /// Suggested client backoff before resubmitting, milliseconds.
         retry_after_ms: u64,
     },
-    /// Health snapshot (v3+).
+    /// Health snapshot.
     Health(HealthInfo),
-    /// A [`Request::Forward`] was admitted (v3+); the terminal
+    /// A [`Request::Forward`] was admitted; the terminal
     /// [`Response::Status`] for `job_id` follows asynchronously on the
     /// same connection.
     Forwarded {
         /// The id the follow-up [`Response::Status`] will carry.
         job_id: u64,
     },
-    /// A recorder-ring snapshot (v4+), answering
+    /// A recorder-ring snapshot, answering
     /// [`Request::RingDump`].
     RingDump {
         /// The responder's recorder clock when the snapshot was taken.
@@ -468,7 +454,10 @@ fn read_features(r: &mut Reader<'_>) -> Result<AnalysisFeatures, ProtoError> {
         validate_counterexamples: bit(7),
         max_k: r.u32()? as usize,
         time_budget_secs: r.u64()?,
-        parallelism: r.u32()? as usize,
+        parallelism: match r.u32()? {
+            p if p <= MAX_PARALLELISM => p as usize,
+            _ => return Err(ProtoError("parallelism out of range")),
+        },
     })
 }
 
@@ -536,11 +525,10 @@ fn read_ctx(r: &mut Reader<'_>) -> Result<TraceCtx, ProtoError> {
     Ok(TraceCtx { trace_id: r.u64()?, parent_span: r.u64()?, sampled: r.bool()? })
 }
 
-// An absent context appends nothing, so a v4-origin frame without one
-// is byte-for-byte the v3 encoding — old peers parse it unchanged, and
-// the re-stamping compatibility tests rely on it.
-fn read_opt_ctx(r: &mut Reader<'_>, version: u16) -> Result<Option<TraceCtx>, ProtoError> {
-    if version >= 4 && r.remaining() > 0 {
+// An absent context appends nothing; the context is the last field of
+// its message, so any remaining bytes are one.
+fn read_opt_ctx(r: &mut Reader<'_>) -> Result<Option<TraceCtx>, ProtoError> {
+    if r.remaining() > 0 {
         Ok(Some(read_ctx(r)?))
     } else {
         Ok(None)
@@ -615,32 +603,16 @@ impl Request {
         out
     }
 
-    /// Decodes a request payload (current-version peers only).
+    /// Decodes a request payload.
     ///
     /// # Errors
     ///
-    /// [`ProtoError`] on malformed bytes or a version mismatch.
+    /// [`ProtoError`] on malformed bytes or a version other than
+    /// [`PROTO_VERSION`].
     pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
-        let (req, version) = Request::decode_versioned(payload)?;
-        if version != PROTO_VERSION {
-            return Err(ProtoError("unsupported protocol version"));
-        }
-        Ok(req)
-    }
-
-    /// Decodes a request payload from any supported peer version and
-    /// returns the version it spoke, so the responder can downgrade
-    /// its reply ([`Response::encode_for_version`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError`] on malformed bytes or a version outside
-    /// [`MIN_PROTO_VERSION`]`..=`[`PROTO_VERSION`].
-    pub fn decode_versioned(payload: &[u8]) -> Result<(Request, u16), ProtoError> {
         let mut r = Reader::new(payload);
         let tag = r.u8()?;
-        let version = r.u16()?;
-        if !(MIN_PROTO_VERSION..=PROTO_VERSION).contains(&version) {
+        if r.u16()? != PROTO_VERSION {
             return Err(ProtoError("unsupported protocol version"));
         }
         let req = match tag {
@@ -648,29 +620,26 @@ impl Request {
                 wait: r.bool()?,
                 features: read_features(&mut r)?,
                 source: r.str()?,
-                ctx: read_opt_ctx(&mut r, version)?,
+                ctx: read_opt_ctx(&mut r)?,
             },
             REQ_STATUS => Request::Status { job_id: r.u64()? },
             REQ_CANCEL => Request::Cancel { job_id: r.u64()? },
             REQ_STATS => Request::Stats,
             REQ_SHUTDOWN => Request::Shutdown,
-            REQ_METRICS if version >= 2 => Request::Metrics,
-            REQ_TRACE if version >= 2 => Request::Trace {
+            REQ_METRICS => Request::Metrics,
+            REQ_TRACE => Request::Trace { features: read_features(&mut r)?, source: r.str()? },
+            REQ_HEALTH => Request::Health,
+            REQ_FORWARD => Request::Forward {
                 features: read_features(&mut r)?,
                 source: r.str()?,
+                ctx: read_opt_ctx(&mut r)?,
             },
-            REQ_HEALTH if version >= 3 => Request::Health,
-            REQ_FORWARD if version >= 3 => Request::Forward {
-                features: read_features(&mut r)?,
-                source: r.str()?,
-                ctx: read_opt_ctx(&mut r, version)?,
-            },
-            REQ_RING_DUMP if version >= 4 => Request::RingDump,
-            REQ_CLUSTER_TRACE if version >= 4 => Request::ClusterTrace,
+            REQ_RING_DUMP => Request::RingDump,
+            REQ_CLUSTER_TRACE => Request::ClusterTrace,
             _ => return Err(ProtoError("unknown request tag")),
         };
         r.finish()?;
-        Ok((req, version))
+        Ok(req)
     }
 }
 
@@ -704,7 +673,7 @@ fn read_timing(r: &mut Reader<'_>) -> Result<ReqTiming, ProtoError> {
     Ok(ReqTiming { trace_id, backend, retries, hedged, gateway_ms, stages })
 }
 
-fn put_state(out: &mut Vec<u8>, s: &JobState, version: u16) {
+fn put_state(out: &mut Vec<u8>, s: &JobState) {
     match s {
         JobState::Queued => out.push(STATE_QUEUED),
         JobState::Running => out.push(STATE_RUNNING),
@@ -714,16 +683,12 @@ fn put_state(out: &mut Vec<u8>, s: &JobState, version: u16) {
             put_u64(out, *queue_ms);
             put_u64(out, *run_ms);
             put_bytes(out, report);
-            // v4 appends a presence-tagged timing summary; the pre-v4
-            // encoding ends at the report, byte-for-byte as before.
-            if version >= 4 {
-                match timing {
-                    Some(t) => {
-                        out.push(1);
-                        put_timing(out, t);
-                    }
-                    None => out.push(0),
+            match timing {
+                Some(t) => {
+                    out.push(1);
+                    put_timing(out, t);
                 }
+                None => out.push(0),
             }
         }
         JobState::Cancelled => out.push(STATE_CANCELLED),
@@ -743,17 +708,10 @@ fn read_state(r: &mut Reader<'_>) -> Result<JobState, ProtoError> {
             queue_ms: r.u64()?,
             run_ms: r.u64()?,
             report: r.bytes()?,
-            // A v3 daemon's Done ends at the report; a v4 daemon
-            // appends a presence byte. The state is the final field of
-            // its message, so sniffing the remainder is unambiguous.
-            timing: if r.remaining() > 0 {
-                match r.u8()? {
-                    0 => None,
-                    1 => Some(read_timing(r)?),
-                    _ => return Err(ProtoError("bad timing presence byte")),
-                }
-            } else {
-                None
+            timing: match r.u8()? {
+                0 => None,
+                1 => Some(read_timing(r)?),
+                _ => return Err(ProtoError("bad timing presence byte")),
             },
         },
         STATE_CANCELLED => JobState::Cancelled,
@@ -763,26 +721,8 @@ fn read_state(r: &mut Reader<'_>) -> Result<JobState, ProtoError> {
 }
 
 impl Response {
-    /// Encodes the response payload at the current protocol version.
+    /// Encodes the response payload.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for_version(PROTO_VERSION)
-    }
-
-    /// Encodes the response payload as a `version` peer expects it.
-    /// Two divergences: [`Response::Stats`] for v1 peers is the fixed
-    /// 18-`u64` payload (the v2 latency summaries are truncated away
-    /// rather than breaking their parse), and [`Response::Busy`] for
-    /// v1/v2 peers becomes the legacy queue-full [`Response::Error`]
-    /// those clients already handle.
-    pub fn encode_for_version(&self, version: u16) -> Vec<u8> {
-        if let Response::Busy { retry_after_ms } = self {
-            if version < 3 {
-                return Response::Error {
-                    message: format!("queue full; retry after {retry_after_ms} ms"),
-                }
-                .encode_for_version(version);
-            }
-        }
         let mut out = Vec::new();
         match self {
             Response::Submitted { job_id } => {
@@ -792,7 +732,7 @@ impl Response {
             Response::Status { job_id, state } => {
                 out.push(RESP_STATUS);
                 put_u64(&mut out, *job_id);
-                put_state(&mut out, state, version);
+                put_state(&mut out, state);
             }
             Response::Cancelled { ok } => {
                 out.push(RESP_CANCELLED);
@@ -819,20 +759,14 @@ impl Response {
                     s.cache_stale_drops,
                     s.cache_mem_entries,
                     s.cache_disk_entries,
+                    s.wait_p50_ms,
+                    s.wait_p95_ms,
+                    s.wait_max_ms,
+                    s.run_p50_ms,
+                    s.run_p95_ms,
+                    s.run_max_ms,
                 ] {
                     put_u64(&mut out, v);
-                }
-                if version >= 2 {
-                    for v in [
-                        s.wait_p50_ms,
-                        s.wait_p95_ms,
-                        s.wait_max_ms,
-                        s.run_p50_ms,
-                        s.run_p95_ms,
-                        s.run_max_ms,
-                    ] {
-                        put_u64(&mut out, v);
-                    }
                 }
             }
             Response::ShutdownAck => out.push(RESP_SHUTDOWN_ACK),
@@ -856,11 +790,8 @@ impl Response {
             Response::Health(h) => {
                 out.push(RESP_HEALTH);
                 out.push(h.accepting as u8);
-                for v in [h.queue_len, h.queue_cap, h.running, h.workers, h.uptime_ms] {
+                for v in [h.queue_len, h.queue_cap, h.running, h.workers, h.uptime_ms, h.now_ns] {
                     put_u64(&mut out, v);
-                }
-                if version >= 4 {
-                    put_u64(&mut out, h.now_ns);
                 }
             }
             Response::Forwarded { job_id } => {
@@ -888,17 +819,9 @@ impl Response {
             RESP_STATUS => Response::Status { job_id: r.u64()?, state: read_state(&mut r)? },
             RESP_CANCELLED => Response::Cancelled { ok: r.bool()? },
             RESP_STATS => {
-                let mut vals = [0u64; 18];
+                let mut vals = [0u64; 24];
                 for v in &mut vals {
                     *v = r.u64()?;
-                }
-                // A v1 daemon stops here; a v2+ daemon appends the six
-                // latency summaries. Absent fields stay zero.
-                let mut extra = [0u64; 6];
-                if r.remaining() >= 8 * extra.len() {
-                    for v in &mut extra {
-                        *v = r.u64()?;
-                    }
                 }
                 Response::Stats(DaemonStats {
                     uptime_ms: vals[0],
@@ -919,12 +842,12 @@ impl Response {
                     cache_stale_drops: vals[15],
                     cache_mem_entries: vals[16],
                     cache_disk_entries: vals[17],
-                    wait_p50_ms: extra[0],
-                    wait_p95_ms: extra[1],
-                    wait_max_ms: extra[2],
-                    run_p50_ms: extra[3],
-                    run_p95_ms: extra[4],
-                    run_max_ms: extra[5],
+                    wait_p50_ms: vals[18],
+                    wait_p95_ms: vals[19],
+                    wait_max_ms: vals[20],
+                    run_p50_ms: vals[21],
+                    run_p95_ms: vals[22],
+                    run_max_ms: vals[23],
                 })
             }
             RESP_SHUTDOWN_ACK => Response::ShutdownAck,
@@ -939,9 +862,7 @@ impl Response {
                 running: r.u64()?,
                 workers: r.u64()?,
                 uptime_ms: r.u64()?,
-                // A v3 responder stops here; v4 appends its recorder
-                // clock. Absent means 0 (no offset estimation).
-                now_ns: if r.remaining() >= 8 { r.u64()? } else { 0 },
+                now_ns: r.u64()?,
             }),
             RESP_FORWARDED => Response::Forwarded { job_id: r.u64()? },
             RESP_RING_DUMP => Response::RingDump { now_ns: r.u64()?, trace: r.str()? },
@@ -1039,9 +960,6 @@ mod tests {
         for req in reqs {
             let bytes = req.encode();
             assert_eq!(Request::decode(&bytes).unwrap(), req);
-            let (decoded, version) = Request::decode_versioned(&bytes).unwrap();
-            assert_eq!(decoded, req);
-            assert_eq!(version, PROTO_VERSION);
         }
     }
 
@@ -1060,47 +978,35 @@ mod tests {
         assert_eq!(Request::decode(&bytes).unwrap(), req);
     }
 
-    /// A v1 peer's frames (version field 1, no v2 message tags) must
-    /// still decode, and the stats reply rendered for it must carry
-    /// exactly the legacy 18-u64 payload — which the v2 decoder also
-    /// accepts, with the summary fields reading as zero.
+    /// The checker spawns `parallelism` workers, so the decoder bounds
+    /// it: [`MAX_PARALLELISM`] decodes, one more is a typed error.
     #[test]
-    fn v1_peers_are_served_with_legacy_stats_payloads() {
-        let mut v1_stats_req = Request::Stats.encode();
-        v1_stats_req[1..3].copy_from_slice(&1u16.to_be_bytes());
-        let (req, version) = Request::decode_versioned(&v1_stats_req).unwrap();
-        assert_eq!(req, Request::Stats);
-        assert_eq!(version, 1);
-        // v1 did not know the Metrics tag; a v1-framed metrics request
-        // is a protocol error, not a misparse.
-        let mut v1_metrics = Request::Metrics.encode();
-        v1_metrics[1..3].copy_from_slice(&1u16.to_be_bytes());
-        assert!(Request::decode_versioned(&v1_metrics).is_err());
-
-        let stats = DaemonStats {
-            submitted: 3,
-            cache_disk_entries: 9,
-            wait_p95_ms: 250,
-            run_max_ms: 1234,
-            ..Default::default()
-        };
-        let legacy = Response::Stats(stats).encode_for_version(1);
-        assert_eq!(legacy.len(), 1 + 18 * 8, "legacy layout is fixed-size");
-        match Response::decode(&legacy).unwrap() {
-            Response::Stats(s) => {
-                assert_eq!(s.submitted, 3);
-                assert_eq!(s.cache_disk_entries, 9);
-                assert_eq!(s.wait_p95_ms, 0, "summaries truncated for v1");
-                assert_eq!(s.run_max_ms, 0);
+    fn parallelism_beyond_the_bound_is_rejected() {
+        for (parallelism, ok) in
+            [(MAX_PARALLELISM, true), (MAX_PARALLELISM + 1, false), (u32::MAX, false)]
+        {
+            let features = AnalysisFeatures {
+                parallelism: parallelism as usize,
+                ..AnalysisFeatures::default()
+            };
+            for req in [
+                Request::Submit {
+                    wait: true,
+                    features: features.clone(),
+                    source: "s".into(),
+                    ctx: None,
+                },
+                Request::Trace { features: features.clone(), source: "s".into() },
+                Request::Forward { features, source: "s".into(), ctx: None },
+            ] {
+                match Request::decode(&req.encode()) {
+                    Ok(back) => assert!(ok && back == req, "{parallelism}: {back:?}"),
+                    Err(e) => {
+                        assert!(!ok, "{parallelism} must decode");
+                        assert_eq!(e, ProtoError("parallelism out of range"));
+                    }
+                }
             }
-            other => panic!("expected Stats, got {other:?}"),
-        }
-        // The v2 encoding of the same stats round-trips in full.
-        let full = Response::Stats(stats).encode();
-        assert_eq!(full.len(), 1 + 24 * 8);
-        match Response::decode(&full).unwrap() {
-            Response::Stats(s) => assert_eq!(s, stats),
-            other => panic!("expected Stats, got {other:?}"),
         }
     }
 
@@ -1176,119 +1082,6 @@ mod tests {
         }
     }
 
-    /// v3 frames are invisible to older peers: the cluster request
-    /// tags are rejected when framed as v1/v2, and the typed `Busy`
-    /// backpressure signal downgrades to the legacy queue-full error
-    /// string that pre-v3 clients already match on.
-    #[test]
-    fn v3_cluster_frames_are_gated_and_busy_downgrades() {
-        for version in [1u16, 2] {
-            for req in [
-                Request::Health,
-                Request::Forward {
-                    features: AnalysisFeatures::default(),
-                    source: "store { map M; }".into(),
-                    ctx: None,
-                },
-            ] {
-                let mut bytes = req.encode();
-                bytes[1..3].copy_from_slice(&version.to_be_bytes());
-                assert!(
-                    Request::decode_versioned(&bytes).is_err(),
-                    "v{version} peers must not reach the cluster tags"
-                );
-            }
-            let down = Response::Busy { retry_after_ms: 40 }.encode_for_version(version);
-            match Response::decode(&down).unwrap() {
-                Response::Error { message } => {
-                    assert_eq!(message, "queue full; retry after 40 ms");
-                }
-                other => panic!("expected downgraded Error, got {other:?}"),
-            }
-        }
-        // At v3 the typed form survives untouched.
-        let v3 = Response::Busy { retry_after_ms: 40 }.encode_for_version(3);
-        assert_eq!(Response::decode(&v3).unwrap(), Response::Busy { retry_after_ms: 40 });
-    }
-
-    /// v4 framing discipline: context-free frames are byte-identical
-    /// to v3 frames (old peers parse them unchanged), sampled frames
-    /// are v4-only, the ring tags are gated, and the v4 additions to
-    /// `Done`/`Health` are truncated away for older peers.
-    #[test]
-    fn v4_trace_context_is_invisible_to_older_peers() {
-        let f = AnalysisFeatures::default();
-        let src = "store { map M; }";
-        // No context: the v4 body is the v3 body.
-        for (req, tag) in [
-            (Request::Submit { wait: true, features: f.clone(), source: src.into(), ctx: None },
-             REQ_SUBMIT),
-            (Request::Forward { features: f.clone(), source: src.into(), ctx: None }, REQ_FORWARD),
-        ] {
-            let mut bytes = req.encode();
-            assert_eq!(bytes[0], tag);
-            bytes[1..3].copy_from_slice(&3u16.to_be_bytes());
-            let (decoded, version) = Request::decode_versioned(&bytes).unwrap();
-            assert_eq!(version, 3);
-            assert_eq!(decoded, req, "v3 re-stamp parses to the same request");
-        }
-        // A carried context appends exactly 17 bytes; re-stamped to v3
-        // those are trailing garbage, not a silent misparse.
-        let ctx = TraceCtx { trace_id: 9, parent_span: 2, sampled: true };
-        let with = Request::Forward { features: f.clone(), source: src.into(), ctx: Some(ctx) };
-        let without = Request::Forward { features: f, source: src.into(), ctx: None };
-        assert_eq!(with.encode().len(), without.encode().len() + 17);
-        let mut stamped = with.encode();
-        stamped[1..3].copy_from_slice(&3u16.to_be_bytes());
-        assert!(Request::decode_versioned(&stamped).is_err());
-        // The v4 request tags are gated below v4.
-        for req in [Request::RingDump, Request::ClusterTrace] {
-            for version in [1u16, 2, 3] {
-                let mut bytes = req.encode();
-                bytes[1..3].copy_from_slice(&version.to_be_bytes());
-                assert!(
-                    Request::decode_versioned(&bytes).is_err(),
-                    "v{version} peers must not reach the ring tags"
-                );
-            }
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-        }
-        // Done for a v3 peer ends at the report — the exact pre-v4
-        // bytes — and decodes with the timing read as absent.
-        let done = Response::Status {
-            job_id: 5,
-            state: JobState::Done {
-                tier: CacheTier::Memory,
-                queue_ms: 3,
-                run_ms: 4,
-                report: vec![9, 9],
-                timing: Some(ReqTiming { trace_id: 11, ..ReqTiming::default() }),
-            },
-        };
-        let legacy = done.encode_for_version(3);
-        assert_eq!(legacy.len(), 1 + 8 + 1 + 1 + 8 + 8 + 4 + 2, "fixed pre-v4 layout");
-        match Response::decode(&legacy).unwrap() {
-            Response::Status { state: JobState::Done { timing, report, .. }, .. } => {
-                assert_eq!(timing, None, "summary truncated for v3");
-                assert_eq!(report, vec![9, 9]);
-            }
-            other => panic!("expected Done, got {other:?}"),
-        }
-        // Health for a v3 peer drops the recorder clock.
-        let h = HealthInfo { accepting: true, now_ns: 77, ..HealthInfo::default() };
-        let legacy = Response::Health(h).encode_for_version(3);
-        assert_eq!(legacy.len(), 1 + 1 + 5 * 8);
-        match Response::decode(&legacy).unwrap() {
-            Response::Health(got) => assert_eq!(got.now_ns, 0, "clock truncated for v3"),
-            other => panic!("expected Health, got {other:?}"),
-        }
-        let full = Response::Health(h).encode();
-        match Response::decode(&full).unwrap() {
-            Response::Health(got) => assert_eq!(got, h),
-            other => panic!("expected Health, got {other:?}"),
-        }
-    }
-
     #[test]
     fn decode_rejects_malformed_input() {
         assert!(Request::decode(&[]).is_err());
@@ -1302,6 +1095,32 @@ mod tests {
         bytes.push(0);
         assert!(Request::decode(&bytes).is_err());
         assert!(Response::decode(&[0x77]).is_err());
+        // Responses have one shape: a frame cut at what was once a
+        // field boundary (18 stats words, a clock-less health, a Done
+        // without its timing byte) is short, not zero-filled.
+        let short = |resp: Response, cut: usize| {
+            let bytes = resp.encode();
+            Response::decode(&bytes[..bytes.len() - cut])
+        };
+        assert_eq!(
+            short(Response::Stats(DaemonStats::default()), 6 * 8),
+            Err(ProtoError("truncated frame"))
+        );
+        assert_eq!(
+            short(Response::Health(HealthInfo::default()), 8),
+            Err(ProtoError("truncated frame"))
+        );
+        let done = JobState::Done {
+            tier: CacheTier::Miss,
+            queue_ms: 0,
+            run_ms: 0,
+            report: vec![1],
+            timing: None,
+        };
+        assert_eq!(
+            short(Response::Status { job_id: 1, state: done }, 1),
+            Err(ProtoError("truncated frame"))
+        );
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! The `c4d` daemon: a single-threaded readiness event loop over all
-//! connections, scheduler workers, the cache-then-compute pipeline,
-//! and graceful shutdown.
+//! The `c4d` daemon: scheduler workers, the cache-then-compute
+//! pipeline, and graceful shutdown, served on the shared
+//! [`crate::reactor`].
 //!
 //! One daemon owns a single [`VerdictCache`] and a bounded
 //! [`Scheduler`]. Connection handling is **not** thread-per-connection:
-//! one event-loop thread owns every listener and every connection
-//! (non-blocking, epoll readiness via [`crate::poll`], per-connection
-//! framing buffers via [`crate::conn`]), so an idle connection costs a
-//! registered fd rather than a parked thread and the thread count stays
-//! O(workers), not O(connections). Worker threads loop on the queue and
+//! the reactor thread owns every listener and every connection, so the
+//! thread count stays O(workers), not O(connections); this module only
+//! says how each request is served. Worker threads loop on the queue and
 //! run the pipeline per job: parse → canonicalize → cache lookup → on a
 //! miss, the bounded search with the job's [`CancelToken`] threaded
 //! into the checker's deadline checks; completed full verdicts are
@@ -19,25 +17,23 @@
 //! Requests that cannot be answered from in-memory state never block
 //! the loop:
 //!
-//! * `Submit{wait}` registers a *waiter*; the worker that finishes the
-//!   job posts a [`Notice`] through the self-pipe waker and the loop
-//!   sends the terminal `Status`. Until then that connection's further
-//!   frames stay buffered (request-response order is preserved).
-//! * `Forward` (v3, the gateway's submission) is acknowledged
+//! * `Submit{wait}` registers a *waiter* and blocks its connection; the
+//!   worker that finishes the job posts a [`Notice`] and the loop sends
+//!   the terminal `Status`, which unblocks it.
+//! * `Forward` (the gateway's submission) is acknowledged
 //!   immediately with `Forwarded{job_id}` and does **not** block the
 //!   connection: the terminal `Status` is pushed later on the same
 //!   connection, so one gateway link multiplexes many in-flight jobs.
 //! * `Trace` runs the pipeline on a transient side thread (it needs the
 //!   process-global recorder); `Shutdown` runs the drain on one.
 //!
-//! Admission control is typed: a full queue yields `Busy{retry_after_ms}`
-//! (downgraded to the legacy queue-full `Error` for pre-v3 peers), a
-//! draining daemon yields an `Error`.
+//! Admission control is typed: a full queue yields `Busy{retry_after_ms}`,
+//! a draining daemon yields an `Error`.
 //!
 //! Graceful shutdown (the `Shutdown` request) stops admission, drains
 //! every admitted job on a side thread, flushes the cache index, acks,
-//! then the loop lingers briefly to flush remaining write buffers and
-//! exits.
+//! then the reactor lingers briefly to flush remaining write buffers
+//! and exits.
 //!
 //! Observability: every job feeds fixed-bucket latency histograms
 //! (queue wait, run time, per-stage durations on computed misses)
@@ -48,27 +44,20 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use c4::{CacheKey, CacheTier, VerdictCache};
 use c4_obs::flight::{FlightEntry, FlightRecorder};
 use c4_obs::hist::Histogram;
 use c4_obs::prom::PromPage;
 
-use crate::conn::{FrameConn, NetStream, ReadOutcome};
 use crate::job::{CancelOutcome, Job, Scheduler};
-use crate::poll::{waker, Poller, WakeRx, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
-use crate::proto::{
-    DaemonStats, HealthInfo, JobState, ProtoError, ReqTiming, Request, Response, TraceCtx,
-    PROTO_VERSION,
-};
+use crate::proto::{DaemonStats, HealthInfo, JobState, ReqTiming, Request, Response, TraceCtx};
+use crate::reactor::{Handler, MetricsServer, NoticeBox, Reactor};
 
 /// Per-thread recorder capacity for daemon-side `Trace` requests.
 const TRACE_CAPACITY: usize = 1 << 18;
@@ -76,9 +65,6 @@ const TRACE_CAPACITY: usize = 1 << 18;
 /// Stage-duration histogram keys, matching `AnalysisStats::timings`.
 const STAGES: [&str; 7] =
     ["unfold", "ssg_filter", "smt", "encoder_build", "query_solve", "validate", "merge"];
-
-/// How long the loop keeps flushing write buffers after shutdown acks.
-const SHUTDOWN_LINGER: Duration = Duration::from_secs(5);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -99,7 +85,7 @@ pub struct ServerConfig {
     /// page, e.g. `127.0.0.1:9434` (`:0` picks a port).
     pub metrics_addr: Option<String>,
     /// Keep the process-global recorder ring armed for the daemon's
-    /// lifetime (`c4d --trace-ring`): sampled v4 submissions open
+    /// lifetime (`c4d --trace-ring`): sampled submissions open
     /// `request` spans and `RingDump` answers non-destructively, which
     /// is what `c4 trace --cluster` assembles across processes.
     pub trace_ring: bool,
@@ -140,39 +126,15 @@ struct Counters {
     rejected: AtomicU64,
 }
 
-/// A cross-thread message into the event loop, paired with a waker
-/// ring so the loop observes it promptly.
+/// A cross-thread message into the event loop.
 enum Notice {
     /// A worker finished `job_id` (any terminal state).
     JobDone(u64),
     /// A side thread produced the reply for a blocked connection.
-    SideDone { token: u64, version: u16, resp: Response },
+    SideDone { token: u64, resp: Response },
     /// The drain thread finished: all admitted jobs terminal, cache
     /// index flushed.
     DrainDone,
-}
-
-struct NoticeBox {
-    queue: Mutex<Vec<Notice>>,
-    waker: Waker,
-}
-
-impl NoticeBox {
-    fn post(&self, n: Notice) {
-        self.queue.lock().unwrap().push(n);
-        self.waker.wake();
-    }
-
-    fn take(&self) -> Vec<Notice> {
-        std::mem::take(&mut *self.queue.lock().unwrap())
-    }
-}
-
-/// Admission outcome for a submission-flavored request.
-enum Admit {
-    Job(u64),
-    Draining,
-    Busy(u64),
 }
 
 struct Daemon {
@@ -187,9 +149,7 @@ struct Daemon {
     wait_hist: Histogram,
     run_hist: Histogram,
     stage_hists: Vec<(&'static str, Histogram)>,
-    notices: NoticeBox,
-    unix_path: Option<PathBuf>,
-    metrics_addr: Option<String>,
+    notices: Arc<NoticeBox<Notice>>,
     /// Transient side threads (trace runs, the drain), joined at exit.
     side_threads: Mutex<Vec<JoinHandle<()>>>,
     /// Whether the recorder ring stays armed for the daemon's lifetime.
@@ -200,11 +160,16 @@ struct Daemon {
 
 impl Daemon {
     /// Admits a submission: allocates the job and enqueues it, or
-    /// reports why not.
-    fn admit(&self, features: c4::AnalysisFeatures, source: String, ctx: Option<TraceCtx>) -> Admit {
+    /// returns the refusal to send back.
+    fn admit(
+        &self,
+        features: c4::AnalysisFeatures,
+        source: String,
+        ctx: Option<TraceCtx>,
+    ) -> Result<u64, Box<Response>> {
         if self.shutdown.load(Ordering::SeqCst) {
             self.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return Admit::Draining;
+            return Err(Box::new(Response::Error { message: "daemon is shutting down".into() }));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let job = Job::new(id, source, features, ctx);
@@ -221,10 +186,10 @@ impl Daemon {
                 total_ms: 0,
                 marks: vec![("queue_len".into(), queue_len as u64)],
             });
-            return Admit::Busy(self.busy_retry_ms());
+            return Err(Box::new(Response::Busy { retry_after_ms: self.busy_retry_ms() }));
         }
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        Admit::Job(id)
+        Ok(id)
     }
 
     /// The backoff hint attached to `Busy`: roughly the time for the
@@ -415,7 +380,7 @@ impl Daemon {
     }
 
     /// A non-destructive snapshot of this process's recorder ring as
-    /// compact JSONL, stamped with the recorder clock (v4 `RingDump`).
+    /// compact JSONL, stamped with the recorder clock (`RingDump`).
     fn ring_dump(&self) -> Response {
         Response::RingDump {
             now_ns: c4_obs::now_ns(),
@@ -453,7 +418,7 @@ impl Daemon {
     /// The per-job pipeline. The job is already in the `Running` state.
     fn process(&self, job: &Job) {
         let trace_id = job.ctx.map_or(0, |c| c.trace_id);
-        // A sampled v4 context nests this job's pipeline spans
+        // A sampled trace context nests this job's pipeline spans
         // (`abstract_interp`, `unfold`, `smt_query`, …) under a
         // `request` span carrying the cluster-wide trace id, which is
         // the cross-process edge `obs::merge` stitches on.
@@ -563,321 +528,85 @@ impl Daemon {
     }
 }
 
-/// The metrics acceptor: serves scrapes inline (they are cheap and
-/// allocation-bounded) until the shutdown flag is observed, which the
-/// event loop guarantees by poking the listener at exit.
-fn metrics_loop(daemon: Arc<Daemon>, listener: TcpListener) {
-    loop {
-        if daemon.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => continue,
-        };
-        if daemon.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        c4_obs::prom::serve_http_conn(&mut stream, &|| daemon.metrics_text());
-    }
-}
-
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn fd(&self) -> i32 {
-        match self {
-            Listener::Unix(l) => l.as_raw_fd(),
-            Listener::Tcp(l) => l.as_raw_fd(),
-        }
-    }
-
-    /// One non-blocking accept. `Ok(None)` when the backlog is empty.
-    fn accept(&self) -> io::Result<Option<NetStream>> {
-        let res = match self {
-            Listener::Unix(l) => l.accept().map(|(s, _)| NetStream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| NetStream::Tcp(s)),
-        };
-        match res {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// A waiter for a job's terminal state: who to tell, how to encode,
-/// and whether the reply unblocks that connection's frame dispatch
-/// (`Submit{wait}`: yes; `Forward`: no — forwards are multiplexed).
+/// A waiter for a job's terminal state: who to tell, and whether the
+/// reply unblocks that connection (`Submit{wait}`: yes; `Forward`: no —
+/// forwards are multiplexed).
 struct JobWaiter {
     token: u64,
-    version: u16,
     unblocks: bool,
 }
 
-struct ConnEntry {
-    conn: FrameConn,
-    /// Pending blocking replies (submit-wait, trace, shutdown): while
-    /// non-zero, buffered frames are not dispatched, preserving the
-    /// request-response order a sequential client expects.
-    blocked: u32,
-    eof: bool,
-    /// Present in the epoll interest set, and with which bits.
-    registered: Option<u32>,
-}
-
-const TOKEN_WAKER: u64 = 0;
-const TOKEN_CONN_BASE: u64 = 64;
-
-/// The daemon's event loop: owns the poller, every listener, and every
-/// connection.
-struct EventLoop {
+/// The daemon's side of the event loop.
+struct DaemonLoop {
     daemon: Arc<Daemon>,
-    poller: Poller,
-    wake_rx: WakeRx,
-    /// Listener token → listener; tokens below [`TOKEN_CONN_BASE`].
-    listeners: HashMap<u64, Listener>,
-    conns: HashMap<u64, ConnEntry>,
     /// job id → connections awaiting its terminal `Status`.
     waiters: HashMap<u64, Vec<JobWaiter>>,
-    /// Connections awaiting `ShutdownAck` (token, version).
-    ack_waiting: Vec<(u64, u16)>,
+    /// Connections awaiting `ShutdownAck`.
+    ack_waiting: Vec<u64>,
     drain_started: bool,
-    exiting: bool,
-    next_token: u64,
 }
 
-impl EventLoop {
-    fn run(&mut self) -> io::Result<()> {
-        self.poller.register(self.wake_rx.fd(), EPOLLIN, TOKEN_WAKER)?;
-        for (&token, l) in &self.listeners {
-            self.poller.register(l.fd(), EPOLLIN, token)?;
-        }
-        let mut events = Vec::with_capacity(256);
-        let mut ready: Vec<(u64, u32)> = Vec::new();
-        let mut linger_until: Option<Instant> = None;
-        loop {
-            if self.exiting {
-                // Stop accepting; drop connections with nothing left
-                // to say; once everyone is flushed (or the linger cap
-                // passes), exit.
-                self.listeners.clear();
-                self.conns.retain(|_, e| e.conn.wants_write() || e.blocked > 0);
-                let deadline = *linger_until.get_or_insert_with(|| Instant::now() + SHUTDOWN_LINGER);
-                if self.conns.is_empty() || Instant::now() >= deadline {
-                    return Ok(());
-                }
-            }
-            let timeout = if self.exiting { Some(Duration::from_millis(50)) } else { None };
-            self.poller.wait(&mut events, timeout)?;
-            ready.clear();
-            ready.extend(events.iter().map(|e| (e.token(), e.events())));
-            for &(token, bits) in &ready {
-                if token == TOKEN_WAKER {
-                    self.wake_rx.drain();
-                } else if self.listeners.contains_key(&token) {
-                    self.accept_all(token);
-                } else {
-                    self.conn_event(token, bits);
-                }
-            }
-            for notice in self.daemon.notices.take() {
-                match notice {
-                    Notice::JobDone(job_id) => self.resolve_job(job_id),
-                    Notice::SideDone { token, version, resp } => {
-                        let known = match self.conns.get_mut(&token) {
-                            Some(e) => {
-                                e.blocked = e.blocked.saturating_sub(1);
-                                true
-                            }
-                            None => false,
-                        };
-                        if known {
-                            self.queue_reply(token, &resp, version);
-                            self.pump_conn(token);
-                        }
-                    }
-                    Notice::DrainDone => {
-                        for (token, version) in std::mem::take(&mut self.ack_waiting) {
-                            let known = match self.conns.get_mut(&token) {
-                                Some(e) => {
-                                    e.blocked = e.blocked.saturating_sub(1);
-                                    true
-                                }
-                                None => false,
-                            };
-                            if known {
-                                self.queue_reply(token, &Response::ShutdownAck, version);
-                            }
-                        }
-                        self.exiting = true;
-                        linger_until = None;
-                    }
-                }
-            }
-        }
-    }
+impl Handler for DaemonLoop {
+    type Notice = Notice;
 
-    /// Drains a listener's accept backlog.
-    fn accept_all(&mut self, token: u64) {
-        loop {
-            let accepted = match self.listeners.get(&token) {
-                Some(l) => l.accept(),
-                None => return,
-            };
-            match accepted {
-                Ok(Some(stream)) => {
-                    let conn = match FrameConn::new(stream) {
-                        Ok(c) => c,
-                        Err(_) => continue,
-                    };
-                    let t = self.next_token;
-                    self.next_token += 1;
-                    if self.poller.register(conn.fd(), EPOLLIN, t).is_ok() {
-                        self.conns.insert(
-                            t,
-                            ConnEntry { conn, blocked: 0, eof: false, registered: Some(EPOLLIN) },
-                        );
-                    }
-                }
-                Ok(None) => return,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn conn_event(&mut self, token: u64, bits: u32) {
-        if bits & (EPOLLERR | EPOLLHUP) != 0 {
-            self.drop_conn(token);
-            return;
-        }
-        if bits & EPOLLIN != 0 {
-            let outcome = match self.conns.get_mut(&token) {
-                Some(e) => e.conn.on_readable(),
-                None => return,
-            };
-            match outcome {
-                Ok(ReadOutcome::Open) => {}
-                Ok(ReadOutcome::Eof) => {
-                    if let Some(e) = self.conns.get_mut(&token) {
-                        e.eof = true;
-                    }
-                }
-                Err(_) => {
-                    self.drop_conn(token);
-                    return;
-                }
-            }
-            self.pump_conn(token);
-        } else if bits & EPOLLOUT != 0 {
-            self.after_io(token);
-        }
-    }
-
-    /// Dispatches every complete buffered frame (unless the connection
-    /// is blocked on a pending reply), then settles I/O state.
-    fn pump_conn(&mut self, token: u64) {
-        loop {
-            let entry = match self.conns.get_mut(&token) {
-                Some(e) => e,
-                None => return,
-            };
-            if entry.blocked > 0 {
-                break;
-            }
-            match entry.conn.next_frame() {
-                Ok(Some(frame)) => self.dispatch(token, &frame),
-                Ok(None) => break,
-                Err(_) => {
-                    self.drop_conn(token);
-                    return;
-                }
-            }
-        }
-        self.after_io(token);
-    }
-
-    /// Handles one request frame from `token`'s connection.
-    fn dispatch(&mut self, token: u64, payload: &[u8]) {
+    fn request(&mut self, r: &mut Reactor<Notice>, token: u64, req: Request) {
         let daemon = Arc::clone(&self.daemon);
-        let (reply, version) = match Request::decode_versioned(payload) {
-            Ok((Request::Submit { wait, features, source, ctx }, v)) => {
+        let reply = match req {
+            Request::Submit { wait, features, source, ctx } => {
                 match daemon.admit(features, source, ctx) {
-                    Admit::Job(job_id) if wait => {
-                        self.waiters
-                            .entry(job_id)
-                            .or_default()
-                            .push(JobWaiter { token, version: v, unblocks: true });
-                        if let Some(e) = self.conns.get_mut(&token) {
-                            e.blocked += 1;
-                        }
+                    Ok(job_id) if wait => {
+                        let waiter = JobWaiter { token, unblocks: true };
+                        self.waiters.entry(job_id).or_default().push(waiter);
+                        r.block(token);
                         // The job may already be terminal (a fast
                         // worker, or a pre-drain race): resolve now.
-                        self.resolve_job(job_id);
-                        (None, v)
+                        self.resolve_job(r, job_id);
+                        return;
                     }
-                    Admit::Job(job_id) => (Some(Response::Submitted { job_id }), v),
-                    Admit::Draining => {
-                        (Some(Response::Error { message: "daemon is shutting down".into() }), v)
-                    }
-                    Admit::Busy(ms) => (Some(Response::Busy { retry_after_ms: ms }), v),
+                    Ok(job_id) => Response::Submitted { job_id },
+                    Err(refusal) => *refusal,
                 }
             }
-            Ok((Request::Forward { features, source, ctx }, v)) => {
+            Request::Forward { features, source, ctx } => {
                 match daemon.admit(features, source, ctx) {
-                    Admit::Job(job_id) => {
-                        self.waiters
-                            .entry(job_id)
-                            .or_default()
-                            .push(JobWaiter { token, version: v, unblocks: false });
+                    Ok(job_id) => {
+                        let waiter = JobWaiter { token, unblocks: false };
+                        self.waiters.entry(job_id).or_default().push(waiter);
                         // Forwarded jobs are usually terminal long after
                         // this ack, but a cache hit can land instantly.
-                        self.queue_reply(token, &Response::Forwarded { job_id }, v);
-                        self.resolve_job(job_id);
-                        (None, v)
+                        r.reply(token, &Response::Forwarded { job_id });
+                        self.resolve_job(r, job_id);
+                        return;
                     }
-                    Admit::Draining => {
-                        (Some(Response::Error { message: "daemon is shutting down".into() }), v)
-                    }
-                    Admit::Busy(ms) => (Some(Response::Busy { retry_after_ms: ms }), v),
+                    Err(refusal) => *refusal,
                 }
             }
-            Ok((Request::Status { job_id }, v)) => (Some(daemon.status(job_id)), v),
-            Ok((Request::Cancel { job_id }, v)) => {
-                let reply = daemon.cancel(job_id);
-                self.queue_reply(token, &reply, v);
+            Request::Status { job_id } => daemon.status(job_id),
+            Request::Cancel { job_id } => {
+                r.reply(token, &daemon.cancel(job_id));
                 // A queued job cancels synchronously — no worker will
                 // ever announce it, so wake its waiters here.
-                self.resolve_job(job_id);
-                (None, v)
+                self.resolve_job(r, job_id);
+                return;
             }
-            Ok((Request::Stats, v)) => (Some(Response::Stats(daemon.stats())), v),
-            Ok((Request::Metrics, v)) => {
-                (Some(Response::Metrics { text: daemon.metrics_text() }), v)
-            }
-            Ok((Request::Health, v)) => (Some(Response::Health(daemon.health())), v),
-            Ok((Request::RingDump, v)) => (Some(daemon.ring_dump()), v),
-            Ok((Request::ClusterTrace, v)) => (Some(daemon.cluster_trace()), v),
-            Ok((Request::Trace { features, source }, v)) => {
-                if let Some(e) = self.conns.get_mut(&token) {
-                    e.blocked += 1;
-                }
+            Request::Stats => Response::Stats(daemon.stats()),
+            Request::Metrics => Response::Metrics { text: daemon.metrics_text() },
+            Request::Health => Response::Health(daemon.health()),
+            Request::RingDump => daemon.ring_dump(),
+            Request::ClusterTrace => daemon.cluster_trace(),
+            Request::Trace { features, source } => {
+                r.block(token);
                 let d = Arc::clone(&daemon);
                 let handle = std::thread::spawn(move || {
                     let resp = d.trace_job(features, source);
-                    d.notices.post(Notice::SideDone { token, version: v, resp });
+                    d.notices.post(Notice::SideDone { token, resp });
                 });
                 daemon.side_threads.lock().unwrap().push(handle);
-                (None, v)
+                return;
             }
-            Ok((Request::Shutdown, v)) => {
-                if let Some(e) = self.conns.get_mut(&token) {
-                    e.blocked += 1;
-                }
-                self.ack_waiting.push((token, v));
+            Request::Shutdown => {
+                r.block(token);
+                self.ack_waiting.push(token);
                 daemon.shutdown.store(true, Ordering::SeqCst);
                 if !self.drain_started {
                     self.drain_started = true;
@@ -892,20 +621,29 @@ impl EventLoop {
                     });
                     daemon.side_threads.lock().unwrap().push(handle);
                 }
-                (None, v)
+                return;
             }
-            Err(ProtoError(msg)) => (
-                Some(Response::Error { message: format!("protocol error: {msg}") }),
-                PROTO_VERSION,
-            ),
         };
-        if let Some(resp) = reply {
-            self.queue_reply(token, &resp, version);
-        }
+        r.reply(token, &reply);
     }
 
+    fn notice(&mut self, r: &mut Reactor<Notice>, notice: Notice) {
+        match notice {
+            Notice::JobDone(job_id) => self.resolve_job(r, job_id),
+            Notice::SideDone { token, resp } => r.unblock(token, &resp),
+            Notice::DrainDone => {
+                for token in std::mem::take(&mut self.ack_waiting) {
+                    r.unblock(token, &Response::ShutdownAck);
+                }
+                r.exit();
+            }
+        }
+    }
+}
+
+impl DaemonLoop {
     /// If `job_id` is terminal, sends its `Status` to every waiter.
-    fn resolve_job(&mut self, job_id: u64) {
+    fn resolve_job(&mut self, r: &mut Reactor<Notice>, job_id: u64) {
         if !self.waiters.contains_key(&job_id) {
             return;
         }
@@ -915,92 +653,12 @@ impl EventLoop {
             ) => s,
             _ => return,
         };
-        let ws = self.waiters.remove(&job_id).unwrap_or_default();
-        let mut unblocked = Vec::new();
-        for w in ws {
-            let known = match self.conns.get_mut(&w.token) {
-                Some(e) => {
-                    if w.unblocks {
-                        e.blocked = e.blocked.saturating_sub(1);
-                        unblocked.push(w.token);
-                    }
-                    true
-                }
-                None => false,
-            };
-            if known {
-                let resp = Response::Status { job_id, state: state.clone() };
-                self.queue_reply(w.token, &resp, w.version);
-            }
-        }
-        // Unblocked connections may have buffered follow-up requests.
-        for token in unblocked {
-            self.pump_conn(token);
-        }
-    }
-
-    /// Stages a reply and settles I/O state.
-    fn queue_reply(&mut self, token: u64, resp: &Response, version: u16) {
-        if let Some(e) = self.conns.get_mut(&token) {
-            e.conn.queue_frame(&resp.encode_for_version(version));
-        }
-        self.after_io(token);
-    }
-
-    /// Flushes what the socket will take and reconciles epoll interest
-    /// with buffer state; drops the connection when it is finished.
-    fn after_io(&mut self, token: u64) {
-        let (fd, cur, want, finished) = {
-            let entry = match self.conns.get_mut(&token) {
-                Some(e) => e,
-                None => return,
-            };
-            let fd = entry.conn.fd();
-            if entry.conn.on_writable().is_err()
-                || (entry.eof && entry.blocked == 0 && !entry.conn.wants_write())
-            {
-                (fd, entry.registered, 0, true)
+        let resp = Response::Status { job_id, state };
+        for w in self.waiters.remove(&job_id).unwrap_or_default() {
+            if w.unblocks {
+                r.unblock(w.token, &resp);
             } else {
-                let want = if entry.eof {
-                    // Nothing more to read; only flushing (or waiting
-                    // for a blocked reply, during which the fd needs
-                    // no events).
-                    if entry.conn.wants_write() { EPOLLOUT } else { 0 }
-                } else {
-                    entry.conn.interest()
-                };
-                (fd, entry.registered, want, false)
-            }
-        };
-        if finished {
-            self.drop_conn(token);
-            return;
-        }
-        let outcome = match (cur, want) {
-            (Some(_), 0) => {
-                self.poller.deregister(fd);
-                Ok(None)
-            }
-            (Some(c), w) if c != w => self.poller.reregister(fd, w, token).map(|()| Some(w)),
-            (None, w) if w != 0 => self.poller.register(fd, w, token).map(|()| Some(w)),
-            (r, _) => Ok(r),
-        };
-        match outcome {
-            Ok(registered) => {
-                if let Some(e) = self.conns.get_mut(&token) {
-                    e.registered = registered;
-                }
-            }
-            Err(_) => self.drop_conn(token),
-        }
-    }
-
-    /// Closes and forgets a connection. Waiters pointing at it become
-    /// no-ops when their job resolves.
-    fn drop_conn(&mut self, token: u64) {
-        if let Some(e) = self.conns.remove(&token) {
-            if e.registered.is_some() {
-                self.poller.deregister(e.conn.fd());
+                r.reply(w.token, &resp);
             }
         }
     }
@@ -1012,7 +670,7 @@ pub struct ServerHandle {
     daemon: Arc<Daemon>,
     event_loop: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    metrics: Option<JoinHandle<()>>,
+    metrics: Option<MetricsServer>,
     /// The bound TCP address (with the OS-assigned port if `:0` was
     /// requested), for clients.
     pub tcp_addr: Option<String>,
@@ -1021,27 +679,19 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Blocks until the daemon has fully shut down (a client sent
-    /// `Shutdown` and every thread exited), then removes the socket
-    /// file.
+    /// Blocks until the daemon has fully shut down: a client sent
+    /// `Shutdown` and every thread exited.
     pub fn wait(self) {
         let _ = self.event_loop.join();
         for h in self.workers {
             let _ = h.join();
         }
-        // Wake the metrics acceptor so it observes the shutdown flag.
-        if let Some(addr) = &self.daemon.metrics_addr {
-            let _ = TcpStream::connect(addr);
-        }
-        if let Some(h) = self.metrics {
-            let _ = h.join();
+        if let Some(m) = self.metrics {
+            m.stop();
         }
         let handles: Vec<_> = self.daemon.side_threads.lock().unwrap().drain(..).collect();
         for h in handles {
             let _ = h.join();
-        }
-        if let Some(path) = &self.daemon.unix_path {
-            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -1054,46 +704,11 @@ impl ServerHandle {
 /// I/O errors binding a listener or opening the cache directory;
 /// `InvalidInput` if no listener is configured.
 pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
-    if cfg.unix_socket.is_none() && cfg.tcp.is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "no listener configured (need a socket path or TCP address)",
-        ));
-    }
+    let mut reactor = Reactor::bind(cfg.unix_socket.as_deref(), cfg.tcp.as_deref())?;
     let cache = match &cfg.cache_dir {
         Some(dir) => VerdictCache::open(dir, cfg.mem_cache)?,
         None => VerdictCache::in_memory(cfg.mem_cache),
     };
-
-    let mut listeners = HashMap::new();
-    let mut listener_token = TOKEN_WAKER + 1;
-    if let Some(path) = &cfg.unix_socket {
-        // A stale socket file from a crashed daemon would make bind
-        // fail; replace it. A *live* daemon is not detected here —
-        // callers use distinct paths per instance.
-        let _ = std::fs::remove_file(path);
-        let l = UnixListener::bind(path)?;
-        l.set_nonblocking(true)?;
-        listeners.insert(listener_token, Listener::Unix(l));
-        listener_token += 1;
-    }
-    let mut tcp_addr = None;
-    if let Some(addr) = &cfg.tcp {
-        let l = TcpListener::bind(addr.as_str())?;
-        l.set_nonblocking(true)?;
-        tcp_addr = Some(l.local_addr()?.to_string());
-        listeners.insert(listener_token, Listener::Tcp(l));
-    }
-    let mut metrics_listener = None;
-    let mut metrics_addr = None;
-    if let Some(addr) = &cfg.metrics_addr {
-        let l = TcpListener::bind(addr.as_str())?;
-        metrics_addr = Some(l.local_addr()?.to_string());
-        metrics_listener = Some(l);
-    }
-
-    let (wake, wake_rx) = waker()?;
-    let poller = Poller::new()?;
     let workers = cfg.workers.max(1);
     if cfg.trace_ring {
         c4_obs::enable(TRACE_CAPACITY);
@@ -1110,13 +725,20 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
         wait_hist: Histogram::latency_ms(),
         run_hist: Histogram::latency_ms(),
         stage_hists: STAGES.iter().map(|&s| (s, Histogram::latency_ms())).collect(),
-        notices: NoticeBox { queue: Mutex::new(Vec::new()), waker: wake },
-        unix_path: cfg.unix_socket.clone(),
-        metrics_addr: metrics_addr.clone(),
+        notices: reactor.notices(),
         side_threads: Mutex::new(Vec::new()),
         trace_ring: cfg.trace_ring,
         flight: FlightRecorder::new(cfg.flight_cap, cfg.flight_latency_ms, cfg.flight_dir.clone()),
     });
+    let metrics = match &cfg.metrics_addr {
+        Some(addr) => Some(MetricsServer::start(
+            addr,
+            Arc::clone(&daemon),
+            |d| d.shutdown.load(Ordering::SeqCst),
+            Daemon::metrics_text,
+        )?),
+        None => None,
+    };
 
     let worker_handles = (0..workers)
         .map(|_| {
@@ -1124,35 +746,26 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
             std::thread::spawn(move || d.worker_loop())
         })
         .collect();
-    let mut event_loop = EventLoop {
+    let tcp_addr = reactor.tcp_addr();
+    let mut handler = DaemonLoop {
         daemon: Arc::clone(&daemon),
-        poller,
-        wake_rx,
-        listeners,
-        conns: HashMap::new(),
         waiters: HashMap::new(),
         ack_waiting: Vec::new(),
         drain_started: false,
-        exiting: false,
-        next_token: TOKEN_CONN_BASE,
     };
-    let loop_handle = std::thread::spawn(move || {
-        if let Err(e) = event_loop.run() {
+    let event_loop = std::thread::spawn(move || {
+        if let Err(e) = reactor.run(&mut handler) {
             eprintln!("c4d: event loop failed: {e}");
         }
-    });
-    let metrics_handle = metrics_listener.map(|l| {
-        let d = Arc::clone(&daemon);
-        std::thread::spawn(move || metrics_loop(d, l))
     });
 
     Ok(ServerHandle {
         daemon,
-        event_loop: loop_handle,
+        event_loop,
         workers: worker_handles,
-        metrics: metrics_handle,
+        metrics_addr: metrics.as_ref().map(MetricsServer::addr),
+        metrics,
         tcp_addr,
-        metrics_addr,
     })
 }
 
@@ -1161,6 +774,8 @@ mod tests {
     use super::*;
     use crate::client::{Client, Endpoint};
     use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     const PROG: &str = "store { map M; }\n\
         txn t1() { M.put(1, 10); }\n\
@@ -1294,7 +909,7 @@ mod tests {
 
         assert!(scrape(&metrics_addr, "/other").starts_with("HTTP/1.1 404"));
 
-        // The same page is served on the daemon protocol, and the v2
+        // The same page is served on the daemon protocol, and the
         // stats summaries are populated from the same histograms.
         let text = client.metrics().unwrap();
         assert!(text.contains("c4d_jobs_submitted_total 2"));
@@ -1376,7 +991,7 @@ mod tests {
         handle.wait();
     }
 
-    /// The new v3 surface end-to-end against a live daemon: health
+    /// The cluster surface end-to-end against a live daemon: health
     /// probes, typed busy backpressure, and multiplexed forwards on a
     /// single connection.
     #[test]

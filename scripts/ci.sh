@@ -26,6 +26,12 @@ cargo test --release -q -p c4-tests --test report_golden
 echo "==> stats coherence and model-checking goldens (release)"
 cargo test --release -q -p c4-tests --test stats_coherence --test mc_golden
 
+# The wire codec: one golden frame per message must encode to the pinned
+# bytes, and the decoder and CCL front-end fuzz properties draw more
+# cases in release than in the debug run above.
+echo "==> wire frame golden and fuzz properties (release)"
+cargo test --release -q -p c4-tests --test frame_golden --test wire_fuzz
+
 # The driver against the policy-free reference search over the whole
 # suite, at 1 worker (incremental_differential) and 4 workers
 # (symmetry_differential); debug builds above check the cheap programs.

@@ -1,30 +1,25 @@
-//! Protocol compatibility across the v1 → v4 wire evolution: a
-//! hand-crafted v1 or v2 client talking to a current daemon — or to
-//! the gateway, which speaks the same protocol — gets byte-compatible
-//! legacy payloads (the fixed 18-`u64` stats shape for v1, the
-//! queue-full `Error` in place of the typed `Busy`), the newer frames
-//! are cleanly rejected for old peers, and the v3/v4 frames round-trip
-//! losslessly under property testing. The v4 additions (trace context
-//! on `Submit`/`Forward`, the timing summary on `Done`, the recorder
-//! clock on `Health`) are append-only: a frame that doesn't carry them
-//! is byte-for-byte its v3 encoding, and the carried forms are
-//! truncated away for pre-v4 peers rather than leaking.
+//! One protocol version across both tiers: a frame stamped with any
+//! version but [`PROTO_VERSION`] gets a typed `Error` from the daemon
+//! and from the gateway, and the connection keeps serving current
+//! frames. The same holds for a frame whose analysis features ask for
+//! more workers than the protocol allows. The request and response
+//! frames round-trip losslessly under property testing; the trace
+//! context on `Submit`/`Forward` is an optional 17-byte tail.
 
 use std::net::TcpStream;
 use std::time::Duration;
 
 use c4::{AnalysisFeatures, CacheTier};
-use c4_gateway::{serve as serve_gateway, GatewayConfig};
+use c4_gateway::{serve as serve_gateway, GatewayConfig, GatewayHandle};
 use c4_service::proto::{
-    read_frame, write_frame, JobState, ReqTiming, Request, Response, HealthInfo,
-    TraceCtx, PROTO_VERSION, REQ_FORWARD, REQ_HEALTH, RESP_STATS,
+    read_frame, write_frame, HealthInfo, JobState, ReqTiming, Request, Response, TraceCtx,
+    MAX_PARALLELISM, PROTO_VERSION,
 };
-use c4_service::server::{serve, ServerConfig};
+use c4_service::server::{serve, ServerConfig, ServerHandle};
 use proptest::prelude::*;
 
-/// Re-stamps an encoded request with an older protocol version (the
-/// version is the two big-endian bytes after the tag, and the body
-/// encodings are identical across versions).
+/// Re-stamps an encoded request with another protocol version (the
+/// version is the two big-endian bytes after the tag).
 fn at_version(mut payload: Vec<u8>, version: u16) -> Vec<u8> {
     payload[1..3].copy_from_slice(&version.to_be_bytes());
     payload
@@ -41,8 +36,8 @@ fn connect(addr: &str) -> TcpStream {
     s
 }
 
-#[test]
-fn v1_and_v2_clients_get_legacy_payloads_from_daemon_and_gateway() {
+/// A daemon and a gateway whose only backend is that daemon.
+fn cluster() -> (ServerHandle, String, GatewayHandle, String) {
     let daemon = serve(ServerConfig {
         tcp: Some("127.0.0.1:0".into()),
         workers: 1,
@@ -57,102 +52,115 @@ fn v1_and_v2_clients_get_legacy_payloads_from_daemon_and_gateway() {
     })
     .expect("gateway starts");
     let gateway_addr = gateway.tcp_addr.clone().expect("tcp bound");
+    (daemon, daemon_addr, gateway, gateway_addr)
+}
 
+fn shutdown(daemon: ServerHandle, daemon_addr: &str, gateway: GatewayHandle, gateway_addr: &str) {
+    for addr in [gateway_addr, daemon_addr] {
+        let reply = exchange(&mut connect(addr), &Request::Shutdown.encode());
+        assert!(matches!(Response::decode(&reply), Ok(Response::ShutdownAck)));
+    }
+    gateway.wait();
+    daemon.wait();
+}
+
+/// Tetris's submit frame and the report a direct run produces for it.
+fn tetris_submit() -> (Vec<u8>, Vec<u8>) {
     let bench = c4_suite::benchmark("Tetris").expect("suite has Tetris");
     let features = AnalysisFeatures::default();
     let expected =
         c4_service::run_analysis(bench.source, &features).expect("direct run").encode_report();
-    let submit = Request::Submit {
+    let submit =
+        Request::Submit { wait: true, features, source: bench.source.to_string(), ctx: None }
+            .encode();
+    (submit, expected)
+}
+
+fn assert_verdict(reply: &[u8], expected: &[u8], what: &str) {
+    match Response::decode(reply).expect("decode status") {
+        Response::Status { state: JobState::Done { report, .. }, .. } => {
+            assert_eq!(report, expected, "{what}: report bytes changed");
+        }
+        other => panic!("{what}: expected a verdict, got {other:?}"),
+    }
+}
+
+fn assert_protocol_error(reply: &[u8], what: &str) {
+    match Response::decode(reply) {
+        Ok(Response::Error { message }) => {
+            assert!(message.starts_with("protocol error: "), "{what}: {message}");
+        }
+        other => panic!("{what}: expected a protocol error, got {other:?}"),
+    }
+}
+
+#[test]
+fn other_protocol_versions_get_errors_from_daemon_and_gateway() {
+    let (daemon, daemon_addr, gateway, gateway_addr) = cluster();
+    let (submit, expected) = tetris_submit();
+    for addr in [&daemon_addr, &gateway_addr] {
+        for version in [1u16, 2, 3, PROTO_VERSION + 1] {
+            let mut s = connect(addr);
+            for frame in [submit.clone(), Request::Stats.encode(), Request::Health.encode()] {
+                let reply = exchange(&mut s, &at_version(frame, version));
+                assert_protocol_error(&reply, &format!("v{version} @ {addr}"));
+            }
+            let reply = exchange(&mut s, &submit);
+            assert_verdict(&reply, &expected, &format!("after v{version} @ {addr}"));
+        }
+    }
+    shutdown(daemon, &daemon_addr, gateway, &gateway_addr);
+}
+
+/// Features asking for more workers than [`MAX_PARALLELISM`] are
+/// refused by the decoder: neither tier admits the job, the gateway
+/// forwards nothing, and the connection still serves a normal submit.
+#[test]
+fn out_of_range_parallelism_gets_an_error_and_the_tiers_keep_serving() {
+    let (daemon, daemon_addr, gateway, gateway_addr) = cluster();
+    let (submit, expected) = tetris_submit();
+    let bench = c4_suite::benchmark("Tetris").expect("suite has Tetris");
+    let greedy = Request::Submit {
         wait: true,
-        features: features.clone(),
+        features: AnalysisFeatures {
+            parallelism: u32::MAX as usize,
+            ..AnalysisFeatures::default()
+        },
         source: bench.source.to_string(),
         ctx: None,
     }
     .encode();
-
-    for addr in [&daemon_addr, &gateway_addr] {
-        for version in [1u16, 2] {
-            let mut s = connect(addr);
-
-            // Submit: old peers get the verdict exactly as always.
-            let reply = exchange(&mut s, &at_version(submit.clone(), version));
-            match Response::decode(&reply).expect("decode status") {
-                Response::Status { state: JobState::Done { report, .. }, .. } => {
-                    assert_eq!(report, expected, "v{version} @ {addr}: report bytes changed");
-                }
-                other => panic!("v{version} @ {addr}: expected a verdict, got {other:?}"),
-            }
-
-            // Stats: v1 peers parse a fixed 18-u64 payload; the v2
-            // latency summaries must be truncated away, not appended.
-            let reply = exchange(&mut s, &at_version(Request::Stats.encode(), version));
-            assert_eq!(reply[0], RESP_STATS);
-            let expect_len = 1 + 8 * if version == 1 { 18 } else { 24 };
-            assert_eq!(
-                reply.len(),
-                expect_len,
-                "v{version} @ {addr}: stats payload shape changed"
-            );
-
-            // v3-only frames from an old peer: a clean protocol error,
-            // and the connection stays usable afterwards.
-            for tag in [REQ_HEALTH, REQ_FORWARD] {
-                let mut raw = vec![tag];
-                raw.extend_from_slice(&version.to_be_bytes());
-                if tag == REQ_FORWARD {
-                    // Forward carries a features + source body; decoding
-                    // must fail on the tag gate, not trailing bytes.
-                    raw = at_version(
-                        Request::Forward {
-                            features: features.clone(),
-                            source: bench.source.to_string(),
-                            ctx: None,
-                        }
-                        .encode(),
-                        version,
-                    );
-                }
-                let reply = exchange(&mut s, &raw);
-                assert!(
-                    matches!(Response::decode(&reply), Ok(Response::Error { .. })),
-                    "v{version} @ {addr}: tag {tag:#x} must be rejected with an error"
-                );
-            }
-            let reply = exchange(&mut s, &at_version(Request::Stats.encode(), version));
-            assert_eq!(reply[0], RESP_STATS, "v{version} @ {addr}: conn unusable after error");
+    let mut conns: Vec<(&str, TcpStream)> =
+        [&daemon_addr, &gateway_addr].map(|addr| (addr.as_str(), connect(addr))).into();
+    for (addr, s) in &mut conns {
+        let reply = exchange(s, &greedy);
+        assert_eq!(
+            Response::decode(&reply).expect("decode"),
+            Response::Error { message: "protocol error: parallelism out of range".into() },
+            "{addr}"
+        );
+        match Response::decode(&exchange(s, &Request::Stats.encode())).expect("decode stats") {
+            Response::Stats(st) => assert_eq!(st.submitted, 0, "{addr} admitted the job"),
+            other => panic!("{addr}: expected stats, got {other:?}"),
         }
     }
-
-    // The typed Busy downgrade old peers rely on (the daemon and the
-    // gateway both encode replies through this path).
-    let busy = Response::Busy { retry_after_ms: 1234 };
-    for version in [1u16, 2] {
-        match Response::decode(&busy.encode_for_version(version)).expect("decode") {
-            Response::Error { message } => assert_eq!(
-                message, "queue full; retry after 1234 ms",
-                "v{version}: legacy busy message changed"
-            ),
-            other => panic!("v{version}: Busy must downgrade to Error, got {other:?}"),
+    let metrics = exchange(&mut connect(&gateway_addr), &Request::Metrics.encode());
+    match Response::decode(&metrics).expect("decode metrics") {
+        Response::Metrics { text } => {
+            let line = format!("c4gw_forwards_total{{backend=\"{daemon_addr}\"}} 0");
+            assert!(text.lines().any(|l| l == line), "the gateway forwarded:\n{text}");
         }
+        other => panic!("expected metrics, got {other:?}"),
     }
-    assert_eq!(
-        Response::decode(&busy.encode_for_version(PROTO_VERSION)).expect("decode"),
-        busy,
-        "v3 keeps the typed Busy"
-    );
-
-    let mut s = connect(&gateway_addr);
-    let reply = exchange(&mut s, &Request::Shutdown.encode());
-    assert!(matches!(Response::decode(&reply), Ok(Response::ShutdownAck)));
-    gateway.wait();
-    let mut s = connect(&daemon_addr);
-    let reply = exchange(&mut s, &Request::Shutdown.encode());
-    assert!(matches!(Response::decode(&reply), Ok(Response::ShutdownAck)));
-    daemon.wait();
+    for (addr, s) in &mut conns {
+        let reply = exchange(s, &submit);
+        assert_verdict(&reply, &expected, &format!("after the refusal @ {addr}"));
+    }
+    shutdown(daemon, &daemon_addr, gateway, &gateway_addr);
 }
 
 fn arb_features() -> impl Strategy<Value = AnalysisFeatures> {
-    (0u16..256, 0u32..=1024, any::<u64>(), 0u32..=1024).prop_map(
+    (0u16..256, 0u32..=1024, any::<u64>(), 0u32..=MAX_PARALLELISM).prop_map(
         |(bits, max_k, budget, parallelism)| AnalysisFeatures {
             commutativity: bits & 1 != 0,
             absorption: bits & 2 != 0,
@@ -178,19 +186,16 @@ fn arb_source() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// The v3 request frames (Health, Forward) round-trip through
-    /// encode → decode_versioned at the current version.
+    /// The cluster request frames (Health, Forward) round-trip through
+    /// encode → decode.
     #[test]
     fn new_request_frames_roundtrip(features in arb_features(), source in arb_source()) {
         for req in [Request::Health, Request::Forward { features, source, ctx: None }] {
-            let (back, version) = Request::decode_versioned(&req.encode())
-                .expect("own encoding decodes");
-            prop_assert_eq!(version, PROTO_VERSION);
-            prop_assert_eq!(back, req);
+            prop_assert_eq!(Request::decode(&req.encode()).expect("own encoding decodes"), req);
         }
     }
 
-    /// The v3 response frames (Busy, Health, Forwarded) round-trip
+    /// The cluster response frames (Busy, Health, Forwarded) round-trip
     /// through encode → decode.
     #[test]
     fn new_response_frames_roundtrip(
@@ -217,8 +222,8 @@ proptest! {
         }
     }
 
-    /// The v4 trace context round-trips on `Submit` and `Forward`,
-    /// present or absent, at the current version.
+    /// The trace context round-trips on `Submit` and `Forward`, present
+    /// or absent, and when present it is exactly a 17-byte suffix.
     #[test]
     fn v4_trace_context_roundtrips(
         features in arb_features(),
@@ -231,69 +236,26 @@ proptest! {
             Request::Forward { features, source, ctx },
         ];
         for req in frames {
-            let (back, version) = Request::decode_versioned(&req.encode())
-                .expect("own encoding decodes");
-            prop_assert_eq!(version, PROTO_VERSION);
-            prop_assert_eq!(back, req);
+            let bytes = req.encode();
+            prop_assert_eq!(Request::decode(&bytes).expect("own encoding decodes"), req.clone());
+            let bare = match req {
+                Request::Submit { wait, features, source, .. } => {
+                    Request::Submit { wait, features, source, ctx: None }
+                }
+                Request::Forward { features, source, .. } => {
+                    Request::Forward { features, source, ctx: None }
+                }
+                other => other,
+            };
+            let bare = bare.encode();
+            prop_assert_eq!(&bytes[..bare.len()], &bare[..]);
+            prop_assert_eq!(bytes.len(), bare.len() + if ctx.is_some() { 17 } else { 0 });
         }
     }
 
-    /// v4 frames downgrade byte-for-byte: without a context the
-    /// encoding is exactly what a v3 peer sends (re-stamped to every
-    /// older version it decodes to the same fields), and attaching a
-    /// context costs exactly the 17 appended bytes that older decoders
-    /// never see.
+    /// The `Done` timing summary round-trips, present or absent.
     #[test]
-    fn ctxless_v4_frames_downgrade_byte_for_byte(
-        features in arb_features(),
-        source in arb_source(),
-        wait in any::<bool>(),
-        ids in (any::<u64>(), any::<u64>(), any::<bool>()),
-    ) {
-        let ctx = TraceCtx { trace_id: ids.0, parent_span: ids.1, sampled: ids.2 };
-        let bare_submit = Request::Submit {
-            wait,
-            features: features.clone(),
-            source: source.clone(),
-            ctx: None,
-        }
-        .encode();
-        let full_submit = Request::Submit {
-            wait,
-            features: features.clone(),
-            source: source.clone(),
-            ctx: Some(ctx),
-        }
-        .encode();
-        prop_assert_eq!(full_submit.len(), bare_submit.len() + 17, "ctx is a 17-byte suffix");
-        prop_assert_eq!(&full_submit[..bare_submit.len()], &bare_submit[..]);
-
-        // Submit exists since v1; Forward since v3.
-        for version in [1u16, 2, 3] {
-            let (back, v) = Request::decode_versioned(&at_version(bare_submit.clone(), version))
-                .expect("older re-stamp decodes");
-            prop_assert_eq!(v, version);
-            prop_assert_eq!(back, Request::Submit {
-                wait,
-                features: features.clone(),
-                source: source.clone(),
-                ctx: None,
-            });
-        }
-        let bare_forward =
-            Request::Forward { features: features.clone(), source: source.clone(), ctx: None }
-                .encode();
-        let (back, v) = Request::decode_versioned(&at_version(bare_forward, 3))
-            .expect("v3 forward decodes");
-        prop_assert_eq!(v, 3);
-        prop_assert_eq!(back, Request::Forward { features, source, ctx: None });
-    }
-
-    /// The `Done` timing summary (v4) round-trips at the current
-    /// version and is truncated away — byte-for-byte — for pre-v4
-    /// peers, so old clients parse exactly what they always parsed.
-    #[test]
-    fn done_timing_roundtrips_and_downgrades(
+    fn done_timing_roundtrips(
         job_id in any::<u64>(),
         trace_id in any::<u64>(),
         gateway_ms in any::<u64>(),
@@ -325,21 +287,9 @@ proptest! {
                 timing,
             },
         };
-        let timed = done(Some(timing));
-        prop_assert_eq!(
-            Response::decode(&timed.encode()).expect("v4 decodes"),
-            timed.clone()
-        );
-        prop_assert_eq!(
-            timed.encode_for_version(3),
-            done(None).encode_for_version(3),
-            "pre-v4 encodings must not depend on the timing summary"
-        );
-        prop_assert_eq!(
-            Response::decode(&timed.encode_for_version(3)).expect("v3 decodes"),
-            done(None),
-            "pre-v4 peers see the classic Done"
-        );
+        for resp in [done(Some(timing)), done(None)] {
+            prop_assert_eq!(Response::decode(&resp.encode()).expect("decodes"), resp);
+        }
     }
 }
 
