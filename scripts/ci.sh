@@ -19,6 +19,14 @@ cargo test -q
 echo "==> report goldens (release)"
 cargo test --release -q -p c4-tests --test report_golden
 
+# Figure 13 runs the feature ablations (commutativity, absorption,
+# constraints, control flow off) that no test covers; its output is
+# pinned in tests/golden/figure13.txt (EXPERIMENTS.md §Figure 13a/13b).
+# Regenerate with `./target/release/figure13 > tests/golden/figure13.txt`
+# only for an intended change.
+echo "==> figure13 golden (release)"
+diff <(./target/release/figure13) tests/golden/figure13.txt
+
 # Release-only sweeps: the stats ledger over the whole suite at 1 and 4
 # workers, and the dynamic side's goldens (model checker at 1 and 4
 # workers, random walks, the §9.5 exploration) over every row (debug
