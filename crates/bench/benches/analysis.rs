@@ -77,7 +77,7 @@ fn bench_smt_query(c: &mut Criterion) {
         .expect("figure 1a has candidates");
     c.bench_function("smt_cycle_query/figure1a", |b| {
         b.iter(|| {
-            let enc = CycleEncoder::new(&u, &far, &features);
+            let mut enc = CycleEncoder::new(&u, &far, &features);
             enc.check(&cand).is_some()
         })
     });

@@ -361,6 +361,16 @@ impl WorkerLocal {
         }
     }
 
+    /// Books one query against `enc` that took `dt` in all: the part
+    /// spent flushing structural assertions into the solver is encoder
+    /// build, the rest is solving.
+    fn book_query(&mut self, enc: &mut CycleEncoder<'_>, dt: Duration) {
+        let build = enc.take_flush_time();
+        self.smt += dt;
+        self.encoder_build += build;
+        self.query_solve += dt.saturating_sub(build);
+    }
+
     /// Folds this ledger into `stats`: as worker `w`'s when `worker` is
     /// `Some(w)`, as the pool's merge thread's otherwise.
     fn fold(&self, stats: &mut AnalysisStats, worker: Option<usize>) {
@@ -654,8 +664,7 @@ impl Checker {
             let dt = t0.elapsed();
             q.set_arg(if sat { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
             drop(q);
-            local.smt += dt;
-            local.query_solve += dt;
+            local.book_query(enc, dt);
             local.queries += 1;
             local.assumption_solves += 1;
             if !sat {
@@ -664,15 +673,16 @@ impl Checker {
             local.sat_resolves += 1;
         }
         let t0 = Instant::now();
-        let enc = CycleEncoder::new(u, &self.far, &self.features);
-        local.encoder_build += t0.elapsed();
+        let mut enc = CycleEncoder::new(u, &self.far, &self.features);
+        let dt = t0.elapsed();
+        local.encoder_build += dt;
+        local.smt += dt;
         let t1 = Instant::now();
         let mut q = c4_obs::span("smt_query");
         let model = enc.check(cand);
         q.set_arg(if model.is_some() { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
         drop(q);
-        local.query_solve += t1.elapsed();
-        local.smt += t0.elapsed();
+        local.book_query(&mut enc, t1.elapsed());
         local.queries += 1;
         match model {
             None => CandOutcome::Refuted,
@@ -831,9 +841,7 @@ impl Checker {
                 let _probe = c4_obs::span_arg("smt_query", c4_obs::tag::PROBE);
                 let sat = enc.check_shared_any(&pending);
                 drop(_probe);
-                let dt = t1.elapsed();
-                local.smt += dt;
-                local.query_solve += dt;
+                local.book_query(enc, t1.elapsed());
                 local.queries += 1;
                 local.assumption_solves += 1;
                 all_refuted = !sat;

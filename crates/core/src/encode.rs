@@ -12,9 +12,16 @@
 //! results use two reserved sentinels), so the solver only needs boolean
 //! structure and difference logic. Fresh row identities get `distinct`
 //! axioms plus the Section 8 "access implies observed creation" rule.
+//!
+//! Structural axioms that are clauses or Horn implications (path choice,
+//! the order axioms, freshness, return justification) are recorded as
+//! clauses over literal terms and reach the solver through
+//! [`Incremental::assert_clause`]: no Tseitin variable for the clause
+//! itself. `distinct` and the candidate steps stay formulas.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use c4_algebra::{ArgTerm, FarSpec, Side, SigId, SpecFormula};
 use c4_smt::{Context, Incremental, SatResult, Sort, TermId};
@@ -30,6 +37,15 @@ const SENTINEL_BASE: i64 = -1_000_000;
 
 /// Fills the unused cells of the dense per-pair variable tables.
 const NO_TERM: TermId = TermId(u32::MAX);
+
+/// One entry of the encoder's assertion sequence.
+#[derive(Debug, Clone, Copy)]
+enum Assertion {
+    /// A formula, asserted as the unit clause of its literal.
+    Term(TermId),
+    /// The clause over the literal terms `clause_lits[start..end]`.
+    Clause(u32, u32),
+}
 
 /// A decoded model of a cycle query.
 #[derive(Debug)]
@@ -69,20 +85,26 @@ pub struct CycleEncoder<'a> {
     path_vars: Vec<Vec<TermId>>,
     ar_vars: Vec<TermId>,  // [i * n + j] for i < j: "i before j"
     vis_vars: Vec<TermId>, // [i * n + j] for i ≠ j
-    assertions: Vec<TermId>,
+    assertions: Vec<Assertion>,
+    /// The literal terms of every [`Assertion::Clause`], back to back.
+    clause_lits: Vec<TermId>,
     eo_reach: Vec<&'a Vec<Vec<bool>>>,
     /// Memoized [`CycleEncoder::step_term`] results, indexed
     /// `(a * n + b) * 3 + label`. A step term is a pure function of the
     /// encoder's declarations, so a repeat build would only re-find the
     /// same hash-consed terms.
     steps: Vec<Option<TermId>>,
-    /// Incremental mode: a persistent solver session holding the shared
-    /// structural encoding; candidate step assertions are guarded behind
-    /// activation literals and solved under assumptions.
+    /// The solver session holding the assertions flushed so far: the
+    /// shared structural encoding, with candidate steps guarded behind
+    /// activation literals (`check_shared*`), or everything as permanent
+    /// facts (`solve`).
     session: Option<Incremental>,
     /// How many of `assertions` have been permanently asserted into the
     /// session so far.
     session_cursor: usize,
+    /// Time spent flushing assertions into the session since the last
+    /// [`CycleEncoder::take_flush_time`].
+    flush_time: Duration,
 }
 
 impl<'a> CycleEncoder<'a> {
@@ -128,10 +150,12 @@ impl<'a> CycleEncoder<'a> {
             ar_vars: vec![NO_TERM; n * n],
             vis_vars: vec![NO_TERM; n * n],
             assertions: Vec::new(),
+            clause_lits: Vec::new(),
             eo_reach: Vec::new(),
             steps: vec![None; n * n * 3],
             session: None,
             session_cursor: 0,
+            flush_time: Duration::ZERO,
         };
         enc.declare();
         enc.assert_paths();
@@ -143,6 +167,17 @@ impl<'a> CycleEncoder<'a> {
             enc.assert_ret_justification();
         }
         enc
+    }
+
+    fn push_term(&mut self, t: TermId) {
+        self.assertions.push(Assertion::Term(t));
+    }
+
+    /// Records the clause `⋁ lits` over boolean literal terms.
+    fn push_clause(&mut self, lits: impl IntoIterator<Item = TermId>) {
+        let start = self.clause_lits.len() as u32;
+        self.clause_lits.extend(lits);
+        self.assertions.push(Assertion::Clause(start, self.clause_lits.len() as u32));
     }
 
     fn const_int(&mut self, v: &Value) -> i64 {
@@ -208,8 +243,7 @@ impl<'a> CycleEncoder<'a> {
                     let fv = self.ctx.int(f);
                     let eq_t = self.ctx.eq(r, tv);
                     let eq_f = self.ctx.eq(r, fv);
-                    let either = self.ctx.or([eq_t, eq_f]);
-                    self.assertions.push(either);
+                    self.push_clause([eq_t, eq_f]);
                 }
             }
         }
@@ -302,14 +336,12 @@ impl<'a> CycleEncoder<'a> {
             let vars: Vec<TermId> =
                 (0..paths.len()).map(|_| self.ctx.fresh_var(Sort::Bool)).collect();
             // Exactly one path.
-            let any = self.ctx.or(vars.iter().copied());
-            self.assertions.push(any);
+            self.push_clause(vars.iter().copied());
             for a in 0..vars.len() {
                 for b in (a + 1)..vars.len() {
                     let na = self.ctx.not(vars[a]);
                     let nb = self.ctx.not(vars[b]);
-                    let one = self.ctx.or([na, nb]);
-                    self.assertions.push(one);
+                    self.push_clause([na, nb]);
                 }
             }
             // Path ⇒ guard conditions (only meaningful with constraints).
@@ -317,8 +349,8 @@ impl<'a> CycleEncoder<'a> {
                 for (p, path) in paths.iter().enumerate() {
                     for cond in &path.conds {
                         let c = self.cond_term(i, cond);
-                        let imp = self.ctx.implies(vars[p], c);
-                        self.assertions.push(imp);
+                        let np = self.ctx.not(vars[p]);
+                        self.push_clause([np, c]);
                     }
                 }
             }
@@ -371,11 +403,11 @@ impl<'a> CycleEncoder<'a> {
                 // vı ⊆ ar.
                 let v = self.vis(i, j);
                 let a = self.ar(i, j);
-                let imp = self.ctx.implies(v, a);
-                self.assertions.push(imp);
+                let nv = self.ctx.not(v);
+                self.push_clause([nv, a]);
                 // so ⊆ vı.
                 if self.u.so(i, j) {
-                    self.assertions.push(v);
+                    self.push_clause([v]);
                 }
             }
         }
@@ -386,18 +418,17 @@ impl<'a> CycleEncoder<'a> {
                     if i == j || j == k || i == k {
                         continue;
                     }
-                    let aij = self.ar(i, j);
-                    let ajk = self.ar(j, k);
+                    // ¬(i ar→ j) is j ar→ i.
+                    let naij = self.ar(j, i);
+                    let najk = self.ar(k, j);
                     let aik = self.ar(i, k);
-                    let conj = self.ctx.and([aij, ajk]);
-                    let imp = self.ctx.implies(conj, aik);
-                    self.assertions.push(imp);
+                    self.push_clause([naij, najk, aik]);
                     let vij = self.vis(i, j);
                     let vjk = self.vis(j, k);
                     let vik = self.vis(i, k);
-                    let conj = self.ctx.and([vij, vjk]);
-                    let imp = self.ctx.implies(conj, vik);
-                    self.assertions.push(imp);
+                    let nvij = self.ctx.not(vij);
+                    let nvjk = self.ctx.not(vjk);
+                    self.push_clause([nvij, nvjk, vik]);
                 }
             }
         }
@@ -443,7 +474,7 @@ impl<'a> CycleEncoder<'a> {
             terms.push(self.ctx.int(c));
         }
         let d = self.ctx.distinct(terms);
-        self.assertions.push(d);
+        self.push_term(d);
         // Access implies observed creation.
         let u = self.u;
         for &(ci, ce, row) in &all_fresh {
@@ -458,15 +489,17 @@ impl<'a> CycleEncoder<'a> {
                         if matches!(arg, AbsArg::RowOf(_) | AbsArg::Const(_)) {
                             continue;
                         }
+                        // act_f ∧ a = row ⇒ act_c ∧ vı(ci, j), as two
+                        // clauses.
                         let a = self.arg_term(j, fe, pos, arg);
                         let eq = self.ctx.eq(a, row);
+                        let neq = self.ctx.not(eq);
                         let act_f = self.act[j][fe];
-                        let lhs = self.ctx.and([act_f, eq]);
+                        let nact_f = self.ctx.not(act_f);
                         let act_c = self.act[ci][ce];
                         let vis = self.vis(ci, j);
-                        let rhs = self.ctx.and([act_c, vis]);
-                        let imp = self.ctx.implies(lhs, rhs);
-                        self.assertions.push(imp);
+                        self.push_clause([nact_f, neq, act_c]);
+                        self.push_clause([nact_f, neq, vis]);
                     }
                 }
             }
@@ -553,17 +586,18 @@ impl<'a> CycleEncoder<'a> {
                 let tv = self.ctx.int(t_sent);
                 let is_true = self.ctx.eq(ret, tv);
                 let act_q = self.act[qi][qe];
-                let some_creator = self.ctx.or(creators.clone());
-                let lhs = self.ctx.and([act_q, is_true]);
-                let imp = self.ctx.implies(lhs, some_creator);
-                self.assertions.push(imp);
+                let nact_q = self.ctx.not(act_q);
+                let some_creator = self.ctx.or(creators);
+                // act_q ∧ ret = true ⇒ some creator.
+                let nis_true = self.ctx.not(is_true);
+                self.push_clause([nact_q, nis_true, some_creator]);
                 if !removal_exists {
+                    // act_q ∧ ret = false ⇒ no creator.
                     let fv = self.ctx.int(f_sent);
                     let is_false = self.ctx.eq(ret, fv);
+                    let nis_false = self.ctx.not(is_false);
                     let no_creator = self.ctx.not(some_creator);
-                    let lhs = self.ctx.and([act_q, is_false]);
-                    let imp = self.ctx.implies(lhs, no_creator);
-                    self.assertions.push(imp);
+                    self.push_clause([nact_q, nis_false, no_creator]);
                 }
             }
         }
@@ -791,7 +825,7 @@ impl<'a> CycleEncoder<'a> {
     /// Asserts one DSG-edge requirement between two instances.
     pub fn assert_step(&mut self, a: usize, b: usize, label: SsgLabel) {
         let t = self.step_term(a, b, label);
-        self.assertions.push(t);
+        self.push_term(t);
     }
 
     /// Asserts the *negation* of a DSG-edge requirement (used by the
@@ -799,7 +833,7 @@ impl<'a> CycleEncoder<'a> {
     pub fn assert_not_step(&mut self, a: usize, b: usize, label: SsgLabel) {
         let t = self.step_term(a, b, label);
         let nt = self.ctx.not(t);
-        self.assertions.push(nt);
+        self.push_term(nt);
     }
 
     /// Asserts that two instances of the same abstract transaction share
@@ -809,7 +843,7 @@ impl<'a> CycleEncoder<'a> {
         for p in 0..self.params[i].len().min(self.params[j].len()) {
             let (a, b) = (self.params[i][p], self.params[j][p]);
             let e = self.ctx.eq(a, b);
-            self.assertions.push(e);
+            self.push_term(e);
         }
     }
 
@@ -837,10 +871,10 @@ impl<'a> CycleEncoder<'a> {
         for e in 0..n_events {
             let (ri, rj) = (self.rets[i][e], self.rets[j][e]);
             let eq = self.ctx.eq(ri, rj);
-            self.assertions.push(eq);
+            self.push_term(eq);
             if let (Some(fi), Some(fj)) = (self.fresh[i][e], self.fresh[j][e]) {
                 let eq = self.ctx.eq(fi, fj);
-                self.assertions.push(eq);
+                self.push_term(eq);
             }
             let args = &self.u.tx(i).events[e].args;
             for (pos, arg) in args.iter().enumerate() {
@@ -848,7 +882,7 @@ impl<'a> CycleEncoder<'a> {
                     let (wi, wj) =
                         (self.wild_var(i, e, pos), self.wild_var(j, e, pos));
                     let eq = self.ctx.eq(wi, wj);
-                    self.assertions.push(eq);
+                    self.push_term(eq);
                 }
             }
         }
@@ -856,7 +890,7 @@ impl<'a> CycleEncoder<'a> {
         for p in 0..self.path_vars[i].len().min(self.path_vars[j].len()) {
             let (pi, pj) = (self.path_vars[i][p], self.path_vars[j][p]);
             let iff = self.ctx.iff(pi, pj);
-            self.assertions.push(iff);
+            self.push_term(iff);
         }
     }
 
@@ -867,7 +901,7 @@ impl<'a> CycleEncoder<'a> {
         let an = self.step_term(a, b, SsgLabel::Anti);
         let c = self.step_term(a, b, SsgLabel::Conflict);
         let any = self.ctx.or([d, an, c]);
-        self.assertions.push(any);
+        self.push_term(any);
     }
 
     /// Asserts the *negation* of the argument-level anti-dependency
@@ -909,13 +943,41 @@ impl<'a> CycleEncoder<'a> {
         }
         let any = self.ctx.or(disjuncts);
         let not_any = self.ctx.not(any);
-        self.assertions.push(not_any);
+        self.push_term(not_any);
     }
 
-    /// Solves the accumulated assertions.
-    pub fn solve(mut self) -> Option<CycleModel> {
-        let assertions = std::mem::take(&mut self.assertions);
-        match self.ctx.solve(&assertions) {
+    /// Asserts every assertion recorded since the last flush into the
+    /// session (created on first use), in recording order: terms as unit
+    /// clauses, clauses as clauses. Its time is booked as encoder build
+    /// ([`CycleEncoder::take_flush_time`]), not as solving.
+    fn flush(&mut self) {
+        let _span = c4_obs::span("encoder_build");
+        let t0 = Instant::now();
+        let session = self.session.get_or_insert_with(Incremental::new);
+        for &a in &self.assertions[self.session_cursor..] {
+            match a {
+                Assertion::Term(t) => session.assert(&mut self.ctx, t),
+                Assertion::Clause(start, end) => session.assert_clause(
+                    &mut self.ctx,
+                    &self.clause_lits[start as usize..end as usize],
+                ),
+            }
+        }
+        self.session_cursor = self.assertions.len();
+        self.flush_time += t0.elapsed();
+    }
+
+    /// The time spent flushing assertions into the solver since the last
+    /// call, which then restarts from zero.
+    pub fn take_flush_time(&mut self) -> Duration {
+        std::mem::take(&mut self.flush_time)
+    }
+
+    /// Solves the accumulated assertions as permanent facts.
+    pub fn solve(&mut self) -> Option<CycleModel> {
+        self.flush();
+        let session = self.session.as_mut().expect("flushed session");
+        match session.solve_under(&self.ctx, &[]) {
             SatResult::Unsat => None,
             SatResult::Sat(model) => Some(self.decode(&model)),
         }
@@ -923,7 +985,7 @@ impl<'a> CycleEncoder<'a> {
 
     /// Asserts the full candidate cycle and solves. Returns a decoded
     /// model if one exists.
-    pub fn check(mut self, cand: &CandidateCycle) -> Option<CycleModel> {
+    pub fn check(&mut self, cand: &CandidateCycle) -> Option<CycleModel> {
         let m = cand.nodes.len();
         for (s, step) in cand.steps.iter().enumerate() {
             let a = cand.nodes[s];
@@ -954,19 +1016,7 @@ impl<'a> CycleEncoder<'a> {
             let b = cand.nodes[(s + 1) % m];
             step_terms.push(self.step_term(a, b, step.label));
         }
-        let session = self.session.get_or_insert_with(Incremental::new);
-        // Structural assertions added since the last call become permanent.
-        for &t in &self.assertions[self.session_cursor..] {
-            session.assert(&mut self.ctx, t);
-        }
-        self.session_cursor = self.assertions.len();
-        let g = session.activation();
-        for t in step_terms {
-            session.assert_under(&mut self.ctx, g, t);
-        }
-        let sat = session.check_sat_assuming(&mut self.ctx, &[g]);
-        session.retire(g);
-        sat
+        self.solve_guarded(&step_terms)
     }
 
     /// Batched refutation probe: checks whether *any* of the candidate
@@ -994,15 +1044,20 @@ impl<'a> CycleEncoder<'a> {
             disjuncts.push(self.ctx.and(step_terms));
         }
         let any = self.ctx.or(disjuncts);
-        let session = self.session.get_or_insert_with(Incremental::new);
-        // Structural assertions added since the last call become permanent.
-        for &t in &self.assertions[self.session_cursor..] {
-            session.assert(&mut self.ctx, t);
-        }
-        self.session_cursor = self.assertions.len();
+        self.solve_guarded(&[any])
+    }
+
+    /// Makes the structural assertions recorded so far permanent, then
+    /// decides them together with `terms`, asserted under a fresh
+    /// activation literal that is retired afterwards.
+    fn solve_guarded(&mut self, terms: &[TermId]) -> bool {
+        self.flush();
+        let session = self.session.as_mut().expect("flushed session");
         let g = session.activation();
-        session.assert_under(&mut self.ctx, g, any);
-        let sat = session.check_sat_assuming(&mut self.ctx, &[g]);
+        for &t in terms {
+            session.assert_under(&mut self.ctx, g, t);
+        }
+        let sat = session.check_sat_assuming(&self.ctx, &[g]);
         session.retire(g);
         sat
     }
@@ -1147,7 +1202,7 @@ mod tests {
         'outer: for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &far);
             for cand in candidate_cycles(&u, &ssg, &far) {
-                let enc = CycleEncoder::new(&u, &far, &features);
+                let mut enc = CycleEncoder::new(&u, &far, &features);
                 if let Some(model) = enc.check(&cand) {
                     // Model sanity: vis respects so.
                     for i in 0..u.instances.len() {
@@ -1186,7 +1241,7 @@ mod tests {
         for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &far);
             for cand in candidate_cycles(&u, &ssg, &far) {
-                let enc = CycleEncoder::new(&u, &far, &features);
+                let mut enc = CycleEncoder::new(&u, &far, &features);
                 assert!(
                     enc.check(&cand).is_none(),
                     "session-local keys admit no 2-session cycle"
@@ -1215,7 +1270,7 @@ mod tests {
         for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &far);
             for cand in candidate_cycles(&u, &ssg, &far) {
-                let enc = CycleEncoder::new(&u, &far, &features);
+                let mut enc = CycleEncoder::new(&u, &far, &features);
                 if enc.check(&cand).is_some() {
                     found = true;
                 }

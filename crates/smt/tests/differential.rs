@@ -232,6 +232,8 @@ fn brute_force_all(fs: &[&F]) -> bool {
 enum Op {
     /// Permanent assertion.
     Assert(F),
+    /// Permanent clause over literal formulas (`assert_clause`).
+    AssertClause(Vec<F>),
     /// Assertion under guard slot `0..3` (a fresh guard if the slot is
     /// empty).
     AssertUnder(usize, F),
@@ -242,9 +244,16 @@ enum Op {
     Retire(usize),
 }
 
+/// A clause literal: any formula, often negated, so literals range over
+/// atoms, negated atoms and composite subterms of either polarity.
+fn clause_lit() -> impl Strategy<Value = F> {
+    prop_oneof![zero_formula(), zero_formula().prop_map(|f| F::Not(Box::new(f)))]
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         zero_formula().prop_map(Op::Assert),
+        proptest::collection::vec(clause_lit(), 1..4).prop_map(Op::AssertClause),
         (0..3usize, zero_formula()).prop_map(|(g, f)| Op::AssertUnder(g, f)),
         (0u8..8, any::<bool>()).prop_map(|(m, model)| Op::Check(m, model)),
         (0..3usize).prop_map(Op::Retire),
@@ -255,7 +264,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// An incremental session agrees with brute force on every query of a
-    /// random `assert` / `assert_under` / solve / `retire` sequence.
+    /// random `assert` / `assert_clause` / `assert_under` / solve /
+    /// `retire` sequence.
     /// Terms are built between solves, so the session's dense
     /// term-indexed caches keep growing after they were first sized, and
     /// learnt and theory-blocking clauses carry across queries.
@@ -276,6 +286,18 @@ proptest! {
                     let t = to_term(&f, &mut ctx, &uvars, &ivars, &bvars);
                     session.assert(&mut ctx, t);
                     permanent.push(f);
+                }
+                Op::AssertClause(lits) => {
+                    let ts: Vec<TermId> = lits
+                        .iter()
+                        .map(|f| to_term(f, &mut ctx, &uvars, &ivars, &bvars))
+                        .collect();
+                    session.assert_clause(&mut ctx, &ts);
+                    let clause = lits
+                        .into_iter()
+                        .reduce(|a, b| F::Or(Box::new(a), Box::new(b)))
+                        .expect("non-empty clause");
+                    permanent.push(clause);
                 }
                 Op::AssertUnder(g, f) => {
                     let t = to_term(&f, &mut ctx, &uvars, &ivars, &bvars);
