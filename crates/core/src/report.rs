@@ -53,12 +53,14 @@ pub struct StageTimings {
     /// pool runs it beside the workers (zero at one worker, where the
     /// merge is inline and its solves count toward the other stages).
     pub merge: Duration,
-    /// Constructing `CycleEncoder`s — symbol declarations plus structural
-    /// axiom assertion (a sub-span of `smt`; the shared incremental
-    /// session pays it once per suspicious unfolding, not once per query).
+    /// Constructing `CycleEncoder`s — symbol declarations and structural
+    /// axioms — and flushing their assertions into the solver session
+    /// (a sub-span of `smt`; the shared incremental session pays it once
+    /// per suspicious unfolding, not once per query).
     pub encoder_build: Duration,
-    /// Solving candidate queries against an already-built encoder — the
-    /// per-candidate marginal cost (a sub-span of `smt`).
+    /// Solving candidate queries against an already-built encoder, its
+    /// flush excluded — the per-candidate marginal cost (a sub-span of
+    /// `smt`).
     pub query_solve: Duration,
 }
 
