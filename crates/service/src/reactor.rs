@@ -22,6 +22,7 @@
 //! them under a token from [`CALLER_TOKENS`] and gets their readiness
 //! through [`Handler::event`]. [`Reactor::exit`] stops accepting, lets
 //! pending replies flush for a bounded linger, and ends [`Reactor::run`].
+//! Work a handler moves off the loop runs on [`SideThreads`].
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -70,6 +71,40 @@ impl<N> NoticeBox<N> {
 
     fn take(&self) -> Vec<N> {
         std::mem::take(&mut *self.queue.lock().expect("a notice poster panicked"))
+    }
+}
+
+/// Transient threads a handler runs blocking work on (trace runs,
+/// proxies, the drain). Each [`spawn`](SideThreads::spawn) first joins
+/// the threads that have finished, so a long-lived tier holds only the
+/// ones still running; [`join_all`](SideThreads::join_all) waits for
+/// those at exit.
+#[derive(Default)]
+pub struct SideThreads {
+    handles: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl SideThreads {
+    /// Reaps the finished threads, then runs `f` on a new one.
+    pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
+        let mut handles = self.handles.lock().expect("a side-thread spawner panicked");
+        for h in std::mem::take(&mut *handles) {
+            if h.is_finished() {
+                let _ = h.join();
+            } else {
+                handles.push(h);
+            }
+        }
+        handles.push(std::thread::spawn(f));
+    }
+
+    /// Joins every thread still held.
+    pub fn join_all(&self) {
+        let handles =
+            std::mem::take(&mut *self.handles.lock().expect("a side-thread spawner panicked"));
+        for h in handles {
+            let _ = h.join();
+        }
     }
 }
 
@@ -435,5 +470,24 @@ impl MetricsServer {
     pub fn stop(self) {
         let _ = TcpStream::connect(&self.addr);
         let _ = self.thread.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn side_threads_reap_finished_threads_on_spawn() {
+        let threads = SideThreads::default();
+        for _ in 0..16 {
+            threads.spawn(|| {});
+            while !threads.handles.lock().unwrap().iter().all(JoinHandle::is_finished) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert!(threads.handles.lock().unwrap().len() <= 1, "finished threads are reaped");
+        threads.join_all();
+        assert!(threads.handles.lock().unwrap().is_empty());
     }
 }

@@ -40,6 +40,12 @@ cargo test --release -q -p c4-tests --test stats_coherence --test mc_golden
 echo "==> wire frame golden and fuzz properties (release)"
 cargo test --release -q -p c4-tests --test frame_golden --test wire_fuzz
 
+# Bounded serving state: three retirement windows of warm requests,
+# direct and through a hedging gateway, must leave both tiers' job
+# tables within the window with every in-flight count back at zero.
+echo "==> serving soak (release)"
+cargo test --release -q -p c4-tests --test serving_soak
+
 # The driver against the policy-free reference search over the whole
 # suite, at 1 worker (incremental_differential) and 4 workers
 # (symmetry_differential); debug builds above check the cheap programs.
