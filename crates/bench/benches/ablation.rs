@@ -1,6 +1,7 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * pair-table caching vs. direct Kleene evaluation in the SSG stage;
+//! * the SSG stage (pair-table SSG construction and candidate
+//!   enumeration) on its own;
 //! * the cost of the return-value justification axioms in the SMT stage;
 //! * subsumption's effect on the number of SMT queries (measured through
 //!   the full checker).
@@ -8,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use c4::check::AnalysisFeatures;
-use c4::ssg::{candidate_cycles, candidate_cycles_with, PairLookup, PairTables, Ssg};
+use c4::ssg::{candidate_cycles, PairTables, Ssg};
 use c4::unfold::{arena_for, unfoldings};
 use c4_algebra::{FarSpec, RewriteSpec};
 
@@ -29,18 +30,8 @@ fn bench_pair_tables_ablation(c: &mut Criterion) {
         b.iter(|| {
             unfoldings(&h, &arena, 2)
                 .map(|u| {
-                    let ssg = Ssg::of_unfolding_cached(&u, &tables);
-                    candidate_cycles_with(&u, &ssg, PairLookup::Cached(&tables)).len()
-                })
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("direct_evaluation", |b| {
-        b.iter(|| {
-            unfoldings(&h, &arena, 2)
-                .map(|u| {
-                    let ssg = Ssg::of_unfolding(&u, &far);
-                    candidate_cycles(&u, &ssg, &far).len()
+                    let ssg = Ssg::of_unfolding(&u, &tables);
+                    candidate_cycles(&u, &ssg, &tables).len()
                 })
                 .sum::<usize>()
         })

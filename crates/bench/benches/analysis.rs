@@ -56,7 +56,7 @@ fn bench_ssg(c: &mut Criterion) {
     c.bench_function("ssg_over_2_unfoldings/super_chat", |b| {
         b.iter(|| {
             unfoldings(&h, &arena, 2)
-                .map(|u| Ssg::of_unfolding_cached(&u, &tables).edges.len())
+                .map(|u| Ssg::of_unfolding(&u, &tables).edges().len())
                 .sum::<usize>()
         })
     });
@@ -66,12 +66,13 @@ fn bench_smt_query(c: &mut Criterion) {
     let h = figure1a();
     let far = FarSpec::compute(RewriteSpec::new(), &h.alphabet());
     let arena = arena_for(&h);
+    let tables = PairTables::compute(arena.bodies(), &far);
     let features = AnalysisFeatures::default();
     // Pick one suspicious unfolding and candidate.
     let (u, cand) = unfoldings(&h, &arena, 2)
         .find_map(|u| {
-            let ssg = Ssg::of_unfolding(&u, &far);
-            let cands = candidate_cycles(&u, &ssg, &far);
+            let ssg = Ssg::of_unfolding(&u, &tables);
+            let cands = candidate_cycles(&u, &ssg, &tables);
             cands.into_iter().next().map(|c| (u.clone(), c))
         })
         .expect("figure 1a has candidates");

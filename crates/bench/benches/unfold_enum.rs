@@ -1,10 +1,7 @@
 //! Enumeration + SSG pre-filter wall-clock, isolated from the SMT
 //! stage, on the two suite benchmarks with the largest k = 2 unfolding
-//! spaces (Relatd: 22 155 per view, Super Chat). Two variants per
-//! program: `full` streams every unfolding through the SSG suspicion
-//! check; `symmetry` canonicalizes first and runs the SSG stage once
-//! per equivalence class, skipping members — the delta is exactly what
-//! the class compression buys before any solver work starts.
+//! spaces (Relatd: 22 155 per view, Super Chat): `full` streams every
+//! unfolding through the SSG suspicion check.
 //!
 //! Record a baseline with `cargo bench --bench unfold_enum` and compare
 //! runs against `BENCH_unfold.json` (see that file for the protocol).
@@ -23,19 +20,15 @@ fn history(name: &str) -> c4::AbstractHistory {
 
 /// Streams the k = 2 enumeration through the SSG pre-filter; returns
 /// (unfoldings, suspicious) so the optimizer cannot elide the work.
-fn enum_and_filter(h: &c4::AbstractHistory, symmetry: bool) -> (usize, usize) {
+fn enum_and_filter(h: &c4::AbstractHistory) -> (usize, usize) {
     let far = FarSpec::compute(RewriteSpec::new(), &h.alphabet());
     let arena = arena_for(h);
     let tables = c4::ssg::PairTables::compute(arena.bodies(), &far);
-    let mut seen = std::collections::HashSet::new();
     let mut total = 0usize;
     let mut suspicious = 0usize;
     for u in unfoldings(h, &arena, 2) {
         total += 1;
-        if symmetry && !seen.insert(u.canonical_key()) {
-            continue; // class member: the rep already ran the SSG stage
-        }
-        let ssg = Ssg::of_unfolding_cached(&u, &tables);
+        let ssg = Ssg::of_unfolding(&u, &tables);
         if ssg.has_cycle() {
             suspicious += 1;
         }
@@ -48,11 +41,7 @@ fn bench_unfold_enum(c: &mut Criterion) {
         let h = history(name);
         let mut group = c.benchmark_group(format!("unfold_enum/{name}"));
         group.sample_size(10);
-        for (label, symmetry) in [("full", false), ("symmetry", true)] {
-            group.bench_function(label, |bencher| {
-                bencher.iter(|| enum_and_filter(&h, symmetry))
-            });
-        }
+        group.bench_function("full", |bencher| bencher.iter(|| enum_and_filter(&h)));
         group.finish();
     }
 }

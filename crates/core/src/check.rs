@@ -61,7 +61,7 @@ use crate::counterexample::CounterExample;
 use crate::encode::CycleEncoder;
 use crate::intern::TxArena;
 use crate::report::{AnalysisResult, AnalysisStats, Violation};
-use crate::ssg::{candidate_cycles_with, CandidateCycle, PairLookup, PairTables, Ssg, SsgLabel};
+use crate::ssg::{candidate_cycles, CandidateCycle, PairTables, Ssg, SsgLabel};
 use crate::unfold::{arena_for, unfoldings, Unfolding, UnfoldingInstance};
 
 /// Feature toggles of the analysis (Section 9.3 ablations plus the
@@ -621,8 +621,8 @@ impl Checker {
         let _span = c4_obs::span("ssg_filter");
         let t0 = Instant::now();
         let cands = if self.sc1_possible(u, tables) {
-            let ssg = Ssg::of_unfolding_cached(u, tables);
-            candidate_cycles_with(u, &ssg, PairLookup::Cached(tables))
+            let ssg = Ssg::of_unfolding(u, tables);
+            candidate_cycles(u, &ssg, tables)
         } else {
             Vec::new()
         };

@@ -1169,7 +1169,7 @@ pub fn returns_bool(kind: &c4_store::op::OpKind) -> bool {
 mod tests {
     use super::*;
     use crate::abstract_history::{ev, straight_line_tx, AbstractHistory};
-    use crate::ssg::{candidate_cycles, Ssg};
+    use crate::ssg::{candidate_cycles, PairTables, Ssg};
     use crate::unfold::{arena_for, unfoldings};
     use c4_algebra::{Alphabet, RewriteSpec};
     use c4_store::op::OpKind;
@@ -1197,11 +1197,12 @@ mod tests {
         h.free_session_order();
         let far = far_for(&h);
         let arena = arena_for(&h);
+        let tables = PairTables::compute(arena.bodies(), &far);
         let features = AnalysisFeatures::default();
         let mut found = false;
         'outer: for u in unfoldings(&h, &arena, 2) {
-            let ssg = Ssg::of_unfolding(&u, &far);
-            for cand in candidate_cycles(&u, &ssg, &far) {
+            let ssg = Ssg::of_unfolding(&u, &tables);
+            for cand in candidate_cycles(&u, &ssg, &tables) {
                 let mut enc = CycleEncoder::new(&u, &far, &features);
                 if let Some(model) = enc.check(&cand) {
                     // Model sanity: vis respects so.
@@ -1237,10 +1238,11 @@ mod tests {
         h.free_session_order();
         let far = far_for(&h);
         let arena = arena_for(&h);
+        let tables = PairTables::compute(arena.bodies(), &far);
         let features = AnalysisFeatures::default();
         for u in unfoldings(&h, &arena, 2) {
-            let ssg = Ssg::of_unfolding(&u, &far);
-            for cand in candidate_cycles(&u, &ssg, &far) {
+            let ssg = Ssg::of_unfolding(&u, &tables);
+            for cand in candidate_cycles(&u, &ssg, &tables) {
                 let mut enc = CycleEncoder::new(&u, &far, &features);
                 assert!(
                     enc.check(&cand).is_none(),
@@ -1265,11 +1267,12 @@ mod tests {
         h.free_session_order();
         let far = far_for(&h);
         let arena = arena_for(&h);
+        let tables = PairTables::compute(arena.bodies(), &far);
         let features = AnalysisFeatures { constraints: false, ..AnalysisFeatures::default() };
         let mut found = false;
         for u in unfoldings(&h, &arena, 2) {
-            let ssg = Ssg::of_unfolding(&u, &far);
-            for cand in candidate_cycles(&u, &ssg, &far) {
+            let ssg = Ssg::of_unfolding(&u, &tables);
+            for cand in candidate_cycles(&u, &ssg, &tables) {
                 let mut enc = CycleEncoder::new(&u, &far, &features);
                 if enc.check(&cand).is_some() {
                     found = true;

@@ -73,7 +73,7 @@ pub fn si_robust(h: &AbstractHistory, far: &FarSpec) -> SiVerdict {
         for &pivot in scc {
             let vulnerable = |from: usize, to: usize| !necessarily_ww(from, to);
             let incoming: Vec<usize> = ssg
-                .edges
+                .edges()
                 .iter()
                 .filter(|e| {
                     e.label == SsgLabel::Anti
@@ -84,7 +84,7 @@ pub fn si_robust(h: &AbstractHistory, far: &FarSpec) -> SiVerdict {
                 .map(|e| e.from)
                 .collect();
             let outgoing: Vec<usize> = ssg
-                .edges
+                .edges()
                 .iter()
                 .filter(|e| {
                     e.label == SsgLabel::Anti

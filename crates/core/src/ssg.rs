@@ -57,9 +57,11 @@ pub struct SsgEdge {
 pub struct Ssg {
     /// Number of nodes.
     pub n: usize,
-    /// The edges (deduplicated by `(from, to, label)`, keeping the first
-    /// witness).
-    pub edges: Vec<SsgEdge>,
+    /// The edges, grouped by `(from, to)` ascending, with at most one
+    /// edge per label in a group (the first witness).
+    edges: Vec<SsgEdge>,
+    /// `edges[starts[v]..starts[v + 1]]` are the outgoing edges of `v`.
+    starts: Vec<usize>,
 }
 
 /// Three-valued truth.
@@ -248,11 +250,11 @@ pub struct PairTables {
     pub conflict_possible: [Vec<bool>; 2],
     /// `[diff_session, same_session]` × ordered tx pair → the dependency
     /// edges `(label, src_event, tgt_event)` between two distinct
-    /// instances of the pair, in event-pair enumeration order. This is
-    /// the entire inner loop of [`Ssg::of_unfolding_cached`] hoisted out:
-    /// instance-level SSG edges depend only on the body pair and session
-    /// equality, so the streaming pre-filter appends a precomputed
-    /// template per instance pair instead of re-scanning event pairs.
+    /// instances of the pair: the first event pair in enumeration order
+    /// for each label, so at most one edge per label. Instance-level SSG
+    /// edges depend only on the body pair and session equality, so
+    /// [`Ssg::of_unfolding`] appends a precomputed template per instance
+    /// pair instead of re-scanning event pairs.
     templates: [Vec<Vec<(SsgLabel, usize, usize)>>; 2],
     n_tx: usize,
 }
@@ -300,14 +302,11 @@ impl PairTables {
                                 if e.kind.is_update() && f.kind.is_update() {
                                     conflict_possible[slot][a * n_tx + b] = true;
                                 }
-                                let label = match (e.kind.is_update(), f.kind.is_update()) {
-                                    (true, false) => Some(SsgLabel::Dep),
-                                    (false, true) => Some(SsgLabel::Anti),
-                                    (true, true) => Some(SsgLabel::Conflict),
-                                    (false, false) => None,
-                                };
-                                if let Some(label) = label {
-                                    templates[slot][a * n_tx + b].push((label, ea, eb));
+                                if let Some(label) = dependency_label(e, f) {
+                                    let template = &mut templates[slot][a * n_tx + b];
+                                    if template.iter().all(|&(l, _, _)| l != label) {
+                                        template.push((label, ea, eb));
+                                    }
                                 }
                             }
                         }
@@ -380,122 +379,83 @@ impl PairTables {
 }
 
 impl Ssg {
-    /// Builds the SSG of an unfolding: nodes are the transaction
-    /// instances.
-    pub fn of_unfolding(u: &Unfolding, far: &FarSpec) -> Ssg {
-        let n = u.instances.len();
+    /// Builds an SSG over `n` nodes from the edges `pair(i, j, edges)`
+    /// pushes for each ordered node pair, visited in ascending order, so
+    /// the edges come out grouped by `(from, to)`.
+    fn build(n: usize, mut pair: impl FnMut(usize, usize, &mut Vec<SsgEdge>)) -> Ssg {
         let mut edges = Vec::new();
+        let mut starts = Vec::with_capacity(n + 1);
         for i in 0..n {
+            starts.push(edges.len());
             for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                if u.so(i, j) {
-                    edges.push(SsgEdge {
-                        from: i,
-                        to: j,
-                        label: SsgLabel::So,
-                        src_event: usize::MAX,
-                        tgt_event: usize::MAX,
-                    });
-                }
-                let ctx = PairCtx {
-                    same_instance: false,
-                    same_session: u.instances[i].session == u.instances[j].session,
-                    same_event: false,
-                };
-                push_dependency_edges(
-                    &mut edges,
-                    i,
-                    j,
-                    &u.tx(i),
-                    &u.tx(j),
-                    far,
-                    ctx,
-                );
+                pair(i, j, &mut edges);
             }
         }
-        dedupe(&mut edges);
-        Ssg { n, edges }
+        starts.push(edges.len());
+        Ssg { n, edges, starts }
     }
 
-    /// Like [`Ssg::of_unfolding`], but using precomputed pair tables.
-    pub fn of_unfolding_cached(u: &Unfolding, tables: &PairTables) -> Ssg {
-        let n = u.instances.len();
-        let mut edges = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                if u.so(i, j) {
-                    edges.push(SsgEdge {
-                        from: i,
-                        to: j,
-                        label: SsgLabel::So,
-                        src_event: usize::MAX,
-                        tgt_event: usize::MAX,
-                    });
-                }
-                let ctx = PairCtx {
-                    same_instance: false,
-                    same_session: u.instances[i].session == u.instances[j].session,
-                    same_event: false,
-                };
-                let (oa, ob) = (u.instances[i].orig_tx, u.instances[j].orig_tx);
-                for &(label, ei, fi) in tables.template(oa, ob, ctx.same_session) {
-                    edges.push(SsgEdge { from: i, to: j, label, src_event: ei, tgt_event: fi });
-                }
+    /// Builds the SSG of an unfolding: nodes are the transaction
+    /// instances, and each instance pair gets its so edge and the
+    /// precomputed dependency template of its body pair.
+    pub fn of_unfolding(u: &Unfolding, tables: &PairTables) -> Ssg {
+        Ssg::build(u.instances.len(), |i, j, edges| {
+            if i == j {
+                return;
             }
-        }
-        dedupe(&mut edges);
-        Ssg { n, edges }
+            if u.so(i, j) {
+                edges.push(SsgEdge::so(i, j));
+            }
+            let (a, b) = (&u.instances[i], &u.instances[j]);
+            for &(label, ei, fi) in tables.template(a.orig_tx, b.orig_tx, a.session == b.session) {
+                edges.push(SsgEdge { from: i, to: j, label, src_event: ei, tgt_event: fi });
+            }
+        })
     }
 
     /// Builds the program-level SSG (Definition 3): nodes are the abstract
     /// transactions, with conservative pair contexts (distinct instances).
     pub fn of_program(h: &AbstractHistory, far: &FarSpec) -> Ssg {
-        let n = h.txs.len();
-        let mut edges = Vec::new();
-        let mut so = h.so.clone();
-        so.sort_unstable();
-        so.dedup();
-        for &(s, t) in &so {
-            edges.push(SsgEdge {
-                from: s,
-                to: t,
-                label: SsgLabel::So,
-                src_event: usize::MAX,
-                tgt_event: usize::MAX,
-            });
-        }
-        for (i, s) in h.txs.iter().enumerate() {
-            for (j, t) in h.txs.iter().enumerate() {
-                push_dependency_edges(&mut edges, i, j, s, t, far, PairCtx::distinct());
+        Ssg::build(h.txs.len(), |i, j, edges| {
+            if h.so.contains(&(i, j)) {
+                edges.push(SsgEdge::so(i, j));
             }
-        }
-        dedupe(&mut edges);
-        Ssg { n, edges }
+            // For i == j the pair abstracts two *distinct* concrete
+            // instances of the same transaction, so ei == fi is a
+            // legitimate pair (e.g. the put ⊗ put self-loop of Figure 1b).
+            let group = edges.len();
+            for (ei, e) in h.txs[i].events.iter().enumerate() {
+                for (fi, f) in h.txs[j].events.iter().enumerate() {
+                    let Some(label) = dependency_label(e, f) else { continue };
+                    if edges[group..].iter().all(|e| e.label != label)
+                        && may_not_commute(far, e, f, PairCtx::distinct())
+                    {
+                        edges.push(SsgEdge { from: i, to: j, label, src_event: ei, tgt_event: fi });
+                    }
+                }
+            }
+        })
     }
 
-    /// Outgoing edges of a node.
-    pub fn outgoing(&self, v: usize) -> impl Iterator<Item = &SsgEdge> {
-        self.edges.iter().filter(move |e| e.from == v)
+    /// All edges, grouped by `(from, to)` ascending, at most one per
+    /// label within a group.
+    pub fn edges(&self) -> &[SsgEdge] {
+        &self.edges
+    }
+
+    /// Outgoing edges of a node, grouped by target ascending.
+    pub fn outgoing(&self, v: usize) -> &[SsgEdge] {
+        &self.edges[self.starts[v]..self.starts[v + 1]]
     }
 
     /// The strongly connected components (as node sets), including
     /// single nodes with self-loops.
     pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); self.n];
-        for e in &self.edges {
-            adj[e.from].push(e.to);
-        }
+        let adj: Vec<Vec<usize>> =
+            (0..self.n).map(|v| self.outgoing(v).iter().map(|e| e.to).collect()).collect();
         crate::unfold::tarjan(self.n, &adj)
             .into_iter()
-            .filter(|scc| {
-                scc.len() > 1
-                    || self.edges.iter().any(|e| e.from == scc[0] && e.to == scc[0])
-            })
+            .filter(|scc| scc.len() > 1 || adj[scc[0]].contains(&scc[0]))
             .collect()
     }
 
@@ -505,38 +465,21 @@ impl Ssg {
     }
 }
 
-fn push_dependency_edges(
-    edges: &mut Vec<SsgEdge>,
-    i: usize,
-    j: usize,
-    s: &AbsTx,
-    t: &AbsTx,
-    far: &FarSpec,
-    ctx: PairCtx,
-) {
-    for (ei, e) in s.events.iter().enumerate() {
-        for (fi, f) in t.events.iter().enumerate() {
-            // For i == j (program-level SSG only) the pair abstracts two
-            // *distinct* concrete instances of the same transaction, so
-            // ei == fi is a legitimate pair (e.g. the put ⊗ put self-loop
-            // of Figure 1b).
-            if !may_not_commute(far, e, f, ctx) {
-                continue;
-            }
-            let label = match (e.kind.is_update(), f.kind.is_update()) {
-                (true, false) => SsgLabel::Dep,
-                (false, true) => SsgLabel::Anti,
-                (true, true) => SsgLabel::Conflict,
-                (false, false) => continue, // queries far-commute
-            };
-            edges.push(SsgEdge { from: i, to: j, label, src_event: ei, tgt_event: fi });
-        }
+impl SsgEdge {
+    fn so(from: usize, to: usize) -> SsgEdge {
+        SsgEdge { from, to, label: SsgLabel::So, src_event: usize::MAX, tgt_event: usize::MAX }
     }
 }
 
-fn dedupe(edges: &mut Vec<SsgEdge>) {
-    let mut seen = std::collections::HashSet::new();
-    edges.retain(|e| seen.insert((e.from, e.to, e.label)));
+/// The label of a dependency edge from an `e` event to an `f` event;
+/// `None` for two queries, which far-commute.
+fn dependency_label(e: &AbsEventSpec, f: &AbsEventSpec) -> Option<SsgLabel> {
+    match (e.kind.is_update(), f.kind.is_update()) {
+        (true, false) => Some(SsgLabel::Dep),
+        (false, true) => Some(SsgLabel::Anti),
+        (true, true) => Some(SsgLabel::Conflict),
+        (false, false) => None,
+    }
 }
 
 /// A candidate cycle in an unfolding's SSG: instance indices and the label
@@ -558,62 +501,9 @@ impl CandidateCycle {
     }
 }
 
-/// Lookup source for pair predicates: direct Kleene evaluation or
-/// precomputed tables.
-#[derive(Clone, Copy)]
-pub enum PairLookup<'a> {
-    /// Evaluate formulas directly.
-    Direct(&'a FarSpec),
-    /// Use precomputed tables (indexed by *original* transaction ids).
-    Cached(&'a PairTables),
-}
-
-impl PairLookup<'_> {
-    fn notcom(&self, u: &Unfolding, a: (usize, usize), b: (usize, usize), ctx: PairCtx) -> bool {
-        match self {
-            PairLookup::Direct(far) => may_not_commute(
-                far,
-                &u.tx(a.0).events[a.1],
-                &u.tx(b.0).events[b.1],
-                ctx,
-            ),
-            PairLookup::Cached(t) => t.notcom(
-                u.instances[a.0].orig_tx,
-                a.1,
-                u.instances[b.0].orig_tx,
-                b.1,
-                ctx,
-            ),
-        }
-    }
-
-    fn notabs(&self, u: &Unfolding, a: (usize, usize), b: (usize, usize), ctx: PairCtx) -> bool {
-        match self {
-            PairLookup::Direct(far) => may_not_absorb(
-                far,
-                &u.tx(a.0).events[a.1],
-                &u.tx(b.0).events[b.1],
-                ctx,
-            ),
-            PairLookup::Cached(t) => t.notabs(
-                u.instances[a.0].orig_tx,
-                a.1,
-                u.instances[b.0].orig_tx,
-                b.1,
-                ctx,
-            ),
-        }
-    }
-}
-
 /// Theorem 3 applied to an unfolding: the SC2 conditions over the
 /// transactions of a node set.
-pub fn satisfies_sc2(u: &Unfolding, nodes: &[usize], far: &FarSpec) -> bool {
-    satisfies_sc2_with(u, nodes, PairLookup::Direct(far))
-}
-
-/// [`satisfies_sc2`] with a configurable lookup.
-pub fn satisfies_sc2_with(u: &Unfolding, nodes: &[usize], lookup: PairLookup<'_>) -> bool {
+pub fn satisfies_sc2(u: &Unfolding, nodes: &[usize], tables: &PairTables) -> bool {
     // Collect (instance, event) pairs.
     let events: Vec<(usize, usize)> = nodes
         .iter()
@@ -625,6 +515,10 @@ pub fn satisfies_sc2_with(u: &Unfolding, nodes: &[usize], lookup: PairLookup<'_>
         same_session: u.instances[a].session == u.instances[b].session,
         same_event: a == b && ea == eb,
     };
+    let body = |ni: usize| u.instances[ni].orig_tx;
+    let notcom = |(ni, ei): (usize, usize), (nj, ej): (usize, usize)| {
+        tables.notcom(body(ni), ei, body(nj), ej, ctx(ni, nj, ei, ej))
+    };
     // SC2a: two updates that may fail to absorb.
     for &(ni, ei) in &events {
         if !ev(ni, ei).kind.is_update() {
@@ -634,7 +528,7 @@ pub fn satisfies_sc2_with(u: &Unfolding, nodes: &[usize], lookup: PairLookup<'_>
             if !ev(nj, ej).kind.is_update() {
                 continue;
             }
-            if lookup.notabs(u, (ni, ei), (nj, ej), ctx(ni, nj, ei, ej)) {
+            if tables.notabs(body(ni), ei, body(nj), ej, ctx(ni, nj, ei, ej)) {
                 return true;
             }
         }
@@ -643,7 +537,7 @@ pub fn satisfies_sc2_with(u: &Unfolding, nodes: &[usize], lookup: PairLookup<'_>
     // satisfiable for some events e, v of the component.
     for &ni in nodes {
         let tx = &u.tx(ni);
-        let order = u.arena.reach(u.instances[ni].orig_tx as crate::intern::BodyId);
+        let order = u.arena.reach(body(ni) as crate::intern::BodyId);
         for qi in 0..tx.events.len() {
             if !tx.events[qi].kind.is_query() {
                 continue;
@@ -652,13 +546,10 @@ pub fn satisfies_sc2_with(u: &Unfolding, nodes: &[usize], lookup: PairLookup<'_>
                 if !tx.events[ui].kind.is_update() || !order[qi][ui] {
                     continue;
                 }
-                let u_has_conflict = events.iter().any(|&(nj, ej)| {
-                    lookup.notcom(u, (ni, ui), (nj, ej), ctx(ni, nj, ui, ej))
-                });
-                let q_has_conflict = events.iter().any(|&(nj, ej)| {
-                    ev(nj, ej).kind.is_update()
-                        && lookup.notcom(u, (ni, qi), (nj, ej), ctx(ni, nj, qi, ej))
-                });
+                let u_has_conflict = events.iter().any(|&e| notcom((ni, ui), e));
+                let q_has_conflict = events
+                    .iter()
+                    .any(|&(nj, ej)| ev(nj, ej).kind.is_update() && notcom((ni, qi), (nj, ej)));
                 if u_has_conflict && q_has_conflict {
                     return true;
                 }
@@ -694,93 +585,104 @@ pub fn eo_reachability(tx: &AbsTx) -> Vec<Vec<bool>> {
 
 /// Enumerates the candidate cycles of an unfolding's SSG that pass SC1 and
 /// SC2 — the inputs to the SMT stage.
-pub fn candidate_cycles(u: &Unfolding, ssg: &Ssg, far: &FarSpec) -> Vec<CandidateCycle> {
-    candidate_cycles_with(u, ssg, PairLookup::Direct(far))
+///
+/// One depth-first walk per start node visits every simple cycle whose
+/// smallest node is the start exactly once, following distinct
+/// successors in ascending order. The start is the smallest successor
+/// the walk may take, so a closed cycle is emitted before any extension
+/// of the same path: node cycles come out in lexicographic order, each
+/// once. A step's label options are the `(from, to)` group of the
+/// edges; a cycle that passes SC2 yields every SC1-passing choice of
+/// one edge per step, the first step's choice varying fastest.
+pub fn candidate_cycles(u: &Unfolding, ssg: &Ssg, tables: &PairTables) -> Vec<CandidateCycle> {
+    let mut walk = CycleWalk {
+        u,
+        ssg,
+        tables,
+        path: Vec::new(),
+        on_path: vec![false; ssg.n],
+        options: Vec::new(),
+        out: Vec::new(),
+    };
+    for start in 0..ssg.n {
+        walk.path.push(start);
+        walk.visit(start);
+        walk.path.pop();
+    }
+    walk.out
 }
 
-/// [`candidate_cycles`] with a configurable pair lookup.
-pub fn candidate_cycles_with(u: &Unfolding, ssg: &Ssg, lookup: PairLookup<'_>) -> Vec<CandidateCycle> {
-    let mut out = Vec::new();
-    // Enumerate simple cycles by DFS, canonicalized to start at the
-    // smallest node index on the cycle.
-    let n = ssg.n;
-    let mut path: Vec<usize> = Vec::new();
-    let mut on_path = vec![false; n];
-    fn dfs(
-        start: usize,
-        v: usize,
-        ssg: &Ssg,
-        path: &mut Vec<usize>,
-        on_path: &mut Vec<bool>,
-        cycles: &mut Vec<Vec<usize>>,
-    ) {
-        for e in ssg.outgoing(v) {
-            if e.to == start && path.len() >= 2 {
-                cycles.push(path.clone());
-            } else if e.to > start && !on_path[e.to] {
-                path.push(e.to);
-                on_path[e.to] = true;
-                dfs(start, e.to, ssg, path, on_path, cycles);
-                on_path[e.to] = false;
-                path.pop();
+/// The state of [`candidate_cycles`]'s walk.
+struct CycleWalk<'a> {
+    u: &'a Unfolding,
+    ssg: &'a Ssg,
+    tables: &'a PairTables,
+    /// The current path; `path[0]` is the start.
+    path: Vec<usize>,
+    /// Membership of the nodes after the start in `path`.
+    on_path: Vec<bool>,
+    /// The edge group of each step taken along `path`.
+    options: Vec<&'a [SsgEdge]>,
+    out: Vec<CandidateCycle>,
+}
+
+impl<'a> CycleWalk<'a> {
+    fn visit(&mut self, v: usize) {
+        let start = self.path[0];
+        let ssg = self.ssg;
+        for group in ssg.outgoing(v).chunk_by(|a, b| a.to == b.to) {
+            let w = group[0].to;
+            if w == start {
+                if self.path.len() >= 2 {
+                    self.options.push(group);
+                    self.emit();
+                    self.options.pop();
+                }
+            } else if w > start && !self.on_path[w] {
+                self.options.push(group);
+                self.path.push(w);
+                self.on_path[w] = true;
+                self.visit(w);
+                self.on_path[w] = false;
+                self.path.pop();
+                self.options.pop();
             }
         }
     }
-    let mut node_cycles: Vec<Vec<usize>> = Vec::new();
-    for start in 0..n {
-        path.clear();
-        path.push(start);
-        on_path.iter_mut().for_each(|b| *b = false);
-        on_path[start] = true;
-        dfs(start, start, ssg, &mut path, &mut on_path, &mut node_cycles);
-    }
-    // Dedup node sequences.
-    node_cycles.sort();
-    node_cycles.dedup();
-    for nodes in node_cycles {
-        let m = nodes.len();
-        // Per step, the label options.
-        let step_options: Vec<Vec<&SsgEdge>> = (0..m)
-            .map(|i| {
-                let (a, b) = (nodes[i], nodes[(i + 1) % m]);
-                ssg.edges.iter().filter(|e| e.from == a && e.to == b).collect()
-            })
-            .collect();
-        if step_options.iter().any(|o| o.is_empty()) {
-            continue;
+
+    /// Emits the closed cycle `path`: its SC2 check, then the
+    /// SC1-filtered product of its steps' label options.
+    fn emit(&mut self) {
+        if !satisfies_sc2(self.u, &self.path, self.tables) {
+            return;
         }
-        if !satisfies_sc2_with(u, &nodes, lookup) {
-            continue;
-        }
-        // Cross-product of label choices.
+        let m = self.path.len();
         let mut choice = vec![0usize; m];
         loop {
-            let steps: Vec<SsgEdge> =
-                (0..m).map(|i| step_options[i][choice[i]].clone()).collect();
-            let cand = CandidateCycle { nodes: nodes.clone(), steps };
+            let steps = (0..m).map(|i| self.options[i][choice[i]].clone()).collect();
+            let cand = CandidateCycle { nodes: self.path.clone(), steps };
             if cand.satisfies_sc1() {
-                out.push(cand);
+                self.out.push(cand);
             }
             // Advance the mixed-radix counter.
             let mut i = 0;
             loop {
                 if i == m {
-                    break;
+                    return;
                 }
                 choice[i] += 1;
-                if choice[i] < step_options[i].len() {
+                if choice[i] < self.options[i].len() {
                     break;
                 }
                 choice[i] = 0;
                 i += 1;
             }
-            if i == m {
-                break;
-            }
         }
     }
-    out
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -811,6 +713,31 @@ mod tests {
         FarSpec::compute(RewriteSpec::new(), &alphabet)
     }
 
+    fn tables_for(h: &AbstractHistory) -> (std::sync::Arc<crate::intern::TxArena>, PairTables) {
+        let arena = arena_for(h);
+        let tables = PairTables::compute(arena.bodies(), &far_for(h));
+        (arena, tables)
+    }
+
+    /// The one-pass walk against the collect-sort-dedup reference on
+    /// every k-unfolding: same node sequences, same steps, same order.
+    fn assert_matches_reference(h: &AbstractHistory, k: usize) -> usize {
+        let (arena, tables) = tables_for(h);
+        let mut total = 0;
+        for u in unfoldings(h, &arena, k) {
+            let ssg = Ssg::of_unfolding(&u, &tables);
+            let got = candidate_cycles(&u, &ssg, &tables);
+            let want = reference::candidate_cycles(&u, &ssg, &tables);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.nodes, w.nodes);
+                assert_eq!(g.steps, w.steps);
+            }
+            total += got.len();
+        }
+        total
+    }
+
     #[test]
     fn figure1b_program_ssg() {
         // Free keys: the SSG has ⊕/⊖/⊗ edges and cycles (Figure 1b).
@@ -819,7 +746,7 @@ mod tests {
         let ssg = Ssg::of_program(&h, &far);
         assert!(ssg.has_cycle());
         let labels: std::collections::HashSet<_> =
-            ssg.edges.iter().map(|e| e.label).collect();
+            ssg.edges().iter().map(|e| e.label).collect();
         assert!(labels.contains(&SsgLabel::Dep));
         assert!(labels.contains(&SsgLabel::Anti));
         assert!(labels.contains(&SsgLabel::Conflict)); // put ⊗ put self-loop
@@ -841,11 +768,10 @@ mod tests {
         ));
         h.add_tx(straight_line_tx("G", vec![], vec![ev("M", OpKind::MapGet, vec![g])]));
         h.free_session_order();
-        let far = far_for(&h);
-        let arena = arena_for(&h);
+        let (arena, tables) = tables_for(&h);
         for u in unfoldings(&h, &arena, 2) {
-            let ssg = Ssg::of_unfolding(&u, &far);
-            let cands = candidate_cycles(&u, &ssg, &far);
+            let ssg = Ssg::of_unfolding(&u, &tables);
+            let cands = candidate_cycles(&u, &ssg, &tables);
             assert!(cands.is_empty(), "global-key program must have no candidates");
         }
     }
@@ -863,12 +789,11 @@ mod tests {
         ));
         h.add_tx(straight_line_tx("G", vec![], vec![ev("M", OpKind::MapGet, vec![l])]));
         h.free_session_order();
-        let far = far_for(&h);
-        let arena = arena_for(&h);
+        let (arena, tables) = tables_for(&h);
         let mut any = false;
         for u in unfoldings(&h, &arena, 2) {
-            let ssg = Ssg::of_unfolding(&u, &far);
-            any |= !candidate_cycles(&u, &ssg, &far).is_empty();
+            let ssg = Ssg::of_unfolding(&u, &tables);
+            any |= !candidate_cycles(&u, &ssg, &tables).is_empty();
         }
         assert!(any, "local-key program must keep candidate cycles");
     }
@@ -927,6 +852,53 @@ mod tests {
         h.free_session_order();
         let far = far_for(&h);
         let ssg = Ssg::of_program(&h, &far);
-        assert!(ssg.edges.iter().all(|e| e.label == SsgLabel::So));
+        assert!(ssg.edges().iter().all(|e| e.label == SsgLabel::So));
+    }
+
+    #[test]
+    fn several_labels_on_one_pair_enumerate_like_the_reference() {
+        // A read-then-write of one keyed entry: between two instances
+        // the pair carries ⊕, ⊖ and ⊗ at once (plus so within a
+        // session), so every node cycle has several label choices.
+        let mut h = AbstractHistory::new();
+        h.add_tx(straight_line_tx(
+            "T",
+            vec!["k".into(), "v".into()],
+            vec![
+                ev("M", OpKind::MapGet, vec![AbsArg::Param(0)]),
+                ev("M", OpKind::MapPut, vec![AbsArg::Param(0), AbsArg::Param(1)]),
+            ],
+        ));
+        h.free_session_order();
+        let (arena, tables) = tables_for(&h);
+        let u = unfoldings(&h, &arena, 2)
+            .find(|u| u.instances.len() == 2 && !u.so(0, 1))
+            .expect("an unfolding of two sessions");
+        let ssg = Ssg::of_unfolding(&u, &tables);
+        let labels: Vec<SsgLabel> = ssg.outgoing(0).iter().map(|e| e.label).collect();
+        assert_eq!(labels, [SsgLabel::Anti, SsgLabel::Dep, SsgLabel::Conflict]);
+        let cands = candidate_cycles(&u, &ssg, &tables);
+        // 3 × 3 label choices, of which SC1 keeps those with two ⊖ or a
+        // ⊖ and a ⊗: (⊖,⊖), (⊖,⊗), (⊗,⊖).
+        let choices: Vec<(SsgLabel, SsgLabel)> =
+            cands.iter().map(|c| (c.steps[0].label, c.steps[1].label)).collect();
+        assert_eq!(
+            choices,
+            [
+                (SsgLabel::Anti, SsgLabel::Anti),
+                (SsgLabel::Conflict, SsgLabel::Anti),
+                (SsgLabel::Anti, SsgLabel::Conflict),
+            ]
+        );
+        assert!(cands.iter().all(|c| c.nodes == [0, 1]));
+        assert!(assert_matches_reference(&h, 2) > 0);
+        assert!(assert_matches_reference(&h, 3) > 0);
+    }
+
+    #[test]
+    fn figure1a_enumerates_like_the_reference() {
+        let h = figure1a(AbsArg::Param(0), AbsArg::Param(0));
+        assert!(assert_matches_reference(&h, 2) > 0);
+        assert!(assert_matches_reference(&h, 3) > 0);
     }
 }

@@ -1,8 +1,31 @@
-//! A minimal recursive-descent JSON validator. The workspace is
-//! offline (no serde), and the only JSON consumers in-tree are the
-//! trace checker and the coherence tests, which need exactly two
-//! things: "does this parse as JSON?" and "how many elements does the
-//! `traceEvents` array hold?".
+//! A minimal recursive-descent JSON validator, plus the string escaper
+//! the hand-written JSON writers share. The workspace is offline (no
+//! serde), and the only JSON consumers in-tree are the trace checker
+//! and the coherence tests, which need exactly two things: "does this
+//! parse as JSON?" and "how many elements does the `traceEvents` array
+//! hold?".
+
+use std::fmt::Write as _;
+
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes and every control character.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// What [`validate`] learned about the document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

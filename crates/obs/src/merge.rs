@@ -103,10 +103,6 @@ fn parse_ring_line(line: &str) -> Result<RingEvent, String> {
     Ok(RingEvent { t_ns: t_ns as u64, tid: tid as u64, ph, name, val: val as u64, is_counter })
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// Render the rings as one Chrome trace-event document, one event per
 /// line. Process `i` becomes `pid` `i + 1`; the first ring is the
 /// reference clock.
@@ -124,7 +120,7 @@ pub fn merge(rings: &[ProcessRing]) -> Result<String, String> {
         write!(
             out,
             "{{\"process\":\"{}\",\"pid\":{},\"offset_ns\":{},\"uncertainty_ns\":{}}}",
-            escape(&r.name),
+            json::escape(&r.name),
             i + 1,
             r.offset_ns,
             r.uncertainty_ns
@@ -147,7 +143,7 @@ pub fn merge(rings: &[ProcessRing]) -> Result<String, String> {
             format!(
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"ts\":0.000,\"name\":\"process_name\",\
                  \"args\":{{\"name\":\"{}\"}}}}",
-                escape(&r.name)
+                json::escape(&r.name)
             ),
         );
         for line in r.jsonl.lines().filter(|l| !l.is_empty()) {
@@ -358,6 +354,17 @@ mod tests {
         // Raw JSON validity incl. event count (metadata adds 3).
         let js = json::validate(&doc).unwrap();
         assert_eq!(js.trace_events, Some(13 + 3));
+    }
+
+    #[test]
+    fn process_names_with_control_characters_merge_into_valid_json() {
+        let mut rs = rings();
+        rs[1].name = "backend\n\"a\"\\\t\u{1}".into();
+        let doc = merge(&rs).unwrap();
+        let js = json::validate(&doc).expect("escaped names keep the document valid");
+        assert_eq!(js.trace_events, Some(13 + 3));
+        assert_eq!(check(&doc).expect("merged trace checks out").processes, 3);
+        assert!(doc.contains("backend\\n\\\"a\\\"\\\\\\t\\u0001"), "{doc}");
     }
 
     #[test]

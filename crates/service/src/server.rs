@@ -408,6 +408,8 @@ impl Daemon {
 
     /// The per-job pipeline. The job is already in the `Running` state.
     fn process(&self, job: &Job) {
+        #[cfg(test)]
+        tests::hold_blocker(job);
         let trace_id = job.ctx.map_or(0, |c| c.trace_id);
         // A sampled trace context nests this job's pipeline spans
         // (`abstract_interp`, `unfold`, `smt_query`, …) under a
@@ -784,6 +786,32 @@ mod tests {
         session { t1 }\n\
         session { t2 }";
 
+    /// A job with this source holds its worker `Running` until it is
+    /// cancelled: a blocker that does not depend on how long any
+    /// analysis takes.
+    const BLOCKER: &str = "store { register R; }\n\
+        txn hold_until_cancelled() { R.put(1); }\n\
+        session { hold_until_cancelled }";
+
+    /// Called first thing in [`Daemon::process`] in test builds.
+    pub(super) fn hold_blocker(job: &Job) {
+        if job.source == BLOCKER {
+            while !job.cancel.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    /// Submits [`BLOCKER`] and waits until a worker runs it.
+    fn start_blocker(client: &Client) -> u64 {
+        let blocker = client.submit(BLOCKER, &c4::AnalysisFeatures::default()).unwrap();
+        while client.status(blocker).unwrap() == JobState::Queued {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(client.status(blocker).unwrap(), JobState::Running);
+        blocker
+    }
+
     fn start(cache_dir: Option<PathBuf>) -> (ServerHandle, Client) {
         let handle = serve(ServerConfig {
             tcp: Some("127.0.0.1:0".into()),
@@ -958,38 +986,20 @@ mod tests {
         .unwrap();
         let client = Client::new(Endpoint::Tcp(handle.tcp_addr.clone().unwrap()));
 
-        // A conflict-heavy program with a large bound keeps the single
-        // worker busy for hundreds of milliseconds — orders of
-        // magnitude longer than the sub-millisecond submit/cancel
-        // round-trips below.
-        let slow_prog = "store { map M; map N; }\n\
-            txn a(k, v) { M.put(k, v); N.put(k, v); }\n\
-            txn b(k) { if (M.contains(k)) { N.remove(k); } }\n\
-            txn c(k, v) { N.put(k, v); M.remove(k); }\n\
-            txn d(k) { if (N.contains(k)) { M.put(k, 1); } }\n\
-            session { a, b, c }\n\
-            session { c, d, a }\n\
-            session { a, d, b }\n\
-            session { b, c, d }\n\
-            session { d, a, c }";
-        let mut slow = c4::AnalysisFeatures::default();
-        slow.max_k = 15;
-        let blocker = client.submit(slow_prog, &slow).unwrap();
-        // Wait until the worker has actually claimed the blocker, so
+        // The blocker holds the only worker until it is cancelled, so
         // the next submission is deterministically stuck behind it.
-        while client.status(blocker).unwrap() == JobState::Queued {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        let queued = client.submit(slow_prog, &slow).unwrap();
+        let blocker = start_blocker(&client);
+        let queued = client.submit(PROG, &c4::AnalysisFeatures::default()).unwrap();
         assert!(client.cancel(queued).unwrap(), "queued job cancels");
         assert_eq!(client.status(queued).unwrap(), JobState::Cancelled);
+        assert_eq!(client.status(blocker).unwrap(), JobState::Running, "blocker still runs");
         // Cancel the blocker too so shutdown drains fast (cooperative:
         // the worker stops at its next deadline checkpoint).
-        client.cancel(blocker).unwrap();
+        assert!(client.cancel(blocker).unwrap());
 
         client.shutdown().unwrap();
         assert!(
-            client.submit(slow_prog, &slow).is_err(),
+            client.submit(PROG, &c4::AnalysisFeatures::default()).is_err(),
             "draining daemon rejects new submissions"
         );
         handle.wait();
@@ -1052,30 +1062,12 @@ mod tests {
 
         // Busy: occupy the single worker, fill the 1-slot queue, and
         // the next submission gets a typed retry-after, not an error.
-        let slow_prog = "store { map M; map N; }\n\
-            txn a(k, v) { M.put(k, v); N.put(k, v); }\n\
-            txn b(k) { if (M.contains(k)) { N.remove(k); } }\n\
-            txn c(k, v) { N.put(k, v); M.remove(k); }\n\
-            session { a, b, c }\n\
-            session { c, a, b }\n\
-            session { b, c, a }";
-        let mut slow = c4::AnalysisFeatures::default();
-        slow.max_k = 12;
-        let blocker = client.submit(slow_prog, &slow).unwrap();
-        while client.status(blocker).unwrap() == JobState::Queued {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut slow2 = slow.clone();
-        slow2.max_k = 13;
-        let queued = client.submit(slow_prog, &slow2).unwrap();
-
-        let mut slow3 = slow.clone();
-        slow3.max_k = 14;
+        let blocker = start_blocker(&client);
+        let queued = client.submit(BLOCKER, &c4::AnalysisFeatures::default()).unwrap();
         let mut s = TcpStream::connect(&addr).unwrap();
         crate::proto::write_frame(
             &mut s,
-            &Request::Submit { wait: false, features: slow3, source: slow_prog.into(), ctx: None }
-                .encode(),
+            &Request::Submit { wait: false, features, source: BLOCKER.into(), ctx: None }.encode(),
         )
         .unwrap();
         let payload = crate::proto::read_frame(&mut s).unwrap().expect("open");
@@ -1087,6 +1079,7 @@ mod tests {
         }
         let health = client.health().unwrap();
         assert_eq!(health.queue_len, 1, "one job queued behind the runner");
+        assert_eq!(client.status(blocker).unwrap(), JobState::Running, "blocker still runs");
 
         client.cancel(queued).unwrap();
         client.cancel(blocker).unwrap();

@@ -19,6 +19,13 @@ cargo test -q
 echo "==> report goldens (release)"
 cargo test --release -q -p c4-tests --test report_golden
 
+# The SSG stage against its oracles over the whole suite, atomic-set
+# views included: the pair tables against direct Kleene evaluation, and
+# the one-pass candidate enumeration against the collect-sort-dedup
+# reference (debug builds above sweep the cheap programs).
+echo "==> SSG oracles (release)"
+cargo test --release -q -p c4-tests --test ssg_oracle
+
 # Figure 13 runs the feature ablations (commutativity, absorption,
 # constraints, control flow off) that no test covers; its output is
 # pinned in tests/golden/figure13.txt (EXPERIMENTS.md §Figure 13a/13b).
@@ -212,26 +219,20 @@ S2=$(awk '/^c4d_jobs_submitted_total /{print $2}' "$SMOKE_DIR/m2.txt")
     "$SMOKE_DIR/a.ccl" | grep "^trace: " >/dev/null
 ./target/release/trace_check "$SMOKE_DIR/daemon.jsonl"
 
-# Cancellation: occupy the single worker with a conflict-heavy
-# large-bound job, then cancel a job queued behind it (deterministic:
-# the queued job cannot have started).
-cat > "$SMOKE_DIR/slow.ccl" <<'CCL'
-store { map M; map N; }
-txn a(k, v) { M.put(k, v); N.put(k, v); }
-txn b(k) { if (M.contains(k)) { N.remove(k); } }
-txn c(k, v) { N.put(k, v); M.remove(k); }
-txn d(k) { if (N.contains(k)) { M.put(k, 1); } }
-session { a, b, c }
-session { c, d, a }
-session { a, d, b }
-session { b, c, d }
-session { d, a, c }
-CCL
-BLOCKER=$(./target/release/c4 --socket "$SOCK" submit --no-wait --max-k 15 "$SMOKE_DIR/slow.ccl" | awk '{print $2}')
-until ./target/release/c4 --socket "$SOCK" status "$BLOCKER" | grep "running\|done" >/dev/null; do sleep 0.05; done
+# Cancellation: occupy the single worker with a cold run of Relatd, the
+# suite's slowest program (hundreds of milliseconds, against a few for
+# the client calls below), then cancel a job queued behind it. The
+# blocker must still be running when that cancel lands: on a machine
+# fast enough to finish it first, the step fails instead of passing
+# without having cancelled a queued job.
+./target/release/suite_src Relatd > "$SMOKE_DIR/slow.ccl"
+BLOCKER=$(./target/release/c4 --socket "$SOCK" submit --no-wait --threads 1 --max-k 15 "$SMOKE_DIR/slow.ccl" | awk '{print $2}')
+until ./target/release/c4 --socket "$SOCK" status "$BLOCKER" | grep "running\|done" >/dev/null; do sleep 0.01; done
 QUEUED=$(./target/release/c4 --socket "$SOCK" submit --no-wait --max-k 15 "$SMOKE_DIR/slow.ccl" | awk '{print $2}')
 ./target/release/c4 --socket "$SOCK" cancel "$QUEUED" | grep "cancelled" >/dev/null
 (./target/release/c4 --socket "$SOCK" status "$QUEUED" || true) | grep "state: cancelled" >/dev/null
+./target/release/c4 --socket "$SOCK" status "$BLOCKER" | grep -q "state: running" \
+    || { echo "the blocker finished before the queued job's cancel landed" >&2; exit 1; }
 ./target/release/c4 --socket "$SOCK" cancel "$BLOCKER" >/dev/null || true
 
 ./target/release/c4 --socket "$SOCK" stats | grep "cache hits" >/dev/null
@@ -321,17 +322,20 @@ i=0
         || { echo "post-failover report for '$name' differs from direct daemon" >&2; exit 1; }
 done
 
-# Busy path: saturate the survivor (1 worker + 1 queue slot), then a
+# Busy path: saturate the survivor (1 worker + 1 queue slot, the
+# worker held by the cold Relatd run of the daemon smoke), then a
 # third submission through the gateway must surface the typed
 # retry-after as a clean error, not a hang or a panic.
-BLOCKER=$(./target/release/c4 --tcp "$ADDR_B" submit --no-wait --max-k 15 "$SMOKE_DIR/slow.ccl" | awk '{print $2}')
-until ./target/release/c4 --tcp "$ADDR_B" status "$BLOCKER" | grep -q "running"; do sleep 0.05; done
+BLOCKER=$(./target/release/c4 --tcp "$ADDR_B" submit --no-wait --threads 1 --max-k 15 "$SMOKE_DIR/slow.ccl" | awk '{print $2}')
+until ./target/release/c4 --tcp "$ADDR_B" status "$BLOCKER" | grep -q "running"; do sleep 0.01; done
 QUEUED=$(./target/release/c4 --tcp "$ADDR_B" submit --no-wait --max-k 15 "$SMOKE_DIR/slow.ccl" | awk '{print $2}')
 if ./target/release/c4 --tcp "$ADDR_GW" submit --max-k 15 "$SMOKE_DIR/slow.ccl" > "$GW_DIR/busy.txt" 2>&1; then
     echo "submission against a saturated cluster must fail" >&2; exit 1
 fi
 grep -q "retry after" "$GW_DIR/busy.txt" \
     || { echo "busy error lacks the retry-after hint:" >&2; cat "$GW_DIR/busy.txt" >&2; exit 1; }
+./target/release/c4 --tcp "$ADDR_B" status "$BLOCKER" | grep -q "state: running" \
+    || { echo "the blocker finished before the busy check landed" >&2; exit 1; }
 ./target/release/c4 --tcp "$ADDR_B" cancel "$QUEUED" > /dev/null
 ./target/release/c4 --tcp "$ADDR_B" cancel "$BLOCKER" > /dev/null || true
 
