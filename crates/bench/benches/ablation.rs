@@ -31,7 +31,7 @@ fn bench_pair_tables_ablation(c: &mut Criterion) {
             unfoldings(&h, &arena, 2)
                 .map(|u| {
                     let ssg = Ssg::of_unfolding(&u, &tables);
-                    candidate_cycles(&u, &ssg, &tables).len()
+                    candidate_cycles(&u, ssg, &tables).len()
                 })
                 .sum::<usize>()
         })

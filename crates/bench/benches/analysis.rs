@@ -72,8 +72,8 @@ fn bench_smt_query(c: &mut Criterion) {
     let (u, cand) = unfoldings(&h, &arena, 2)
         .find_map(|u| {
             let ssg = Ssg::of_unfolding(&u, &tables);
-            let cands = candidate_cycles(&u, &ssg, &tables);
-            cands.into_iter().next().map(|c| (u.clone(), c))
+            let first = candidate_cycles(&u, ssg, &tables).cycles().next();
+            first.map(|c| (u.clone(), c))
         })
         .expect("figure 1a has candidates");
     c.bench_function("smt_cycle_query/figure1a", |b| {

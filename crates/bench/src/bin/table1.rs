@@ -8,7 +8,8 @@
 //! one worker per hardware thread); results are identical for every
 //! setting. `--budget` caps
 //! each analysis run's wall clock (deadline hits are reported in the
-//! aggregates); `--stats` prints per-benchmark analysis statistics;
+//! aggregates); `--stats` prints per-benchmark analysis statistics and
+//! the process's peak RSS after the aggregates;
 //! `--json` emits one machine-readable JSON object per benchmark
 //! (verdict counts, stage timings, cache counters) instead of the
 //! table; `--cache-dir` routes every checker run through a persistent
@@ -243,6 +244,12 @@ fn main() {
     println!(
         "  workers: {workers}, validation failures: {validation_failures}, deadline hits: {deadline_hits}"
     );
+    if stats {
+        match c4_bench::peak_rss_kb() {
+            Some(kb) => println!("  peak RSS: {kb} kB"),
+            None => println!("  peak RSS: unavailable"),
+        }
+    }
     if validation_failures > 0 {
         eprintln!("error: {validation_failures} counter-example(s) failed concrete validation");
         std::process::exit(1);

@@ -13,6 +13,14 @@ pub fn secs(d: std::time::Duration) -> String {
     format!("{:.1}", d.as_secs_f64())
 }
 
+/// This process's peak resident set size in kB (`VmHWM` in
+/// `/proc/self/status`), where the platform reports one.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
 /// The Section 9.3 feature subsets: all 16 combinations of
 /// (commutativity, absorption, constraints, control-flow).
 pub fn feature_subsets() -> Vec<(String, AnalysisFeatures)> {

@@ -47,7 +47,9 @@
 //! driver's policies (no pool, no symmetry classes, no probe, no shared
 //! session). The differential tests compare the two.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -61,7 +63,8 @@ use crate::counterexample::CounterExample;
 use crate::encode::CycleEncoder;
 use crate::intern::TxArena;
 use crate::report::{AnalysisResult, AnalysisStats, Violation};
-use crate::ssg::{candidate_cycles, CandidateCycle, PairTables, Ssg, SsgLabel};
+use crate::ssg::{candidate_cycles, CandidateCycle, Candidates, PairTables, Ssg, SsgLabel};
+use crate::txset::TxSet;
 use crate::unfold::{arena_for, unfoldings, Unfolding, UnfoldingInstance};
 
 /// Feature toggles of the analysis (Section 9.3 ablations plus the
@@ -219,8 +222,11 @@ struct WorkRecord {
     /// SC1 passed and at least one candidate cycle exists (not computed
     /// for identity members).
     suspicious: bool,
-    /// Candidates in enumeration order, with the worker's verdicts.
-    cands: Vec<(CandidateCycle, CandOutcome)>,
+    /// Candidates in enumeration order: none for an identity member, and
+    /// a representative's stop where its worker hit the deadline.
+    cands: Candidates,
+    /// A representative's verdict per candidate, as discovered.
+    outcomes: Vec<CandOutcome>,
 }
 
 /// Symmetry role of an enumerated unfolding (DESIGN §5.12).
@@ -238,20 +244,34 @@ enum SymTag {
     Permuted { class: usize, fp: Vec<u64> },
 }
 
-/// Classifies an unfolding against the classes seen so far, keyed by
-/// canonical form and numbered in order of first appearance (`class`).
-/// Classification follows the enumeration order, so it does not depend
-/// on the worker count.
-fn classify(seen: &mut HashMap<Vec<u64>, (usize, Vec<u64>)>, u: &Unfolding) -> SymTag {
-    let fp = u.fp_seq();
-    let mut key = fp.clone();
-    key.sort_unstable();
-    match seen.get(&key) {
-        Some(&(class, ref rep_fp)) if fp == *rep_fp => SymTag::Identity { class },
-        Some(&(class, _)) => SymTag::Permuted { class, fp },
-        None => {
-            seen.insert(key, (seen.len(), fp.clone()));
-            SymTag::Rep { fp }
+/// Classifies unfoldings against the classes seen so far, keyed by
+/// canonical form (the sorted fingerprint sequence) and numbered in order
+/// of first appearance. Classification follows the enumeration order, so
+/// it does not depend on the worker count. Lookups go through two reused
+/// buffers; only a new class or a permuted member allocates.
+#[derive(Default)]
+struct Classifier {
+    /// Canonical key → (class number, the representative's per-session
+    /// fingerprints).
+    seen: HashMap<Vec<u64>, (usize, Vec<u64>)>,
+    /// The current unfolding's fingerprints, and their sorted copy.
+    fp: Vec<u64>,
+    key: Vec<u64>,
+}
+
+impl Classifier {
+    fn classify(&mut self, u: &Unfolding) -> SymTag {
+        u.fp_seq_into(&mut self.fp);
+        self.key.clone_from(&self.fp);
+        self.key.sort_unstable();
+        match self.seen.get(self.key.as_slice()) {
+            Some(&(class, ref rep_fp)) if self.fp == *rep_fp => SymTag::Identity { class },
+            Some(&(class, _)) => SymTag::Permuted { class, fp: self.fp.clone() },
+            None => {
+                let class = self.seen.len();
+                self.seen.insert(self.key.clone(), (class, self.fp.clone()));
+                SymTag::Rep { fp: self.fp.clone() }
+            }
         }
     }
 }
@@ -268,16 +288,55 @@ struct ClassRecord {
     /// The representative had candidate cycles. By the isomorphism
     /// between class members, so does every member (and vice versa).
     suspicious: bool,
-    /// Candidates in the representative's enumeration order.
-    cands: Vec<(CandidateCycle, CandOutcome)>,
-    /// Lookup from a candidate's canonical key (rep coordinates, minimal
-    /// node first) to its position in `cands`.
-    by_key: HashMap<CandKey, usize>,
+    /// The representative's candidates in its enumeration order, up to
+    /// where its merge stopped.
+    cands: Candidates,
+    /// The verdict committed for each candidate: `Pending` where it was
+    /// subsumed at the representative's position.
+    outcomes: Vec<CandOutcome>,
+    /// The refuted candidates as `(key hash, index)`, sorted. A permuted
+    /// member replays only a refutation (it re-solves on a pending or SAT
+    /// entry as on a missing one), so no other candidate needs a key.
+    refuted: Vec<(u64, u32)>,
 }
 
-/// A candidate cycle in class-canonical form: nodes and steps in rep
-/// coordinates, rotated so the minimal node leads.
-type CandKey = (Vec<usize>, Vec<(usize, usize, SsgLabel, usize, usize)>);
+impl ClassRecord {
+    /// Whether the representative refuted member candidate `i` of
+    /// `cands`, whose instances `map` takes to rep coordinates.
+    fn refutes(&self, cands: &Candidates, i: usize, map: &[usize]) -> bool {
+        let mapped = |n: usize| map[n];
+        let h = key_hash(canonical_steps(cands, i, mapped));
+        let lo = self.refuted.partition_point(|&(k, _)| k < h);
+        self.refuted[lo..].iter().take_while(|&&(k, _)| k == h).any(|&(_, j)| {
+            canonical_steps(&self.cands, j as usize, |n| n).eq(canonical_steps(cands, i, mapped))
+        })
+    }
+}
+
+/// Candidate `i`'s steps in class-canonical form: `(from, to, label,
+/// src_event, tgt_event)` with the nodes in rep coordinates (`map` takes
+/// an instance there), rotated so the step leaving the minimal node leads.
+fn canonical_steps<'c>(
+    cands: &'c Candidates,
+    i: usize,
+    map: impl Fn(usize) -> usize + Copy + 'c,
+) -> impl Iterator<Item = (usize, usize, SsgLabel, usize, usize)> + 'c {
+    let steps = cands.steps(i);
+    let edges = cands.ssg().edges();
+    let m = steps.len();
+    let r = (0..m).min_by_key(|&s| map(edges[steps[s] as usize].from)).unwrap_or(0);
+    (0..m).map(move |s| {
+        let e = &edges[steps[(r + s) % m] as usize];
+        (map(e.from), map(e.to), e.label, e.src_event, e.tgt_event)
+    })
+}
+
+/// The hash a canonical key is filed under in [`ClassRecord::refuted`].
+fn key_hash(steps: impl Iterator<Item = (usize, usize, SsgLabel, usize, usize)>) -> u64 {
+    let mut h = DefaultHasher::new();
+    steps.for_each(|step| step.hash(&mut h));
+    h.finish()
+}
 
 /// Matches member sessions to rep sessions with equal fingerprints
 /// (stable: ties pair up in ascending session order on both sides).
@@ -311,27 +370,53 @@ fn instance_map(u: &Unfolding, member_fp: &[u64], rep_fp: &[u64]) -> Vec<usize> 
     u.instances.iter().map(|inst| slot_index(rep_fp, smap[inst.session], inst.pos)).collect()
 }
 
-/// The canonical key of a candidate under an instance mapping.
-fn cand_key_mapped(cand: &CandidateCycle, map: &[usize]) -> CandKey {
-    let nodes: Vec<usize> = cand.nodes.iter().map(|&n| map[n]).collect();
-    let steps: Vec<(usize, usize, SsgLabel, usize, usize)> = cand
-        .steps
-        .iter()
-        .map(|e| (map[e.from], map[e.to], e.label, e.src_event, e.tgt_event))
-        .collect();
-    let n = nodes.len();
-    let r = (0..n).min_by_key(|&i| nodes[i]).unwrap_or(0);
-    let rot_nodes = (0..n).map(|i| nodes[(r + i) % n]).collect();
-    let rot_steps = (0..n).map(|i| steps[(r + i) % n]).collect();
-    (rot_nodes, rot_steps)
+/// Refills `txs` with the original transactions candidate `i` of `cands`
+/// runs through in `u`.
+fn load_txs(txs: &mut TxSet, u: &Unfolding, cands: &Candidates, i: usize) {
+    txs.clear();
+    for e in cands.edges(i) {
+        txs.insert(u.instances[e.from].orig_tx);
+    }
 }
 
-/// The original transactions a candidate cycle runs through.
+/// The merge's subsumption state: the committed violations' transaction
+/// sets, kept in step with `result.violations`, and the set of the
+/// candidate being merged.
+struct Subsumers {
+    /// The capacity of every set: the history's transaction count.
+    n_tx: usize,
+    sets: Vec<TxSet>,
+    txs: TxSet,
+}
+
+impl Subsumers {
+    fn new(n_tx: usize, violations: &[Violation]) -> Self {
+        let mut subs = Subsumers { n_tx, sets: Vec::new(), txs: TxSet::new(n_tx) };
+        subs.refresh(violations);
+        subs
+    }
+
+    /// Re-reads the committed violations after a SAT verdict changed them.
+    fn refresh(&mut self, violations: &[Violation]) {
+        self.sets = violations.iter().map(|v| TxSet::of(self.n_tx, v.txs.iter().copied())).collect();
+    }
+
+    /// Loads candidate `i`'s transactions in `u`; whether a committed
+    /// violation subsumes them.
+    fn load(&mut self, u: &Unfolding, cands: &Candidates, i: usize) -> bool {
+        load_txs(&mut self.txs, u, cands, i);
+        self.sets.iter().any(|v| v.is_subset(&self.txs))
+    }
+}
+
+/// The reference search's transaction set of a candidate: the original
+/// transactions it runs through.
 fn tx_set(u: &Unfolding, cand: &CandidateCycle) -> BTreeSet<usize> {
     cand.nodes.iter().map(|&n| u.instances[n].orig_tx).collect()
 }
 
-/// Whether any committed violation subsumes a candidate's transactions.
+/// Whether any committed violation subsumes a candidate's transactions
+/// (the reference search's test).
 fn subsumed(result: &AnalysisResult, txs: &BTreeSet<usize>) -> bool {
     result.violations.iter().any(|v| v.subsumes(txs))
 }
@@ -402,7 +487,7 @@ struct Round<'r> {
     deadline: &'r Deadline,
     /// The merged violations' transaction sets, republished by the merge
     /// after every record that committed a SAT verdict.
-    snapshot: RwLock<Vec<BTreeSet<usize>>>,
+    snapshot: RwLock<Vec<TxSet>>,
     /// Discovery runs on a pool and solves eagerly; otherwise it runs
     /// inline and the merge solves lazily.
     pool: bool,
@@ -417,6 +502,7 @@ struct Merge<'r> {
     /// The ledger charged for the solves the merge runs itself: the
     /// worker's own at one worker, the merge thread's in the pool.
     local: WorkerLocal,
+    subs: Subsumers,
 }
 
 /// The Algorithm 1 driver.
@@ -515,7 +601,7 @@ impl Checker {
                 if !cands.is_empty() {
                     result.stats.suspicious_unfoldings += 1;
                 }
-                for cand in cands {
+                for cand in cands.cycles() {
                     let txs = tx_set(&u, &cand);
                     if subsumed(result, &txs) {
                         result.stats.subsumed_candidates += 1;
@@ -526,7 +612,9 @@ impl Checker {
                     }
                     result.stats.smt_queries += 1;
                     let outcome = self.solve_candidate(&u, &cand, None, &mut local);
-                    self.commit_outcome(txs, &cand, outcome, k, result);
+                    self.commit_outcome(outcome, k, result, || {
+                        (txs, cand.steps.iter().map(|s| s.label).collect())
+                    });
                 }
             }
             local.fold(&mut result.stats, Some(0));
@@ -617,14 +705,13 @@ impl Checker {
         u: &Unfolding,
         tables: &PairTables,
         local: &mut WorkerLocal,
-    ) -> Vec<CandidateCycle> {
+    ) -> Candidates {
         let _span = c4_obs::span("ssg_filter");
         let t0 = Instant::now();
         let cands = if self.sc1_possible(u, tables) {
-            let ssg = Ssg::of_unfolding(u, tables);
-            candidate_cycles(u, &ssg, tables)
+            candidate_cycles(u, Ssg::of_unfolding(u, tables), tables)
         } else {
-            Vec::new()
+            Candidates::default()
         };
         local.ssg_filter += t0.elapsed();
         cands
@@ -710,14 +797,14 @@ impl Checker {
     /// Commits one candidate verdict to the result with the sequential
     /// subsumption semantics. A SAT verdict drops the committed violations
     /// it strictly subsumes (a smaller cycle subsumes a larger one) and
-    /// joins the set.
+    /// joins the set with the transactions and step labels that
+    /// `violation` yields; only a SAT verdict calls it.
     fn commit_outcome(
         &self,
-        txs: BTreeSet<usize>,
-        cand: &CandidateCycle,
         outcome: CandOutcome,
         k: usize,
         result: &mut AnalysisResult,
+        violation: impl FnOnce() -> (BTreeSet<usize>, Vec<SsgLabel>),
     ) {
         match outcome {
             CandOutcome::Pending => unreachable!("pending candidates are solved before commit"),
@@ -727,14 +814,37 @@ impl Checker {
                 if rendered.is_none() && self.features.validate_counterexamples {
                     result.stats.validation_failures += 1;
                 }
+                let (txs, labels) = violation();
                 result.violations.retain(|v| !(txs.is_subset(&v.txs) && txs != v.txs));
                 result.violations.push(Violation {
                     txs,
-                    labels: cand.steps.iter().map(|s| s.label).collect(),
+                    labels,
                     sessions: k,
                     counterexample: rendered,
                 });
             }
+        }
+    }
+
+    /// Commits the verdict of live candidate `i` of `cands`, whose
+    /// transactions `subs` holds, from the merge; the transaction set
+    /// becomes a `BTreeSet` only for a SAT verdict, which also refreshes
+    /// `subs`.
+    fn commit_merged(
+        &self,
+        subs: &mut Subsumers,
+        cands: &Candidates,
+        i: usize,
+        outcome: CandOutcome,
+        k: usize,
+        result: &mut AnalysisResult,
+    ) {
+        let sat = matches!(outcome, CandOutcome::Sat { .. });
+        self.commit_outcome(outcome, k, result, || {
+            (subs.txs.iter().collect(), cands.edges(i).map(|e| e.label).collect())
+        });
+        if sat {
+            subs.refresh(&result.violations);
         }
     }
 
@@ -749,27 +859,29 @@ impl Checker {
         deadline: &Deadline,
         result: &mut AnalysisResult,
     ) {
+        let subs = Subsumers::new(self.h.txs.len(), &result.violations);
         let round = Round {
             k,
             tables,
             deadline,
-            snapshot: RwLock::new(result.violations.iter().map(|v| v.txs.clone()).collect()),
+            snapshot: RwLock::new(subs.sets.clone()),
             pool: workers > 1,
         };
-        let mut m = Merge { round: &round, classes: Vec::new(), local: WorkerLocal::default() };
+        let mut m =
+            Merge { round: &round, classes: Vec::new(), local: WorkerLocal::default(), subs };
         if round.pool {
             self.discover_on_pool(arena, workers, &mut m, result);
             m.local.fold(&mut result.stats, None);
             return;
         }
-        let mut seen = HashMap::new();
+        let mut classifier = Classifier::default();
         let mut any = false;
         for (index, u) in unfoldings(&self.h, arena, k).enumerate() {
             if deadline.expired() {
                 break;
             }
             any = true;
-            let mut sym = classify(&mut seen, &u);
+            let mut sym = classifier.classify(&u);
             if let SymTag::Permuted { class, .. } = sym {
                 // The SSG stage is isomorphic across a class: a member of
                 // a class without candidates has none either, so it needs
@@ -807,21 +919,28 @@ impl Checker {
         local: &mut WorkerLocal,
     ) -> WorkRecord {
         let Round { tables, deadline, pool: eager, .. } = *round;
-        let mut rec = WorkRecord { index, sym, suspicious: false, cands: Vec::new() };
+        let mut rec = WorkRecord {
+            index,
+            sym,
+            suspicious: false,
+            cands: Candidates::default(),
+            outcomes: Vec::new(),
+        };
         if matches!(rec.sym, SymTag::Identity { .. }) {
             // All work replays off the rep's class record at merge time.
             return rec;
         }
-        let found = self.filter_candidates(u, tables, local);
-        rec.suspicious = !found.is_empty();
+        rec.cands = self.filter_candidates(u, tables, local);
+        rec.suspicious = !rec.cands.is_empty();
         if matches!(rec.sym, SymTag::Permuted { .. }) {
             // Candidate order is member specific, so only the SSG stage
             // runs here; verdicts resolve from the class record.
-            rec.cands = found.into_iter().map(|c| (c, CandOutcome::Pending)).collect();
             return rec;
         }
-        let covered = |cand: &CandidateCycle| {
-            let txs = tx_set(u, cand);
+        let cands = &rec.cands;
+        let mut txs = TxSet::new(self.h.txs.len());
+        let mut covered = |i: usize| {
+            load_txs(&mut txs, u, cands, i);
             round.snapshot.read().expect("subsumption snapshot lock").iter().any(|v| v.is_subset(&txs))
         };
         // Batched refutation probe: one disjunctive solve over the
@@ -831,10 +950,10 @@ impl Checker {
         // each candidate. The snapshot only grows and the violation set
         // cannot change while every verdict is Refuted, so every candidate
         // the merge finds live was part of the probed set.
-        rec.cands.reserve_exact(found.len());
         let mut all_refuted = false;
-        if found.len() >= 2 && !deadline.expired() {
-            let pending: Vec<&CandidateCycle> = found.iter().filter(|c| !covered(c)).collect();
+        if cands.len() >= 2 && !deadline.expired() {
+            let pending: Vec<CandidateCycle> =
+                (0..cands.len()).filter(|&i| !covered(i)).map(|i| cands.cycle(i)).collect();
             if pending.len() >= 2 {
                 let enc = session.insert(self.session(u, local));
                 let t1 = Instant::now();
@@ -847,12 +966,13 @@ impl Checker {
                 all_refuted = !sat;
             }
         }
-        for cand in found {
+        let mut outcomes = Vec::with_capacity(cands.len());
+        for i in 0..cands.len() {
             // Inline, nothing below costs time worth a deadline check.
             if eager && deadline.expired() {
                 break;
             }
-            let outcome = if eager && covered(&cand) {
+            let outcome = if eager && covered(i) {
                 local.preprune_skips += 1;
                 CandOutcome::Pending
             } else if all_refuted {
@@ -861,10 +981,12 @@ impl Checker {
                 CandOutcome::Pending
             } else {
                 let enc = session.get_or_insert_with(|| self.session(u, local));
-                self.solve_candidate(u, &cand, Some(enc), local)
+                self.solve_candidate(u, &cands.cycle(i), Some(enc), local)
             };
-            rec.cands.push((cand, outcome));
+            outcomes.push(outcome);
         }
+        rec.cands.truncate(outcomes.len());
+        rec.outcomes = outcomes;
         rec
     }
 
@@ -883,25 +1005,18 @@ impl Checker {
     ) {
         result.stats.unfoldings += 1;
         let sat_before = result.stats.smt_sat;
-        let WorkRecord { sym, suspicious, cands, .. } = rec;
+        let k = m.round.k;
+        let WorkRecord { sym, suspicious, mut cands, outcomes, .. } = rec;
         match sym {
             SymTag::Rep { fp } => {
                 result.stats.classes += 1;
                 if suspicious {
                     result.stats.suspicious_unfoldings += 1;
                 }
-                let mut class = ClassRecord {
-                    rep_fp: fp,
-                    suspicious,
-                    cands: Vec::with_capacity(cands.len()),
-                    by_key: HashMap::new(),
-                };
-                // The rep's own coordinates are already canonical.
-                let idmap: Vec<usize> =
-                    if suspicious { (0..u.instances.len()).collect() } else { Vec::new() };
-                for (cand, outcome) in cands {
-                    let txs = tx_set(u, &cand);
-                    let committed = if subsumed(result, &txs) {
+                let mut committed = Vec::with_capacity(outcomes.len());
+                let mut refuted = Vec::new();
+                for (i, outcome) in outcomes.into_iter().enumerate() {
+                    let outcome = if m.subs.load(u, &cands, i) {
                         result.stats.subsumed_candidates += 1;
                         CandOutcome::Pending
                     } else if m.round.deadline.expired() {
@@ -915,23 +1030,34 @@ impl Checker {
                             // this is a self-check path.
                             CandOutcome::Pending if m.round.pool => {
                                 result.stats.preprune_fallbacks += 1;
-                                self.solve_candidate(u, &cand, None, &mut m.local)
+                                self.solve_candidate(u, &cands.cycle(i), None, &mut m.local)
                             }
                             CandOutcome::Pending => {
                                 let enc =
                                     session.get_or_insert_with(|| self.session(u, &mut m.local));
-                                self.solve_candidate(u, &cand, Some(enc), &mut m.local)
+                                self.solve_candidate(u, &cands.cycle(i), Some(enc), &mut m.local)
                             }
                             o => o,
                         };
-                        self.commit_outcome(txs, &cand, outcome.clone(), m.round.k, result);
+                        if let CandOutcome::Refuted = outcome {
+                            // The rep's own coordinates are canonical.
+                            refuted.push((key_hash(canonical_steps(&cands, i, |n| n)), i as u32));
+                        }
+                        self.commit_merged(&mut m.subs, &cands, i, outcome.clone(), k, result);
                         outcome
                     };
-                    class.by_key.insert(cand_key_mapped(&cand, &idmap), class.cands.len());
-                    class.cands.push((cand, committed));
+                    committed.push(outcome);
                 }
+                cands.truncate(committed.len());
+                refuted.sort_unstable();
                 m.local.retire(session.take());
-                m.classes.push(class);
+                m.classes.push(ClassRecord {
+                    rep_fp: fp,
+                    suspicious,
+                    cands,
+                    outcomes: committed,
+                    refuted,
+                });
             }
             SymTag::Identity { class } => {
                 result.stats.class_members_skipped += 1;
@@ -940,9 +1066,8 @@ impl Checker {
                     return;
                 }
                 result.stats.suspicious_unfoldings += 1;
-                for (cand, known) in &class.cands {
-                    let txs = tx_set(u, cand);
-                    if subsumed(result, &txs) {
+                for (i, known) in class.outcomes.iter().enumerate() {
+                    if m.subs.load(u, &class.cands, i) {
                         result.stats.subsumed_candidates += 1;
                         continue;
                     }
@@ -951,13 +1076,15 @@ impl Checker {
                     }
                     result.stats.smt_queries += 1;
                     let outcome = match known {
-                        CandOutcome::Pending => self.solve_candidate(u, cand, None, &mut m.local),
+                        CandOutcome::Pending => {
+                            self.solve_candidate(u, &class.cands.cycle(i), None, &mut m.local)
+                        }
                         o => {
                             c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
                             o.clone()
                         }
                     };
-                    self.commit_outcome(txs, cand, outcome, m.round.k, result);
+                    self.commit_merged(&mut m.subs, &class.cands, i, outcome, k, result);
                 }
             }
             SymTag::Permuted { class, fp } => {
@@ -968,9 +1095,8 @@ impl Checker {
                 let class = &m.classes[class];
                 result.stats.suspicious_unfoldings += 1;
                 let map = instance_map(u, &fp, &class.rep_fp);
-                for (cand, _) in cands {
-                    let txs = tx_set(u, &cand);
-                    if subsumed(result, &txs) {
+                for i in 0..cands.len() {
+                    if m.subs.load(u, &cands, i) {
                         result.stats.subsumed_candidates += 1;
                         continue;
                     }
@@ -978,21 +1104,18 @@ impl Checker {
                         break;
                     }
                     result.stats.smt_queries += 1;
-                    let key = cand_key_mapped(&cand, &map);
-                    let outcome = match class.by_key.get(&key).map(|&i| &class.cands[i].1) {
-                        Some(CandOutcome::Refuted) => {
-                            c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
-                            CandOutcome::Refuted
-                        }
-                        _ => self.solve_candidate(u, &cand, None, &mut m.local),
+                    let outcome = if class.refutes(&cands, i, &map) {
+                        c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
+                        CandOutcome::Refuted
+                    } else {
+                        self.solve_candidate(u, &cands.cycle(i), None, &mut m.local)
                     };
-                    self.commit_outcome(txs, &cand, outcome, m.round.k, result);
+                    self.commit_merged(&mut m.subs, &cands, i, outcome, k, result);
                 }
             }
         }
         if result.stats.smt_sat != sat_before {
-            *m.round.snapshot.write().expect("subsumption snapshot lock") =
-                result.violations.iter().map(|v| v.txs.clone()).collect();
+            *m.round.snapshot.write().expect("subsumption snapshot lock") = m.subs.sets.clone();
         }
     }
 
@@ -1011,7 +1134,7 @@ impl Checker {
         // The dispenser classifies each unfolding under its lock, in
         // enumeration order.
         let dispenser =
-            Mutex::new((unfoldings(&self.h, arena, round.k).enumerate(), HashMap::new()));
+            Mutex::new((unfoldings(&self.h, arena, round.k).enumerate(), Classifier::default()));
         // Unfoldings handed out but not yet merged — the resident window
         // the streaming enumeration keeps alive at any instant.
         let dispensed = AtomicUsize::new(0);
@@ -1041,9 +1164,9 @@ impl Checker {
                             }
                             {
                                 let mut guard = dispenser.lock().expect("dispenser lock");
-                                let (it, seen) = &mut *guard;
+                                let (it, classifier) = &mut *guard;
                                 for (index, u) in it.by_ref().take(CHUNK) {
-                                    let sym = classify(seen, &u);
+                                    let sym = classifier.classify(&u);
                                     chunk.push((index, u, sym));
                                 }
                                 dispensed.fetch_add(chunk.len(), Ordering::Relaxed);

@@ -1031,7 +1031,7 @@ impl<'a> CycleEncoder<'a> {
     /// unfoldings have no feasible candidate at all. SAT only says *some*
     /// candidate is feasible; the caller falls back to the exact
     /// per-candidate path to find out which.
-    pub fn check_shared_any(&mut self, cands: &[&CandidateCycle]) -> bool {
+    pub fn check_shared_any(&mut self, cands: &[CandidateCycle]) -> bool {
         let mut disjuncts = Vec::with_capacity(cands.len());
         for cand in cands {
             let m = cand.nodes.len();
@@ -1202,7 +1202,7 @@ mod tests {
         let mut found = false;
         'outer: for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &tables);
-            for cand in candidate_cycles(&u, &ssg, &tables) {
+            for cand in candidate_cycles(&u, ssg, &tables).cycles() {
                 let mut enc = CycleEncoder::new(&u, &far, &features);
                 if let Some(model) = enc.check(&cand) {
                     // Model sanity: vis respects so.
@@ -1242,7 +1242,7 @@ mod tests {
         let features = AnalysisFeatures::default();
         for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &tables);
-            for cand in candidate_cycles(&u, &ssg, &tables) {
+            for cand in candidate_cycles(&u, ssg, &tables).cycles() {
                 let mut enc = CycleEncoder::new(&u, &far, &features);
                 assert!(
                     enc.check(&cand).is_none(),
@@ -1272,7 +1272,7 @@ mod tests {
         let mut found = false;
         for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &tables);
-            for cand in candidate_cycles(&u, &ssg, &tables) {
+            for cand in candidate_cycles(&u, ssg, &tables).cycles() {
                 let mut enc = CycleEncoder::new(&u, &far, &features);
                 if enc.check(&cand).is_some() {
                     found = true;

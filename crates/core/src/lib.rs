@@ -37,6 +37,7 @@ pub mod intern;
 pub mod report;
 pub mod si;
 pub mod ssg;
+mod txset;
 pub mod unfold;
 
 pub use abstract_history::{AbsArg, AbsEventSpec, AbsTx, AbstractHistory, Cond, Node, RelOp};

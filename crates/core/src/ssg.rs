@@ -483,7 +483,9 @@ fn dependency_label(e: &AbsEventSpec, f: &AbsEventSpec) -> Option<SsgLabel> {
 }
 
 /// A candidate cycle in an unfolding's SSG: instance indices and the label
-/// (with witnesses) chosen for each step `nodes[i] → nodes[(i+1)%m]`.
+/// (with witnesses) chosen for each step `nodes[i] → nodes[(i+1)%m]`. The
+/// encoder's input, materialized from [`Candidates`] for a candidate that
+/// is solved.
 #[derive(Debug, Clone)]
 pub struct CandidateCycle {
     /// The instance indices, in cycle order.
@@ -495,9 +497,92 @@ pub struct CandidateCycle {
 impl CandidateCycle {
     /// SC1: at least two ⊖ steps, or a ⊖ and a ⊗ step.
     pub fn satisfies_sc1(&self) -> bool {
-        let anti = self.steps.iter().filter(|e| e.label == SsgLabel::Anti).count();
-        let conflict = self.steps.iter().filter(|e| e.label == SsgLabel::Conflict).count();
-        anti >= 2 || (anti >= 1 && conflict >= 1)
+        sc1(self.steps.iter().map(|e| e.label))
+    }
+}
+
+/// SC1 over a cycle's step labels.
+fn sc1(labels: impl Iterator<Item = SsgLabel>) -> bool {
+    let (mut anti, mut conflict) = (0usize, 0usize);
+    for label in labels {
+        anti += (label == SsgLabel::Anti) as usize;
+        conflict += (label == SsgLabel::Conflict) as usize;
+    }
+    anti >= 2 || (anti >= 1 && conflict >= 1)
+}
+
+/// The candidate cycles of one unfolding, in enumeration order, stored
+/// compactly with the SSG they run through: a candidate is the run of
+/// its steps' edge indices into that SSG, and a step's source node is
+/// its edge's `from`. No candidate owns a heap block; the checker
+/// materializes one as a [`CandidateCycle`] for the encoder, and
+/// [`Candidates::cycles`] materializes them all.
+#[derive(Debug, Clone)]
+pub struct Candidates {
+    ssg: Ssg,
+    /// Every candidate's steps, concatenated.
+    steps: Vec<u32>,
+    /// `steps[ends[i - 1]..ends[i]]` are candidate `i`'s steps (from 0
+    /// for `i = 0`).
+    ends: Vec<u32>,
+}
+
+impl Default for Candidates {
+    /// No candidates, over the empty graph (which has no node whose
+    /// `starts` entry could be read, so it allocates none).
+    fn default() -> Self {
+        let ssg = Ssg { n: 0, edges: Vec::new(), starts: Vec::new() };
+        Candidates { ssg, steps: Vec::new(), ends: Vec::new() }
+    }
+}
+
+impl Candidates {
+    /// The number of candidates.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no candidates.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The SSG the candidates run through (the empty graph when there
+    /// are none).
+    pub(crate) fn ssg(&self) -> &Ssg {
+        &self.ssg
+    }
+
+    /// Candidate `i`'s steps, as edge indices into [`Candidates::ssg`].
+    pub(crate) fn steps(&self, i: usize) -> &[u32] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.steps[start..self.ends[i] as usize]
+    }
+
+    /// Candidate `i`'s step edges, in cycle order.
+    pub(crate) fn edges(&self, i: usize) -> impl Iterator<Item = &SsgEdge> + '_ {
+        self.steps(i).iter().map(|&e| &self.ssg.edges[e as usize])
+    }
+
+    /// Candidate `i`, materialized.
+    pub(crate) fn cycle(&self, i: usize) -> CandidateCycle {
+        CandidateCycle {
+            nodes: self.edges(i).map(|e| e.from).collect(),
+            steps: self.edges(i).cloned().collect(),
+        }
+    }
+
+    /// Every candidate, materialized, in order.
+    pub fn cycles(&self) -> impl Iterator<Item = CandidateCycle> + '_ {
+        (0..self.len()).map(|i| self.cycle(i))
+    }
+
+    /// Keeps the first `n` candidates.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        if n < self.len() {
+            self.ends.truncate(n);
+            self.steps.truncate(self.ends.last().map_or(0, |&e| e as usize));
+        }
     }
 }
 
@@ -594,22 +679,30 @@ pub fn eo_reachability(tx: &AbsTx) -> Vec<Vec<bool>> {
 /// once. A step's label options are the `(from, to)` group of the
 /// edges; a cycle that passes SC2 yields every SC1-passing choice of
 /// one edge per step, the first step's choice varying fastest.
-pub fn candidate_cycles(u: &Unfolding, ssg: &Ssg, tables: &PairTables) -> Vec<CandidateCycle> {
+pub fn candidate_cycles(u: &Unfolding, ssg: Ssg, tables: &PairTables) -> Candidates {
     let mut walk = CycleWalk {
         u,
-        ssg,
+        ssg: &ssg,
         tables,
         path: Vec::new(),
         on_path: vec![false; ssg.n],
         options: Vec::new(),
-        out: Vec::new(),
+        choice: Vec::new(),
+        steps: Vec::new(),
+        ends: Vec::new(),
     };
     for start in 0..ssg.n {
         walk.path.push(start);
         walk.visit(start);
         walk.path.pop();
     }
-    walk.out
+    let CycleWalk { steps, ends, .. } = walk;
+    if ends.is_empty() {
+        // Class records outlive the unfolding; keep no graph for them
+        // that no candidate runs through.
+        return Candidates::default();
+    }
+    Candidates { ssg, steps, ends }
 }
 
 /// The state of [`candidate_cycles`]'s walk.
@@ -621,25 +714,33 @@ struct CycleWalk<'a> {
     path: Vec<usize>,
     /// Membership of the nodes after the start in `path`.
     on_path: Vec<bool>,
-    /// The edge group of each step taken along `path`.
-    options: Vec<&'a [SsgEdge]>,
-    out: Vec<CandidateCycle>,
+    /// The edge group of each step taken along `path`, as `(first edge
+    /// index, group size)`.
+    options: Vec<(u32, u32)>,
+    /// Scratch: the label-choice counter of [`CycleWalk::emit`].
+    choice: Vec<u32>,
+    /// The output, laid out as in [`Candidates`].
+    steps: Vec<u32>,
+    ends: Vec<u32>,
 }
 
 impl<'a> CycleWalk<'a> {
     fn visit(&mut self, v: usize) {
         let start = self.path[0];
         let ssg = self.ssg;
+        let mut first = u32::try_from(ssg.starts[v]).expect("SSG edge indices fit in u32");
         for group in ssg.outgoing(v).chunk_by(|a, b| a.to == b.to) {
             let w = group[0].to;
+            let option = (first, group.len() as u32);
+            first += option.1;
             if w == start {
                 if self.path.len() >= 2 {
-                    self.options.push(group);
+                    self.options.push(option);
                     self.emit();
                     self.options.pop();
                 }
             } else if w > start && !self.on_path[w] {
-                self.options.push(group);
+                self.options.push(option);
                 self.path.push(w);
                 self.on_path[w] = true;
                 self.visit(w);
@@ -657,12 +758,13 @@ impl<'a> CycleWalk<'a> {
             return;
         }
         let m = self.path.len();
-        let mut choice = vec![0usize; m];
+        self.choice.clear();
+        self.choice.resize(m, 0);
         loop {
-            let steps = (0..m).map(|i| self.options[i][choice[i]].clone()).collect();
-            let cand = CandidateCycle { nodes: self.path.clone(), steps };
-            if cand.satisfies_sc1() {
-                self.out.push(cand);
+            let chosen = |i: usize| self.options[i].0 + self.choice[i];
+            if sc1((0..m).map(|i| self.ssg.edges[chosen(i) as usize].label)) {
+                self.steps.extend((0..m).map(chosen));
+                self.ends.push(u32::try_from(self.steps.len()).expect("candidate steps fit in u32"));
             }
             // Advance the mixed-radix counter.
             let mut i = 0;
@@ -670,11 +772,11 @@ impl<'a> CycleWalk<'a> {
                 if i == m {
                     return;
                 }
-                choice[i] += 1;
-                if choice[i] < self.options[i].len() {
+                self.choice[i] += 1;
+                if self.choice[i] < self.options[i].1 {
                     break;
                 }
-                choice[i] = 0;
+                self.choice[i] = 0;
                 i += 1;
             }
         }
@@ -726,10 +828,10 @@ mod tests {
         let mut total = 0;
         for u in unfoldings(h, &arena, k) {
             let ssg = Ssg::of_unfolding(&u, &tables);
-            let got = candidate_cycles(&u, &ssg, &tables);
             let want = reference::candidate_cycles(&u, &ssg, &tables);
+            let got = candidate_cycles(&u, ssg, &tables);
             assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
+            for (g, w) in got.cycles().zip(&want) {
                 assert_eq!(g.nodes, w.nodes);
                 assert_eq!(g.steps, w.steps);
             }
@@ -771,7 +873,7 @@ mod tests {
         let (arena, tables) = tables_for(&h);
         for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &tables);
-            let cands = candidate_cycles(&u, &ssg, &tables);
+            let cands = candidate_cycles(&u, ssg, &tables);
             assert!(cands.is_empty(), "global-key program must have no candidates");
         }
     }
@@ -793,7 +895,7 @@ mod tests {
         let mut any = false;
         for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &tables);
-            any |= !candidate_cycles(&u, &ssg, &tables).is_empty();
+            any |= !candidate_cycles(&u, ssg, &tables).is_empty();
         }
         assert!(any, "local-key program must keep candidate cycles");
     }
@@ -877,7 +979,7 @@ mod tests {
         let ssg = Ssg::of_unfolding(&u, &tables);
         let labels: Vec<SsgLabel> = ssg.outgoing(0).iter().map(|e| e.label).collect();
         assert_eq!(labels, [SsgLabel::Anti, SsgLabel::Dep, SsgLabel::Conflict]);
-        let cands = candidate_cycles(&u, &ssg, &tables);
+        let cands: Vec<CandidateCycle> = candidate_cycles(&u, ssg, &tables).cycles().collect();
         // 3 × 3 label choices, of which SC1 keeps those with two ⊖ or a
         // ⊖ and a ⊗: (⊖,⊖), (⊖,⊗), (⊗,⊖).
         let choices: Vec<(SsgLabel, SsgLabel)> =

@@ -67,7 +67,15 @@ impl Unfolding {
     /// structurally identical bodies there (names aside), so every
     /// analysis stage behaves identically on that session.
     pub fn fp_seq(&self) -> Vec<u64> {
-        let mut fp = vec![0u64; self.k];
+        let mut fp = Vec::new();
+        self.fp_seq_into(&mut fp);
+        fp
+    }
+
+    /// [`Unfolding::fp_seq`] into a reused buffer.
+    pub(crate) fn fp_seq_into(&self, fp: &mut Vec<u64>) {
+        fp.clear();
+        fp.resize(self.k, 0);
         for inst in &self.instances {
             let shape = self.arena.shape(inst.orig_tx as BodyId) as u64 + 1;
             if inst.pos == 0 {
@@ -76,7 +84,6 @@ impl Unfolding {
                 fp[inst.session] |= shape;
             }
         }
-        fp
     }
 
     /// Canonical form under session permutation: the sorted fingerprint

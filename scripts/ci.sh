@@ -53,6 +53,12 @@ cargo test --release -q -p c4-tests --test frame_golden --test wire_fuzz
 echo "==> serving soak (release)"
 cargo test --release -q -p c4-tests --test serving_soak
 
+# The candidate blow-up history at max_k = 3 (192 647 subsumed
+# candidates): the driver at 1 and 4 workers against the reference
+# search, and its release run's peak RSS within 70 MB.
+echo "==> blow-up history regression (release)"
+cargo test --release -q -p c4-tests --test blowup_regression
+
 # The driver against the policy-free reference search over the whole
 # suite, at 1 worker (incremental_differential) and 4 workers
 # (symmetry_differential); debug builds above check the cheap programs.
@@ -90,19 +96,18 @@ echo "==> table1 slice wall time: ${t1}s at 1 thread, ${tn}s at ${N} threads"
 # materialize the 88 620-unfolding Relatd run. The bound is generous
 # (the solver arenas legitimately grow) — it exists to catch a
 # reintroduced collect-everything regression, not to measure precisely.
-if [ -x /usr/bin/time ]; then
-    echo "==> Relatd peak-RSS guard"
-    RSS_LOG="$(mktemp)"
-    /usr/bin/time -v ./target/release/table1 --threads 1 Relatd > /dev/null 2> "$RSS_LOG"
-    PEAK_KB=$(awk -F': ' '/Maximum resident set size/ {print $2}' "$RSS_LOG")
-    echo "    peak RSS: ${PEAK_KB} kB"
-    if [ -n "$PEAK_KB" ] && [ "$PEAK_KB" -gt 524288 ]; then
-        echo "error: Relatd peak RSS ${PEAK_KB} kB exceeds the 512 MiB guard" >&2
-        exit 1
-    fi
-    rm -f "$RSS_LOG"
-else
-    echo "==> Relatd peak-RSS guard skipped (/usr/bin/time not present)"
+# `table1 --stats` reports its own peak RSS (VmHWM) after the aggregates;
+# the step fails if that measurement is missing.
+echo "==> Relatd peak-RSS guard"
+PEAK_KB=$(./target/release/table1 --threads 1 --stats Relatd | sed -n 's/^  peak RSS: \([0-9][0-9]*\) kB$/\1/p')
+if [ -z "$PEAK_KB" ]; then
+    echo "error: table1 --stats reported no peak RSS for Relatd" >&2
+    exit 1
+fi
+echo "    peak RSS: ${PEAK_KB} kB"
+if [ "$PEAK_KB" -gt 524288 ]; then
+    echo "error: Relatd peak RSS ${PEAK_KB} kB exceeds the 512 MiB guard" >&2
+    exit 1
 fi
 
 # Observability smoke: --trace must write a parseable trace whose

@@ -113,7 +113,7 @@ fn arb_body() -> impl Strategy<Value = Vec<(u8, u8)>> {
 
 /// Straight-line transactions `t0, t1, …` with the given bodies and free
 /// session order.
-fn history_of(bodies: Vec<Vec<(u8, u8)>>) -> AbstractHistory {
+pub fn history_of(bodies: Vec<Vec<(u8, u8)>>) -> AbstractHistory {
     use c4::abstract_history::{ev, straight_line_tx, AbsArg};
     use c4_store::op::OpKind;
     use c4_store::Value;
