@@ -53,13 +53,26 @@ impl DependencyTriple {
         far: &FarSpec,
         opts: &DepOptions,
     ) -> Self {
+        let ids: Vec<Option<SigId>> =
+            history.events().map(|e| far.sig_id(&e.op.object, &e.op.kind)).collect();
+        DependencyTriple::compute_resolved(history, schedule, far, &ids, opts)
+    }
+
+    /// [`DependencyTriple::compute`] with every event's signature id
+    /// already resolved against `far` (`ids[e]`, `None` outside its
+    /// alphabet).
+    pub(crate) fn compute_resolved(
+        history: &History,
+        schedule: &Schedule,
+        far: &FarSpec,
+        ids: &[Option<SigId>],
+        opts: &DepOptions,
+    ) -> Self {
         let n = history.len();
         let mut dep = Relation::new(n);
         let mut anti = Relation::new(n);
         let mut conflict = Relation::new(n);
         let op = |e: EventId| &history.event(e).op;
-        let ids: Vec<Option<SigId>> =
-            history.events().map(|e| far.sig_id(&e.op.object, &e.op.kind)).collect();
         let (updates, queries): (Vec<EventId>, Vec<EventId>) = (0..n)
             .map(|i| EventId(i as u32))
             .partition(|&e| history.event(e).is_update());

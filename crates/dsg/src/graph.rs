@@ -1,6 +1,5 @@
 //! The transaction-lifted dependency serialization graph (DSG).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use c4_algebra::FarSpec;
@@ -52,7 +51,10 @@ pub struct TxEdge {
 pub struct Dsg {
     tx_count: usize,
     edges: Vec<TxEdge>,
-    adjacency: HashMap<TxId, Vec<usize>>,
+    /// Outgoing edge indices of transaction `t`, in edge order:
+    /// `out[out_start[t]..out_start[t + 1]]`.
+    out_start: Vec<u32>,
+    out: Vec<u32>,
 }
 
 impl Dsg {
@@ -69,39 +71,76 @@ impl Dsg {
     }
 
     /// Builds the DSG from a precomputed dependency triple.
+    ///
+    /// Edges are listed `so` first, then ⊕, ⊖, ⊗ by source event; each
+    /// `(from, to, label)` appears once, with the first event pair in that
+    /// order as its witness. `so` is lifted per transaction: within a
+    /// session, the first event pair of transactions tᵢ before tⱼ is
+    /// `(first(tᵢ), first(tⱼ))`, because a transaction's events are
+    /// contiguous in its session and precede those of every later one.
     pub fn from_triple(history: &History, triple: &DependencyTriple) -> Self {
         let tx_count = history.transactions().count();
         let mut edges = Vec::new();
-        let mut push = |from: TxId, to: TxId, label: EdgeLabel, witness: (EventId, EventId)| {
-            if from != to {
-                edges.push(TxEdge { from, to, label, witness });
+        let mut firsts: Vec<(TxId, EventId)> = Vec::new();
+        for sess in history.sessions() {
+            firsts.clear();
+            for &e in sess {
+                let t = history.tx_of(e);
+                if firsts.last().map(|&(u, _)| u) != Some(t) {
+                    firsts.push((t, e));
+                }
             }
-        };
-        for (a, b) in history.so_pairs() {
-            push(history.tx_of(a), history.tx_of(b), EdgeLabel::SessionOrder, (a, b));
-        }
-        let n = history.len();
-        let ids = || (0..n).map(|i| EventId(i as u32));
-        for a in ids() {
-            for b in triple.dep.successors(a) {
-                push(history.tx_of(a), history.tx_of(b), EdgeLabel::Dep, (a, b));
-            }
-            for b in triple.anti.successors(a) {
-                push(history.tx_of(a), history.tx_of(b), EdgeLabel::Anti, (a, b));
-            }
-            for b in triple.conflict.successors(a) {
-                push(history.tx_of(a), history.tx_of(b), EdgeLabel::Conflict, (a, b));
+            for (i, &(from, a)) in firsts.iter().enumerate() {
+                for &(to, b) in &firsts[i + 1..] {
+                    let label = EdgeLabel::SessionOrder;
+                    edges.push(TxEdge { from, to, label, witness: (a, b) });
+                }
             }
         }
-        // Deduplicate identical (from, to, label) triples, keeping the
-        // first witness.
-        let mut seen = std::collections::HashSet::new();
-        edges.retain(|e| seen.insert((e.from, e.to, e.label)));
-        let mut adjacency: HashMap<TxId, Vec<usize>> = HashMap::new();
+        // One bit per (from, to, label) of the dependency labels.
+        let mut seen = vec![0u64; (tx_count * tx_count * 3).div_ceil(64)];
+        let relations = [
+            (&triple.dep, EdgeLabel::Dep),
+            (&triple.anti, EdgeLabel::Anti),
+            (&triple.conflict, EdgeLabel::Conflict),
+        ];
+        for a in (0..history.len()).map(|i| EventId(i as u32)) {
+            let from = history.tx_of(a);
+            for (l, &(relation, label)) in relations.iter().enumerate() {
+                for b in relation.successors(a) {
+                    let to = history.tx_of(b);
+                    if from == to {
+                        continue;
+                    }
+                    let bit = (from.index() * tx_count + to.index()) * 3 + l;
+                    if seen[bit / 64] & (1 << (bit % 64)) == 0 {
+                        seen[bit / 64] |= 1 << (bit % 64);
+                        edges.push(TxEdge { from, to, label, witness: (a, b) });
+                    }
+                }
+            }
+        }
+        // Counting sort of the edge indices by source, stable in edge order.
+        let mut out_start = vec![0u32; tx_count + 1];
+        for e in &edges {
+            out_start[e.from.index() + 1] += 1;
+        }
+        for t in 0..tx_count {
+            out_start[t + 1] += out_start[t];
+        }
+        let mut fill = out_start.clone();
+        let mut out = vec![0u32; edges.len()];
         for (i, e) in edges.iter().enumerate() {
-            adjacency.entry(e.from).or_default().push(i);
+            let slot = &mut fill[e.from.index()];
+            out[*slot as usize] = i as u32;
+            *slot += 1;
         }
-        Dsg { tx_count, edges, adjacency }
+        Dsg { tx_count, edges, out_start, out }
+    }
+
+    /// Outgoing edge indices of a transaction, in edge order.
+    fn out_indices(&self, t: TxId) -> &[u32] {
+        &self.out[self.out_start[t.index()] as usize..self.out_start[t.index() + 1] as usize]
     }
 
     /// The edges of the graph.
@@ -116,7 +155,7 @@ impl Dsg {
 
     /// Outgoing edges of a transaction.
     pub fn outgoing(&self, t: TxId) -> impl Iterator<Item = &TxEdge> {
-        self.adjacency.get(&t).into_iter().flatten().map(|&i| &self.edges[i])
+        self.out_indices(t).iter().map(|&i| &self.edges[i as usize])
     }
 
     /// Whether the graph is acyclic (Theorem 1's premise).
@@ -144,13 +183,13 @@ impl Dsg {
             let mut stack = vec![(TxId(start as u32), 0usize)];
             color[start] = Color::Gray;
             while let Some(&mut (node, ref mut cursor)) = stack.last_mut() {
-                let out = self.adjacency.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
+                let out = self.out_indices(node);
                 if *cursor >= out.len() {
                     color[node.index()] = Color::Black;
                     stack.pop();
                     continue;
                 }
-                let ei = out[*cursor];
+                let ei = out[*cursor] as usize;
                 *cursor += 1;
                 let edge = &self.edges[ei];
                 match color[edge.to.index()] {

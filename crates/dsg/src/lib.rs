@@ -39,7 +39,7 @@ pub mod deps;
 pub mod graph;
 pub mod locality;
 
-pub use concrete::ConcreteCheck;
+pub use concrete::{ConcreteCheck, LocalCheck};
 pub use deps::{DepOptions, DependencyTriple};
 pub use graph::{Dsg, EdgeLabel, TxEdge};
 pub use locality::{locality_violations, restrict_schedule};

@@ -78,7 +78,8 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> DynamicReport {
     // Each run's DSG uses the far relations of that run's own alphabet
     // (a wider one would weaken them). The check computes them once per
     // distinct alphabet of this exploration.
-    let check = ConcreteCheck::new();
+    let memo = ConcreteCheck::new();
+    let mut check = memo.local();
     for _ in 0..config.runs {
         let Some((history, schedule, names)) = one_run(program, config, &mut rng) else {
             continue;
@@ -106,11 +107,11 @@ fn one_run(
     let mut runner = TxnRunner::new(program);
     // Constants: globals one pool value, locals per session.
     for g in &program.globals {
-        runner.globals.insert(g.clone(), pool_value(rng, config.value_pool));
+        runner.set_global(g.clone(), pool_value(rng, config.value_pool));
     }
     for s in 0..config.sessions {
         for l in &program.locals {
-            runner.locals.insert((s, l.clone()), pool_value(rng, config.value_pool));
+            runner.set_local(s, l.clone(), pool_value(rng, config.value_pool));
         }
     }
     // Record which txn ran as the i-th transaction of each session.
@@ -120,7 +121,7 @@ fn one_run(
         let txn = &program.txns[rng.gen_range(0..program.txns.len())];
         let args: Vec<Value> =
             txn.params.iter().map(|_| pool_value(rng, config.value_pool)).collect();
-        if runner.run(&mut sim, sessions[s], s, &txn.name, args).is_err() {
+        if runner.run(&mut sim, sessions[s], s, &txn.name, &args).is_err() {
             return None;
         }
         session_log[s].push(txn.name.clone());

@@ -29,22 +29,66 @@ impl std::error::Error for ExecError {}
 ///
 /// Session-local and global constants receive the values supplied at
 /// construction; loops are bounded by `loop_fuel` to guarantee
-/// termination.
+/// termination. A run borrows the transaction body and the object
+/// declarations from the program; it clones no syntax.
 #[derive(Debug)]
 pub struct TxnRunner<'p> {
     program: &'p Program,
-    /// Values of the session-local constants, per session.
-    pub locals: HashMap<(usize, String), Value>,
+    /// Values of the session-local constants: `locals[session][name]`.
+    locals: Vec<HashMap<String, Value>>,
     /// Values of the global constants.
-    pub globals: HashMap<String, Value>,
+    globals: HashMap<String, Value>,
     /// Maximum loop iterations before the loop exits early.
     pub loop_fuel: u32,
+}
+
+/// The bindings of one run. A name resolves to its `let` binding, else
+/// the global constant, else the session's local constant, else the
+/// parameter.
+struct Env<'p, 'r> {
+    lets: Vec<(&'p str, Value)>,
+    globals: &'r HashMap<String, Value>,
+    locals: Option<&'r HashMap<String, Value>>,
+    params: &'p [String],
+    args: &'r [Value],
+}
+
+impl<'p> Env<'p, '_> {
+    fn get(&self, name: &str) -> Option<&Value> {
+        self.lets
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v)
+            .or_else(|| self.globals.get(name))
+            .or_else(|| self.locals.and_then(|l| l.get(name)))
+            .or_else(|| self.params.iter().rposition(|p| p == name).map(|i| &self.args[i]))
+    }
+
+    fn bind(&mut self, name: &'p str, v: Value) {
+        match self.lets.iter_mut().find(|(n, _)| *n == name) {
+            Some(slot) => slot.1 = v,
+            None => self.lets.push((name, v)),
+        }
+    }
 }
 
 impl<'p> TxnRunner<'p> {
     /// Creates a runner.
     pub fn new(program: &'p Program) -> Self {
-        TxnRunner { program, locals: HashMap::new(), globals: HashMap::new(), loop_fuel: 16 }
+        TxnRunner { program, locals: Vec::new(), globals: HashMap::new(), loop_fuel: 16 }
+    }
+
+    /// Sets the value of a session-local constant for one session.
+    pub fn set_local(&mut self, session: usize, name: impl Into<String>, value: Value) {
+        if self.locals.len() <= session {
+            self.locals.resize_with(session + 1, HashMap::new);
+        }
+        self.locals[session].insert(name.into(), value);
+    }
+
+    /// Sets the value of a global constant.
+    pub fn set_global(&mut self, name: impl Into<String>, value: Value) {
+        self.globals.insert(name.into(), value);
     }
 
     /// Runs one transaction (begin…commit) in the simulator session.
@@ -56,12 +100,12 @@ impl<'p> TxnRunner<'p> {
     /// Fails on arity mismatch or unknown names (consistent with the
     /// abstract interpreter's checks).
     pub fn run(
-        &mut self,
+        &self,
         sim: &mut CausalSim,
         sess: SimSession,
         session_id: usize,
         txn_name: &str,
-        args: Vec<Value>,
+        args: &[Value],
     ) -> Result<(), ExecError> {
         let Some(txn) = self.program.txn(txn_name) else {
             return Err(ExecError { message: format!("unknown txn `{txn_name}`") });
@@ -69,28 +113,25 @@ impl<'p> TxnRunner<'p> {
         if args.len() != txn.params.len() {
             return Err(ExecError { message: format!("arity mismatch calling `{txn_name}`") });
         }
-        let mut env: HashMap<String, Value> = txn.params.iter().cloned().zip(args).collect();
-        for (name, _) in self.locals.keys().cloned().collect::<Vec<_>>().iter().filter_map(|(s, n)| {
-            (*s == session_id).then_some((n.clone(), ()))
-        }) {
-            env.insert(name.clone(), self.locals[&(session_id, name)].clone());
-        }
-        for (g, v) in &self.globals {
-            env.insert(g.clone(), v.clone());
-        }
+        let mut env = Env {
+            lets: Vec::new(),
+            globals: &self.globals,
+            locals: self.locals.get(session_id),
+            params: &txn.params,
+            args,
+        };
         sim.begin(sess);
-        let body = txn.body.clone();
-        let result = self.stmts(sim, sess, &mut env, &body);
+        let result = self.stmts(sim, sess, &mut env, &txn.body);
         sim.commit(sess);
         result
     }
 
     fn stmts(
-        &mut self,
+        &self,
         sim: &mut CausalSim,
         sess: SimSession,
-        env: &mut HashMap<String, Value>,
-        stmts: &[Stmt],
+        env: &mut Env<'p, '_>,
+        stmts: &'p [Stmt],
     ) -> Result<(), ExecError> {
         for s in stmts {
             self.stmt(sim, sess, env, s)?;
@@ -99,11 +140,11 @@ impl<'p> TxnRunner<'p> {
     }
 
     fn stmt(
-        &mut self,
+        &self,
         sim: &mut CausalSim,
         sess: SimSession,
-        env: &mut HashMap<String, Value>,
-        s: &Stmt,
+        env: &mut Env<'p, '_>,
+        s: &'p Stmt,
     ) -> Result<(), ExecError> {
         match s {
             Stmt::Call(c) | Stmt::Display(c) => {
@@ -112,7 +153,7 @@ impl<'p> TxnRunner<'p> {
             }
             Stmt::Let(name, e) => {
                 let v = self.eval(sim, sess, env, e)?;
-                env.insert(name.clone(), v);
+                env.bind(name, v);
                 Ok(())
             }
             Stmt::If(cond, then, els) => {
@@ -140,11 +181,11 @@ impl<'p> TxnRunner<'p> {
     }
 
     fn cond(
-        &mut self,
+        &self,
         sim: &mut CausalSim,
         sess: SimSession,
-        env: &mut HashMap<String, Value>,
-        c: &Condition,
+        env: &mut Env<'p, '_>,
+        c: &'p Condition,
     ) -> Result<bool, ExecError> {
         for (l, op, r) in &c.atoms {
             let lv = self.eval(sim, sess, env, l)?;
@@ -173,11 +214,11 @@ impl<'p> TxnRunner<'p> {
     }
 
     fn eval(
-        &mut self,
+        &self,
         sim: &mut CausalSim,
         sess: SimSession,
-        env: &mut HashMap<String, Value>,
-        e: &Expr,
+        env: &mut Env<'p, '_>,
+        e: &'p Expr,
     ) -> Result<Value, ExecError> {
         match e {
             Expr::Int(v) => Ok(Value::int(*v)),
@@ -192,17 +233,16 @@ impl<'p> TxnRunner<'p> {
     }
 
     fn call(
-        &mut self,
+        &self,
         sim: &mut CausalSim,
         sess: SimSession,
-        env: &mut HashMap<String, Value>,
-        c: &CallExpr,
+        env: &mut Env<'p, '_>,
+        c: &'p CallExpr,
     ) -> Result<Value, ExecError> {
         let Some(decl) = self.program.object(&c.object) else {
             return Err(ExecError { message: format!("unknown object `{}`", c.object) });
         };
-        let decl = decl.clone();
-        let (kind, args): (OpKind, Vec<Value>) = match (&decl, &c.row_field) {
+        let (kind, args): (OpKind, Vec<Value>) = match (decl, &c.row_field) {
             (ObjectDecl::Table(fields), Some((row, field))) => {
                 let Some((_, fk)) = fields.iter().find(|(f, _)| f == field) else {
                     return Err(ExecError { message: format!("unknown field `{field}`") });
@@ -291,11 +331,11 @@ mod tests {
         let mut sim = CausalSim::new(2);
         let s0 = sim.session(0);
         let s1 = sim.session(1);
-        let mut runner = TxnRunner::new(&p);
-        runner.run(&mut sim, s0, 0, "P", vec![Value::str("A"), Value::int(1)]).unwrap();
-        runner.run(&mut sim, s1, 1, "P", vec![Value::str("B"), Value::int(2)]).unwrap();
-        runner.run(&mut sim, s0, 0, "G", vec![Value::str("B")]).unwrap();
-        runner.run(&mut sim, s1, 1, "G", vec![Value::str("A")]).unwrap();
+        let runner = TxnRunner::new(&p);
+        runner.run(&mut sim, s0, 0, "P", &[Value::str("A"), Value::int(1)]).unwrap();
+        runner.run(&mut sim, s1, 1, "P", &[Value::str("B"), Value::int(2)]).unwrap();
+        runner.run(&mut sim, s0, 0, "G", &[Value::str("B")]).unwrap();
+        runner.run(&mut sim, s1, 1, "G", &[Value::str("A")]).unwrap();
         sim.deliver_all();
         let (h, sched) = sim.into_history();
         sched.check(&h).unwrap();
@@ -319,9 +359,9 @@ mod tests {
         .unwrap();
         let mut sim = CausalSim::new(1);
         let s = sim.session(0);
-        let mut runner = TxnRunner::new(&p);
-        runner.run(&mut sim, s, 0, "t", vec![]).unwrap();
-        runner.run(&mut sim, s, 0, "t", vec![]).unwrap();
+        let runner = TxnRunner::new(&p);
+        runner.run(&mut sim, s, 0, "t", &[]).unwrap();
+        runner.run(&mut sim, s, 0, "t", &[]).unwrap();
         let (h, sched) = sim.into_history();
         sched.check(&h).unwrap();
         // First run increments by 5 (counter 0 < 2), second by 1.
@@ -356,7 +396,7 @@ mod tests {
         let s = sim.session(0);
         let mut runner = TxnRunner::new(&p);
         runner.loop_fuel = 3;
-        runner.run(&mut sim, s, 0, "spin", vec![]).unwrap();
+        runner.run(&mut sim, s, 0, "spin", &[]).unwrap();
         let (h, _) = sim.into_history();
         let incs = h.events().filter(|e| e.op.kind == OpKind::CtrInc).count();
         assert_eq!(incs, 3);
@@ -375,8 +415,8 @@ mod tests {
         let mut sim = CausalSim::new(1);
         let s = sim.session(0);
         let mut runner = TxnRunner::new(&p);
-        runner.locals.insert((0, "u".into()), Value::str("k0"));
-        runner.run(&mut sim, s, 0, "w", vec![Value::int(9)]).unwrap();
+        runner.set_local(0, "u", Value::str("k0"));
+        runner.run(&mut sim, s, 0, "w", &[Value::int(9)]).unwrap();
         let (h, _) = sim.into_history();
         let put = h.events().next().unwrap();
         assert_eq!(put.op.args[0], Value::str("k0"));

@@ -42,7 +42,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use c4_dsg::ConcreteCheck;
+use c4_dsg::{ConcreteCheck, LocalCheck};
 use c4_lang::ast::Program;
 use c4_lang::TxnRunner;
 use c4_store::sim::{CausalSim, PendingDelivery, SimSession};
@@ -50,7 +50,7 @@ use c4_store::{History, Schedule};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::trace::{foata_key, StableAction};
-use crate::vclock::VClock;
+use crate::vclock;
 use crate::workload::{self, Workload};
 
 /// Bounds and knobs of a model-checking run.
@@ -140,18 +140,40 @@ struct Ctx<'p> {
     dpor: bool,
     /// The leaf check, shared by every profile and worker of one call.
     check: &'p ConcreteCheck,
+    /// The interpreter, bound to the workload's constants; read-only
+    /// during runs, so every worker shares it.
+    runner: TxnRunner<'p>,
+    /// `overlap[a * txns + b]`: the static object footprints of
+    /// transaction declarations `a` and `b` intersect.
+    overlap: Vec<bool>,
 }
 
-impl Ctx<'_> {
-    fn runner(&self) -> TxnRunner<'_> {
-        let mut runner = TxnRunner::new(self.program);
-        for ((s, name), v) in &self.workload.locals {
-            runner.locals.insert((*s, name.clone()), v.clone());
+impl<'p> Ctx<'p> {
+    fn new(
+        program: &'p Program,
+        workload: &'p Workload,
+        dpor: bool,
+        check: &'p ConcreteCheck,
+    ) -> Self {
+        let (_, handles) = Node::root(workload.scripts.len());
+        let mut runner = TxnRunner::new(program);
+        for ((s, name), v) in &workload.locals {
+            runner.set_local(*s, name.clone(), v.clone());
         }
-        for (name, v) in &self.workload.globals {
-            runner.globals.insert(name.clone(), v.clone());
+        for (name, v) in &workload.globals {
+            runner.set_global(name.clone(), v.clone());
         }
-        runner
+        let f = &workload.footprints;
+        let overlap = f.iter().flat_map(|a| f.iter().map(move |b| !a.is_disjoint(b))).collect();
+        Ctx { program, workload, handles, dpor, check, runner, overlap }
+    }
+
+    /// Whether the footprints of session `s1`'s `k1`-th and session
+    /// `s2`'s `k2`-th scripted transactions intersect.
+    fn overlaps(&self, (s1, k1): (usize, usize), (s2, k2): (usize, usize)) -> bool {
+        let scripts = &self.workload.scripts;
+        let (a, b) = (scripts[s1][k1].txn, scripts[s2][k2].txn);
+        self.overlap[a * self.workload.footprints.len() + b]
     }
 
     /// Independence of two actions (see the module docs). `Run`
@@ -163,13 +185,7 @@ impl Ctx<'_> {
             (Action::Run { session }, Action::Deliver { to, .. })
             | (Action::Deliver { to, .. }, Action::Run { session }) => to != session,
             (Action::Run { session: s1 }, Action::Run { session: s2 }) => {
-                s1 != s2 && {
-                    let f1 = &self.workload.footprints
-                        [self.workload.scripts[*s1][node.pos[*s1]].txn];
-                    let f2 = &self.workload.footprints
-                        [self.workload.scripts[*s2][node.pos[*s2]].txn];
-                    f1.is_disjoint(f2)
-                }
+                s1 != s2 && !self.overlaps((*s1, node.pos[*s1]), (*s2, node.pos[*s2]))
             }
         }
     }
@@ -186,15 +202,7 @@ impl Ctx<'_> {
             (
                 StableAction::Run { session: s1, index: k1 },
                 StableAction::Run { session: s2, index: k2 },
-            ) => {
-                s1 == s2 || {
-                    let f1 =
-                        &self.workload.footprints[self.workload.scripts[*s1][*k1].txn];
-                    let f2 =
-                        &self.workload.footprints[self.workload.scripts[*s2][*k2].txn];
-                    !f1.is_disjoint(f2)
-                }
-            }
+            ) => s1 == s2 || self.overlaps((*s1, *k1), (*s2, *k2)),
         }
     }
 
@@ -227,10 +235,12 @@ struct Node {
     trace: Vec<StableAction>,
     /// Committed transaction → (session, per-session ordinal).
     tx_meta: Vec<(usize, usize)>,
-    /// Committed transaction → inclusive happens-before clock.
-    tx_clock: Vec<VClock>,
-    /// Replica → clock of its (causally closed) applied set.
-    replica_clock: Vec<VClock>,
+    /// Committed transaction t's inclusive happens-before clock, one
+    /// component per session: `tx_clock[t * sessions..][..sessions]`.
+    tx_clock: Vec<u32>,
+    /// Replica r's clock of its (causally closed) applied set, laid out
+    /// like `tx_clock`.
+    replica_clock: Vec<u32>,
     /// Outstanding deliveries `(tx, to)`.
     pending: Vec<(usize, usize)>,
     /// A concrete execution error occurred (branch is abandoned).
@@ -248,11 +258,23 @@ impl Node {
             trace: Vec::new(),
             tx_meta: Vec::new(),
             tx_clock: Vec::new(),
-            replica_clock: vec![VClock::new(sessions); sessions],
+            replica_clock: vec![0; sessions * sessions],
             pending: Vec::new(),
             failed: false,
         };
         (node, handles)
+    }
+
+    /// Committed transaction `tx`'s clock.
+    fn tx_clock(&self, tx: usize) -> &[u32] {
+        let lines = self.pos.len();
+        &self.tx_clock[tx * lines..][..lines]
+    }
+
+    /// Replica `r`'s clock.
+    fn replica_clock(&self, r: usize) -> &[u32] {
+        let lines = self.pos.len();
+        &self.replica_clock[r * lines..][..lines]
     }
 
     /// Enabled actions in canonical order. Deliveries are gated by the
@@ -270,7 +292,7 @@ impl Node {
                 continue; // useless delivery: target session is done
             }
             let line = self.tx_meta[tx].0;
-            if self.tx_clock[tx].leq_discounting(&self.replica_clock[to], line) {
+            if vclock::leq_discounting(self.tx_clock(tx), self.replica_clock(to), line) {
                 out.push(Action::Deliver { tx, to });
             }
         }
@@ -298,28 +320,23 @@ impl Node {
         out
     }
 
-    fn apply(&mut self, ctx: &Ctx<'_>, runner: &mut TxnRunner<'_>, a: Action) {
+    fn apply(&mut self, ctx: &Ctx<'_>, a: Action) {
         match a {
             Action::Run { session } => {
                 let k = self.pos[session];
                 let entry = &ctx.workload.scripts[session][k];
                 let name = &ctx.program.txns[entry.txn].name;
-                let res = runner.run(
-                    &mut self.sim,
-                    ctx.handles[session],
-                    session,
-                    name,
-                    entry.args.clone(),
-                );
+                let res =
+                    ctx.runner.run(&mut self.sim, ctx.handles[session], session, name, &entry.args);
                 self.pos[session] = k + 1;
                 let idx = self.sim.committed_count() - 1;
                 debug_assert_eq!(idx, self.tx_meta.len());
                 self.tx_meta.push((session, k));
-                let mut clock = self.replica_clock[session].clone();
-                clock.bump(session);
-                self.replica_clock[session] = clock.clone();
-                self.tx_clock.push(clock);
-                for r in 0..self.replica_clock.len() {
+                let lines = self.pos.len();
+                let clock = &mut self.replica_clock[session * lines..][..lines];
+                clock[session] += 1;
+                self.tx_clock.extend_from_slice(clock);
+                for r in 0..lines {
                     if r != session {
                         self.pending.push((idx, r));
                     }
@@ -338,7 +355,11 @@ impl Node {
                     .position(|&p| p == (tx, to))
                     .expect("delivery is pending");
                 self.pending.swap_remove(pos);
-                self.replica_clock[to].join(&self.tx_clock[tx]);
+                let lines = self.pos.len();
+                vclock::join(
+                    &mut self.replica_clock[to * lines..][..lines],
+                    &self.tx_clock[tx * lines..][..lines],
+                );
                 let (session, index) = self.tx_meta[tx];
                 self.trace.push(StableAction::Deliver { session, index, to });
             }
@@ -376,7 +397,13 @@ impl Acc {
 }
 
 /// Builds the DSG of a terminal node and records the outcome.
-fn settle_leaf(ctx: &Ctx<'_>, node: Node, profile: usize, acc: &mut Acc) {
+fn settle_leaf(
+    ctx: &Ctx<'_>,
+    check: &mut LocalCheck<'_>,
+    node: Node,
+    profile: usize,
+    acc: &mut Acc,
+) {
     if node.failed {
         acc.exec_errors += 1;
         return;
@@ -387,7 +414,7 @@ fn settle_leaf(ctx: &Ctx<'_>, node: Node, profile: usize, acc: &mut Acc) {
     let mut sim = node.sim;
     sim.deliver_all();
     let (history, schedule) = sim.into_history();
-    if let Some(sig) = cycle_signature(ctx, &history, &schedule) {
+    if let Some(sig) = cycle_signature(ctx, check, &history, &schedule) {
         acc.cyclic += 1;
         if !acc.found.iter().any(|f| f.violation == sig) {
             acc.found.push(Witness { violation: sig, profile, trace });
@@ -399,23 +426,31 @@ fn settle_leaf(ctx: &Ctx<'_>, node: Node, profile: usize, acc: &mut Acc) {
 /// ([`ConcreteCheck`]), naming the transactions on a cycle (if any).
 fn cycle_signature(
     ctx: &Ctx<'_>,
+    check: &mut LocalCheck<'_>,
     history: &History,
     schedule: &Schedule,
 ) -> Option<BTreeSet<String>> {
-    let cycle = ctx.check.cycle(history, schedule)?;
+    let cycle = check.cycle(history, schedule)?;
     let names = ctx.tx_names(history);
     Some(cycle.iter().map(|t| names[t.index()].clone()).collect())
 }
 
 /// Depth-first sleep-set exploration from `node`.
-fn dfs(ctx: &Ctx<'_>, runner: &mut TxnRunner<'_>, node: Node, profile: usize, acc: &mut Acc, cap: u64) {
+fn dfs(
+    ctx: &Ctx<'_>,
+    check: &mut LocalCheck<'_>,
+    node: Node,
+    profile: usize,
+    acc: &mut Acc,
+    cap: u64,
+) {
     if acc.executions + acc.exec_errors >= cap {
         acc.capped = true;
         return;
     }
     let enabled = node.enabled(ctx);
     if node.failed || enabled.is_empty() {
-        settle_leaf(ctx, node, profile, acc);
+        settle_leaf(ctx, check, node, profile, acc);
         return;
     }
     let mut sleep = node.sleep.clone();
@@ -425,13 +460,13 @@ fn dfs(ctx: &Ctx<'_>, runner: &mut TxnRunner<'_>, node: Node, profile: usize, ac
             continue;
         }
         let mut child = node.clone();
-        child.apply(ctx, runner, a);
+        child.apply(ctx, a);
         child.sleep = if ctx.dpor {
             sleep.iter().filter(|b| ctx.independent(&node, b, &a)).copied().collect()
         } else {
             Vec::new()
         };
-        dfs(ctx, runner, child, profile, acc, cap);
+        dfs(ctx, check, child, profile, acc, cap);
         if ctx.dpor {
             sleep.push(a);
             sleep.sort_unstable();
@@ -450,7 +485,7 @@ fn explore_workload(ctx: &Ctx<'_>, config: &McConfig, profile: usize) -> Acc {
     let _sp = c4_obs::span("mc.profile");
     let (root, _) = Node::root(ctx.workload.scripts.len());
     let mut pre = Acc::default();
-    let mut runner = ctx.runner();
+    let mut check = ctx.check.local();
 
     // Breadth-first frontier split: expand nodes (recording leaves and
     // pruning exactly as the DFS would) until enough independent jobs
@@ -467,7 +502,7 @@ fn explore_workload(ctx: &Ctx<'_>, config: &McConfig, profile: usize) -> Acc {
         let Some(node) = frontier.pop_front() else { break };
         let enabled = node.enabled(ctx);
         if node.failed || enabled.is_empty() {
-            settle_leaf(ctx, node, profile, &mut pre);
+            settle_leaf(ctx, &mut check, node, profile, &mut pre);
             continue;
         }
         let mut sleep = node.sleep.clone();
@@ -477,7 +512,7 @@ fn explore_workload(ctx: &Ctx<'_>, config: &McConfig, profile: usize) -> Acc {
                 continue;
             }
             let mut child = node.clone();
-            child.apply(ctx, &mut runner, a);
+            child.apply(ctx, a);
             child.sleep = if ctx.dpor {
                 sleep.iter().filter(|b| ctx.independent(&node, b, &a)).copied().collect()
             } else {
@@ -506,7 +541,7 @@ fn explore_workload(ctx: &Ctx<'_>, config: &McConfig, profile: usize) -> Acc {
     if workers == 1 {
         for (i, job) in jobs.into_iter().enumerate() {
             let mut acc = Acc::default();
-            dfs(ctx, &mut runner, job, profile, &mut acc, cap_per_job);
+            dfs(ctx, &mut check, job, profile, &mut acc, cap_per_job);
             results.lock().unwrap()[i] = Some(acc);
         }
     } else {
@@ -517,14 +552,14 @@ fn explore_workload(ctx: &Ctx<'_>, config: &McConfig, profile: usize) -> Acc {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(move || {
-                    let mut runner = ctx.runner();
+                    let mut check = ctx.check.local();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= jobs.len() {
                             break;
                         }
                         let mut acc = Acc::default();
-                        dfs(ctx, &mut runner, jobs[i].clone(), profile, &mut acc, cap_per_job);
+                        dfs(ctx, &mut check, jobs[i].clone(), profile, &mut acc, cap_per_job);
                         results.lock().unwrap()[i] = Some(acc);
                     }
                 });
@@ -551,8 +586,7 @@ pub fn model_check(program: &Program, config: &McConfig) -> McReport {
         if program.txns.is_empty() || w.total_txns() == 0 {
             continue;
         }
-        let (_, handles) = Node::root(w.scripts.len());
-        let ctx = Ctx { program, workload: w, handles, dpor: config.dpor, check: &check };
+        let ctx = Ctx::new(program, w, config.dpor, &check);
         let acc = explore_workload(&ctx, config, pi);
         report.executions += acc.executions;
         report.cyclic += acc.cyclic;
@@ -583,20 +617,17 @@ pub fn replay_witness(
 ) -> (History, Schedule, Vec<String>) {
     let workloads = workload::derive(program, config.sessions, config.depth);
     let w = &workloads[witness.profile];
-    let sessions = w.scripts.len();
-    let mut sim = CausalSim::new(sessions);
-    let handles: Vec<SimSession> = (0..sessions).map(|r| sim.session(r)).collect();
     let check = ConcreteCheck::new();
-    let ctx = Ctx { program, workload: w, handles, dpor: false, check: &check };
-    let mut runner = ctx.runner();
+    let ctx = Ctx::new(program, w, false, &check);
+    let mut sim = Node::root(w.scripts.len()).0.sim;
     let mut commit_of: HashMap<(usize, usize), usize> = HashMap::new();
     for a in &witness.trace {
         match *a {
             StableAction::Run { session, index } => {
                 let entry = &w.scripts[session][index];
                 let name = &program.txns[entry.txn].name;
-                runner
-                    .run(&mut sim, ctx.handles[session], session, name, entry.args.clone())
+                ctx.runner
+                    .run(&mut sim, ctx.handles[session], session, name, &entry.args)
                     .expect("witness replay executes cleanly");
                 commit_of.insert((session, index), sim.committed_count() - 1);
             }
@@ -648,9 +679,9 @@ pub fn random_walks(
         if w.total_txns() == 0 {
             continue;
         }
-        let (root, handles) = Node::root(w.scripts.len());
-        let ctx = Ctx { program, workload: w, handles, dpor: false, check: &check };
-        let mut runner = ctx.runner();
+        let ctx = Ctx::new(program, w, false, &check);
+        let mut local = check.local();
+        let root = Node::root(w.scripts.len()).0;
         for _ in 0..walks {
             let mut node = root.clone();
             loop {
@@ -659,10 +690,10 @@ pub fn random_walks(
                     break;
                 }
                 let a = enabled[rng.gen_range(0..enabled.len())];
-                node.apply(&ctx, &mut runner, a);
+                node.apply(&ctx, a);
             }
             let mut acc = Acc::default();
-            settle_leaf(&ctx, node, pi, &mut acc);
+            settle_leaf(&ctx, &mut local, node, pi, &mut acc);
             report.walks += 1;
             report.cyclic += acc.cyclic;
             for f in acc.found {

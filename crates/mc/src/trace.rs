@@ -35,12 +35,22 @@ pub enum StableAction {
 }
 
 impl StableAction {
-    fn encode(&self) -> [u32; 4] {
-        match *self {
-            StableAction::Run { session, index } => [0, session as u32, index as u32, 0],
-            StableAction::Deliver { session, index, to } => {
-                [1, session as u32, index as u32, to as u32]
+    /// Appends the action's encoding: a tag byte (0 run, 1 deliver), then
+    /// its fields as LEB128 varints. The encoding is self-delimiting and
+    /// injective, and its first byte is never `0xFF`.
+    fn encode_into(&self, key: &mut Vec<u8>) {
+        let (tag, fields) = match *self {
+            StableAction::Run { session, index } => (0, [session, index, 0]),
+            StableAction::Deliver { session, index, to } => (1, [session, index, to]),
+        };
+        key.push(tag);
+        for &f in &fields[..2 + tag as usize] {
+            let mut v = f;
+            while v >= 0x80 {
+                key.push((v as u8 & 0x7F) | 0x80);
+                v >>= 7;
             }
+            key.push(v as u8);
         }
     }
 }
@@ -69,26 +79,24 @@ pub fn foata_key(
     for i in 0..trace.len() {
         let mut l = 1;
         for j in 0..i {
-            if dep(&trace[j], &trace[i]) {
-                l = l.max(level[j] + 1);
+            // Only a predecessor at level ≥ l can raise l.
+            if level[j] >= l && dep(&trace[j], &trace[i]) {
+                l = level[j] + 1;
             }
         }
         level[i] = l;
     }
-    let max = level.iter().copied().max().unwrap_or(0) as usize;
-    let mut steps: Vec<Vec<[u32; 4]>> = vec![Vec::new(); max];
-    for (i, a) in trace.iter().enumerate() {
-        steps[(level[i] - 1) as usize].push(a.encode());
-    }
-    let mut key = Vec::with_capacity(trace.len() * 16 + max);
-    for step in &mut steps {
-        step.sort_unstable();
-        for enc in step.iter() {
-            for v in enc {
-                key.extend_from_slice(&v.to_le_bytes());
-            }
+    // Steps in level order, each sorted canonically; every level up to
+    // the highest holds some action.
+    let mut steps: Vec<(u32, StableAction)> =
+        level.into_iter().zip(trace.iter().copied()).collect();
+    steps.sort_unstable();
+    let mut key = Vec::with_capacity(trace.len() * 4);
+    for (i, (l, a)) in steps.iter().enumerate() {
+        a.encode_into(&mut key);
+        if steps.get(i + 1).is_none_or(|(next, _)| next != l) {
+            key.push(0xFF); // step separator
         }
-        key.push(0xFF); // step separator
     }
     key
 }
@@ -143,6 +151,33 @@ mod tests {
         let t3 = [run(0, 0), run(1, 0)];
         let t4 = [run(1, 0), run(0, 0)];
         assert_ne!(foata_key(&t3, dep_all), foata_key(&t4, dep_all));
+    }
+
+    #[test]
+    fn foata_keys_stay_distinct_across_varint_widths() {
+        // Fields of 127, 128 and 16 384 take one, two and three bytes.
+        let dep_all = |_: &StableAction, _: &StableAction| true;
+        let dep_none = |_: &StableAction, _: &StableAction| false;
+        let deliver = |s, k, to| StableAction::Deliver { session: s, index: k, to };
+        let traces: Vec<Vec<StableAction>> = vec![
+            vec![run(0, 127)],
+            vec![run(0, 128)],
+            vec![run(1, 0)],
+            vec![run(0, 16_384)],
+            vec![run(127, 1)],
+            vec![run(0, 1), run(0, 0)],
+            vec![deliver(0, 128, 1)],
+            vec![deliver(0, 0, 128)],
+            vec![deliver(128, 0, 0)],
+        ];
+        let mut keys = std::collections::HashSet::new();
+        for t in &traces {
+            assert!(keys.insert(foata_key(t, dep_all)), "{t:?}");
+        }
+        // One step of two actions is not two steps of one.
+        let t = [run(0, 0), run(1, 0)];
+        assert_ne!(foata_key(&t, dep_all), foata_key(&t, dep_none));
+        assert_eq!(foata_key(&t, dep_none), foata_key(&[run(1, 0), run(0, 0)], dep_none));
     }
 
     #[test]

@@ -43,10 +43,7 @@ impl VClock {
 
     /// Pointwise maximum with `other`.
     pub fn join(&mut self, other: &VClock) {
-        debug_assert_eq!(self.0.len(), other.0.len());
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a = (*a).max(*b);
-        }
+        join(&mut self.0, &other.0);
     }
 
     /// Pointwise `self ≤ other`.
@@ -55,22 +52,31 @@ impl VClock {
         self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
     }
 
-    /// `self ≤ other` with component `line` discounted by one on the
-    /// left: the deliverability test for a transaction whose own commit
-    /// occupies `line` in its (inclusive) clock.
-    pub fn leq_discounting(&self, other: &VClock, line: usize) -> bool {
-        debug_assert_eq!(self.0.len(), other.0.len());
-        self.0
-            .iter()
-            .zip(&other.0)
-            .enumerate()
-            .all(|(i, (a, b))| if i == line { a.saturating_sub(1) <= *b } else { a <= b })
-    }
-
     /// Neither `self ≤ other` nor `other ≤ self`.
     pub fn concurrent(&self, other: &VClock) -> bool {
         !self.leq(other) && !other.leq(self)
     }
+}
+
+/// [`VClock::join`] over raw components, for clocks stored side by side
+/// in one buffer.
+pub(crate) fn join(a: &mut [u32], b: &[u32]) {
+    debug_assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = (*x).max(*y);
+    }
+}
+
+/// `a ≤ b` pointwise with component `line` discounted by one on the
+/// left: the deliverability test for a transaction whose own commit
+/// occupies `line` in its (inclusive) clock `a`, against a replica's
+/// applied clock `b`. Over raw components, like [`join`].
+pub(crate) fn leq_discounting(a: &[u32], b: &[u32], line: usize) -> bool {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .all(|(i, (x, y))| if i == line { x.saturating_sub(1) <= *y } else { x <= y })
 }
 
 impl fmt::Display for VClock {
@@ -114,9 +120,9 @@ mod tests {
         t.bump(0);
         let r = VClock::new(2);
         assert!(!t.leq(&r));
-        assert!(t.leq_discounting(&r, 0));
+        assert!(leq_discounting(&t.0, &r.0, 0));
         // But not if it depends on a line-1 commit the replica lacks.
         t.bump(1);
-        assert!(!t.leq_discounting(&r, 0));
+        assert!(!leq_discounting(&t.0, &r.0, 0));
     }
 }

@@ -44,12 +44,32 @@ impl Relation {
         self.bits[i * self.words_per_row + j / 64] & (1 << (j % 64)) != 0
     }
 
-    /// All `b` with `a R b`.
+    /// All `b` with `a R b`, in ascending order.
     pub fn successors(&self, a: EventId) -> impl Iterator<Item = EventId> + '_ {
         let row = &self.bits[a.index() * self.words_per_row..][..self.words_per_row];
         row.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64).filter(move |b| word & (1 << b) != 0).map(move |b| EventId((w * 64 + b) as u32))
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(EventId((w * 64 + b) as u32))
+            })
         })
+    }
+
+    /// Relates `a` to every event whose index lies in `range`.
+    pub fn insert_range(&mut self, a: EventId, range: std::ops::Range<usize>) {
+        let row = &mut self.bits[a.index() * self.words_per_row..][..self.words_per_row];
+        let (mut i, end) = (range.start, range.end);
+        while i < end {
+            let (w, b) = (i / 64, i % 64);
+            let take = (64 - b).min(end - i);
+            row[w] |= if take == 64 { !0 } else { ((1u64 << take) - 1) << b };
+            i += take;
+        }
     }
 
     /// All `a` with `a R b` (column scan).
@@ -527,6 +547,46 @@ mod tests {
         r.close_transitively();
         assert!(r.contains(EventId(0), EventId(2)));
         assert!(r.is_transitive());
+    }
+
+    #[test]
+    fn successors_match_contains_at_word_boundaries() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [1usize, 63, 64, 65, 130] {
+            let mut r = Relation::new(n);
+            for a in 0..n {
+                // Empty, full, sparse and dense rows, and the row's last bit.
+                let density = [0.0, 1.0, 0.05, 0.7][a % 4];
+                for b in 0..n {
+                    if rng.gen_bool(density) || (a % 4 != 0 && b == n - 1) {
+                        r.insert(EventId(a as u32), EventId(b as u32));
+                    }
+                }
+            }
+            for a in (0..n).map(|i| EventId(i as u32)) {
+                let by_contains: Vec<EventId> =
+                    (0..n).map(|i| EventId(i as u32)).filter(|&b| r.contains(a, b)).collect();
+                assert_eq!(r.successors(a).collect::<Vec<_>>(), by_contains, "n = {n}, {a}");
+            }
+        }
+    }
+
+    #[test]
+    fn insert_range_sets_exactly_the_range() {
+        for n in [1usize, 63, 64, 65, 130] {
+            let ranges =
+                [(0, n), (0, 0), (n / 2, n), (0, n.min(64)), (n.min(63), n), (n / 3, n / 3 + 1)];
+            for (lo, hi) in ranges {
+                let mut r = Relation::new(n);
+                r.insert_range(EventId(0), lo..hi);
+                let got: Vec<usize> = r.successors(EventId(0)).map(EventId::index).collect();
+                assert_eq!(got, (lo..hi).collect::<Vec<_>>(), "n = {n}, {lo}..{hi}");
+                if n > 1 {
+                    assert_eq!(r.successors(EventId(1)).count(), 0);
+                }
+            }
+        }
     }
 
     #[test]

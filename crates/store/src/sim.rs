@@ -42,10 +42,10 @@
 //! schedule.check(&history).unwrap();
 //! ```
 
-use std::collections::HashSet;
+use std::sync::Arc;
 
 use crate::event::EventId;
-use crate::history::{History, HistoryBuilder, SessionId, TxId};
+use crate::history::{History, HistoryBuilder, SessionId};
 use crate::op::{ObjectName, OpKind, Operation};
 use crate::schedule::{Relation, Schedule};
 use crate::semantics::StoreState;
@@ -58,12 +58,66 @@ pub struct SimSession(usize);
 /// Index of a replica.
 pub type ReplicaId = usize;
 
-#[derive(Debug, Clone)]
+/// A set of committed-transaction indices: bit `t % 64` of word `t / 64`.
+/// Words past the end read as zero, so sets of different lengths combine
+/// and compare without resizing first. Iteration is ascending, which is
+/// commit (= arbitration) order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct TxBits(Vec<u64>);
+
+impl TxBits {
+    fn insert(&mut self, t: usize) {
+        let w = t / 64;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        self.0[w] |= 1 << (t % 64);
+    }
+
+    #[cfg(test)]
+    fn contains(&self, t: usize) -> bool {
+        self.0.get(t / 64).is_some_and(|w| w & (1 << (t % 64)) != 0)
+    }
+
+    fn union_with(&mut self, other: &TxBits) {
+        if other.0.len() > self.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a |= *b;
+        }
+    }
+
+    fn is_subset(&self, other: &TxBits) -> bool {
+        self.0
+            .iter()
+            .enumerate()
+            .all(|(i, &w)| w & !other.0.get(i).copied().unwrap_or(0) == 0)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(w * 64 + b)
+            })
+        })
+    }
+}
+
+/// A committed transaction. It never changes after commit, so forks of
+/// the simulator share it behind an `Arc`.
+#[derive(Debug)]
 struct CommittedTx {
-    /// Events of the transaction (indices into `events`).
-    events: Vec<usize>,
+    /// The operations, in program order; queries carry their return value.
+    ops: Vec<Operation>,
     /// Transactions visible when this one executed (causally closed).
-    visible: HashSet<usize>,
+    visible: TxBits,
 }
 
 #[derive(Debug, Clone)]
@@ -78,13 +132,13 @@ struct SessionState {
 #[derive(Debug, Clone)]
 struct OpenTx {
     ops: Vec<Operation>,
-    visible: HashSet<usize>,
+    visible: TxBits,
 }
 
 #[derive(Debug, Clone, Default)]
 struct Replica {
-    /// Committed transactions applied at this replica (causally closed).
-    applied: HashSet<usize>,
+    /// Committed transactions applied at this replica.
+    applied: TxBits,
 }
 
 /// A pending remote delivery: transaction `tx` towards replica `to`.
@@ -100,15 +154,14 @@ pub struct PendingDelivery {
 ///
 /// The simulator is `Clone`: branching explorers (the `c4-mc` stateless
 /// model checker) fork the full store state at every scheduling choice.
+/// A fork copies the replica and session bitsets and shares every
+/// committed transaction with its parent.
 #[derive(Debug, Clone)]
 pub struct CausalSim {
     replicas: Vec<Replica>,
     sessions: Vec<SessionState>,
     /// Committed transactions in commit (= arbitration) order.
-    committed: Vec<CommittedTx>,
-    /// All events (operations of committed and open transactions), with the
-    /// op of event i at `events[i]`; queries carry their return value.
-    events: Vec<Operation>,
+    committed: Vec<Arc<CommittedTx>>,
     pending: Vec<PendingDelivery>,
     next_row: u64,
 }
@@ -125,7 +178,6 @@ impl CausalSim {
             replicas: vec![Replica::default(); replica_count],
             sessions: Vec::new(),
             committed: Vec::new(),
-            events: Vec::new(),
             pending: Vec::new(),
             next_row: 0,
         }
@@ -150,28 +202,25 @@ impl CausalSim {
     }
 
     /// Begins a transaction in the session. Its snapshot is the replica's
-    /// applied set plus the session's own past (closed under causality by
-    /// construction).
+    /// applied set plus the session's own past, closed under causality.
+    ///
+    /// Every committed transaction's visible set is causally closed, so
+    /// the closure of a set `B` is the union of `{t} ∪ visible(t)` over
+    /// `t ∈ B`. The applied set itself need not be closed: a session that
+    /// migrated commits at a replica that may lack its past.
     ///
     /// # Panics
     ///
     /// Panics if the session already has an open transaction.
     pub fn begin(&mut self, s: SimSession) {
-        let sess = &mut self.sessions[s.0];
+        let sess = &self.sessions[s.0];
         assert!(sess.open.is_none(), "transaction already open");
-        let mut visible = self.replicas[sess.replica].applied.clone();
-        visible.extend(sess.committed.iter().copied());
-        // Close under causal predecessors (session past may not be applied
-        // at the replica yet if the session migrated).
-        let mut stack: Vec<usize> = visible.iter().copied().collect();
-        while let Some(t) = stack.pop() {
-            for &p in &self.committed[t].visible {
-                if visible.insert(p) {
-                    stack.push(p);
-                }
-            }
+        let mut visible = TxBits::default();
+        for t in self.replicas[sess.replica].applied.iter().chain(sess.committed.iter().copied()) {
+            visible.insert(t);
+            visible.union_with(&self.committed[t].visible);
         }
-        sess.open = Some(OpenTx { ops: Vec::new(), visible });
+        self.sessions[s.0].open = Some(OpenTx { ops: Vec::new(), visible });
     }
 
     /// Issues an update inside the session's open transaction.
@@ -206,26 +255,25 @@ impl CausalSim {
         kind: OpKind,
         args: Vec<Value>,
     ) -> Value {
-        let open = self.sessions[s.0].open.as_ref().expect("no open transaction");
+        let open = self.sessions[s.0].open.as_mut().expect("no open transaction");
+        let mut op = Operation::new(object, kind, args, Some(Value::Unit));
+        // An update changes only its own object's state, and the query
+        // reads only its own object, so the other objects' updates are
+        // skipped. Ascending transaction index = commit order =
+        // arbitration order.
+        let relevant = |u: &&Operation| u.is_update() && u.object == op.object;
         let mut st = StoreState::new();
-        let mut vis: Vec<usize> = open.visible.iter().copied().collect();
-        vis.sort_unstable(); // commit order = arbitration order
-        for t in vis {
-            for &e in &self.committed[t].events {
-                if self.events[e].is_update() {
-                    st.apply(&self.events[e]);
-                }
+        for t in open.visible.iter() {
+            for u in self.committed[t].ops.iter().filter(relevant) {
+                st.apply(u);
             }
         }
-        for op in &open.ops {
-            if op.is_update() {
-                st.apply(op);
-            }
+        for u in open.ops.iter().filter(relevant) {
+            st.apply(u);
         }
-        let probe = Operation::new(object, kind.clone(), args.clone(), Some(Value::Unit));
-        let ret = st.eval(&probe);
-        let op = Operation::new(probe.object.clone(), kind, args, Some(ret.clone()));
-        self.sessions[s.0].open.as_mut().unwrap().ops.push(op);
+        let ret = st.eval(&op);
+        op.ret = Some(ret.clone());
+        open.ops.push(op);
         ret
     }
 
@@ -242,12 +290,7 @@ impl CausalSim {
         let replica = self.sessions[s.0].replica;
         let open = self.sessions[s.0].open.take().expect("no open transaction");
         let idx = self.committed.len();
-        let mut event_ids = Vec::with_capacity(open.ops.len());
-        for op in open.ops {
-            event_ids.push(self.events.len());
-            self.events.push(op);
-        }
-        self.committed.push(CommittedTx { events: event_ids, visible: open.visible });
+        self.committed.push(Arc::new(CommittedTx { ops: open.ops, visible: open.visible }));
         self.sessions[s.0].committed.push(idx);
         self.replicas[replica].applied.insert(idx);
         for to in 0..self.replicas.len() {
@@ -264,19 +307,15 @@ impl CausalSim {
         self.sessions[s.0].replica = to;
     }
 
+    /// Whether everything `d.tx` observed is applied at `d.to`.
+    fn deps_applied(&self, d: PendingDelivery) -> bool {
+        self.committed[d.tx].visible.is_subset(&self.replicas[d.to].applied)
+    }
+
     /// The deliveries currently deliverable (their causal dependencies are
     /// satisfied at the destination).
     pub fn deliverable(&self) -> Vec<PendingDelivery> {
-        self.pending
-            .iter()
-            .copied()
-            .filter(|d| {
-                self.committed[d.tx]
-                    .visible
-                    .iter()
-                    .all(|p| self.replicas[d.to].applied.contains(p))
-            })
-            .collect()
+        self.pending.iter().copied().filter(|&d| self.deps_applied(d)).collect()
     }
 
     /// Delivers one specific pending delivery.
@@ -287,11 +326,7 @@ impl CausalSim {
         let Some(pos) = self.pending.iter().position(|&p| p == d) else {
             return false;
         };
-        let deps_ok = self.committed[d.tx]
-            .visible
-            .iter()
-            .all(|p| self.replicas[d.to].applied.contains(p));
-        if !deps_ok {
+        if !self.deps_applied(d) {
             return false;
         }
         self.pending.swap_remove(pos);
@@ -324,49 +359,41 @@ impl CausalSim {
         }
         let mut b = HistoryBuilder::new();
         let session_ids: Vec<SessionId> = self.sessions.iter().map(|_| b.session()).collect();
-        // Build per-session, transactions in each session's order; record
-        // the EventId assigned to each simulator event.
-        let mut event_map: Vec<Option<EventId>> = vec![None; self.events.len()];
-        let mut tx_map: Vec<Option<TxId>> = vec![None; self.committed.len()];
+        // Build per session, transactions in each session's order. The
+        // builder numbers events in push order, so the events of committed
+        // transaction t are `start[t]..start[t] + len(t)`.
+        let mut start = vec![0usize; self.committed.len()];
         for (si, sess) in self.sessions.iter().enumerate() {
             for &t in &sess.committed {
                 let tx = b.begin(session_ids[si]);
-                tx_map[t] = Some(tx);
-                for &e in &self.committed[t].events {
-                    event_map[e] = Some(b.push(tx, self.events[e].clone()));
+                for (i, op) in self.committed[t].ops.iter().enumerate() {
+                    let e = b.push(tx, op.clone());
+                    if i == 0 {
+                        start[t] = e.index();
+                    }
                 }
             }
         }
         let history = b.finish();
         let n = history.len();
+        let span = |t: usize| start[t]..start[t] + self.committed[t].ops.len();
         // Arbitration: commit order over transactions, session position
         // within a transaction.
-        let mut ar_order: Vec<EventId> = Vec::with_capacity(n);
-        for (t, ct) in self.committed.iter().enumerate() {
-            let _ = t;
-            for &e in &ct.events {
-                ar_order.push(event_map[e].expect("event committed"));
-            }
-        }
-        // Visibility: tx-level visible sets, plus so within sessions (which
-        // is already included because a session's past is in `visible`),
-        // plus intra-transaction program order.
+        let ar_order: Vec<EventId> = (0..self.committed.len())
+            .flat_map(|t| span(t).map(|e| EventId(e as u32)))
+            .collect();
+        // Visibility: every event of t sees the events of t's visible
+        // transactions (which include its session's past) and the earlier
+        // events of t itself. Each is a run of bits in a row.
         let mut vis = Relation::new(n);
         for (t, ct) in self.committed.iter().enumerate() {
-            for &v in &ct.visible {
-                if v == t {
-                    continue;
-                }
-                for &ve in &self.committed[v].events {
-                    for &te in &ct.events {
-                        vis.insert(event_map[ve].unwrap(), event_map[te].unwrap());
-                    }
+            for v in ct.visible.iter().filter(|&v| v != t) {
+                for e in span(v) {
+                    vis.insert_range(EventId(e as u32), span(t));
                 }
             }
-            for (i, &e) in ct.events.iter().enumerate() {
-                for &f in &ct.events[i + 1..] {
-                    vis.insert(event_map[e].unwrap(), event_map[f].unwrap());
-                }
+            for e in span(t) {
+                vis.insert_range(EventId(e as u32), e + 1..span(t).end);
             }
         }
         let schedule = Schedule::new(&history, ar_order, vis).expect("simulator schedule shape");
@@ -394,18 +421,13 @@ impl CausalSim {
     ///
     /// Panics if the transaction index is out of range.
     pub fn committed_ops(&self, tx: usize) -> impl Iterator<Item = &Operation> {
-        self.committed[tx].events.iter().map(|&e| &self.events[e])
-    }
-
-    /// The names of the objects a committed transaction touches.
-    pub fn committed_objects(&self, tx: usize) -> std::collections::BTreeSet<ObjectName> {
-        self.committed_ops(tx).map(|op| op.object.clone()).collect()
+        self.committed[tx].ops.iter()
     }
 
     /// The global indices of the transactions visible to a committed
-    /// transaction (its causal past, excluding itself).
+    /// transaction (its causal past, excluding itself), ascending.
     pub fn committed_visible(&self, tx: usize) -> impl Iterator<Item = usize> + '_ {
-        self.committed[tx].visible.iter().copied()
+        self.committed[tx].visible.iter()
     }
 }
 
@@ -505,31 +527,156 @@ mod tests {
         assert_ne!(r1, r2);
     }
 
+    /// One random run: `txns` single-operation transactions over three
+    /// sessions at three replicas, each followed by a random subset of the
+    /// deliverable messages.
+    fn random_run(rng: &mut rand::rngs::StdRng, txns: i64) -> (History, Schedule) {
+        use rand::Rng;
+        let mut sim = CausalSim::new(3);
+        let sessions: Vec<_> = (0..3).map(|r| sim.session(r)).collect();
+        for step in 0..txns {
+            let s = sessions[rng.gen_range(0..sessions.len())];
+            sim.begin(s);
+            if rng.gen_bool(0.6) {
+                sim.update(
+                    s,
+                    "M",
+                    OpKind::MapPut,
+                    vec![Value::int(rng.gen_range(0..3)), Value::int(step)],
+                );
+            } else {
+                let _ = sim.query(s, "M", OpKind::MapGet, vec![Value::int(rng.gen_range(0..3))]);
+            }
+            sim.commit(s);
+            for d in sim.deliverable() {
+                if rng.gen_bool(0.5) {
+                    sim.deliver(d);
+                }
+            }
+        }
+        sim.deliver_all();
+        sim.into_history()
+    }
+
     #[test]
     fn schedules_from_random_runs_are_always_legal() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(42);
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         for _ in 0..25 {
+            let (h, sched) = random_run(&mut rng, 20);
+            sched.check(&h).unwrap();
+        }
+        // Long enough that visible and applied sets span three words.
+        for _ in 0..2 {
+            let (h, sched) = random_run(&mut rng, 140);
+            assert_eq!(h.transactions().count(), 140);
+            sched.check(&h).unwrap();
+        }
+    }
+
+    #[test]
+    fn tx_bits_agree_with_btreeset_across_word_boundaries() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        let mut rng = StdRng::seed_from_u64(7);
+        for n in [63usize, 64, 65, 128] {
+            for _ in 0..50 {
+                let mut sets = Vec::new();
+                for _ in 0..2 {
+                    let mut bits = TxBits::default();
+                    let mut model = BTreeSet::new();
+                    // Dense or sparse, always with the last index set.
+                    let density = if rng.gen_bool(0.5) { 0.9 } else { 0.1 };
+                    for t in 0..n {
+                        if t == n - 1 || rng.gen_bool(density) {
+                            bits.insert(t);
+                            model.insert(t);
+                        }
+                    }
+                    let listed: Vec<usize> = bits.iter().collect();
+                    assert_eq!(listed, model.iter().copied().collect::<Vec<_>>());
+                    for t in 0..n + 64 {
+                        assert_eq!(bits.contains(t), model.contains(&t), "n = {n}, t = {t}");
+                    }
+                    sets.push((bits, model));
+                }
+                let [(a, ma), (b, mb)] = <[_; 2]>::try_from(sets).unwrap();
+                assert_eq!(a.is_subset(&b), ma.is_subset(&mb));
+                assert_eq!(b.is_subset(&a), mb.is_subset(&ma));
+                let mut u = a.clone();
+                u.union_with(&b);
+                assert_eq!(u.iter().collect::<BTreeSet<_>>(), &ma | &mb);
+                assert!(a.is_subset(&u) && b.is_subset(&u));
+                // Shorter sets compare and combine with longer ones.
+                let mut short = TxBits::default();
+                short.insert(0);
+                assert_eq!(short.is_subset(&a), ma.contains(&0));
+                assert!(TxBits::default().is_subset(&short));
+            }
+        }
+    }
+
+    /// The simulator against a model of its transaction sets kept in
+    /// `BTreeSet`s: every visible set is the causal closure of the
+    /// replica's applied set and the session's past, and exactly the
+    /// pending deliveries whose visible set is applied at the destination
+    /// are deliverable. Sessions migrate now and then, so applied sets are
+    /// not always causally closed.
+    #[test]
+    fn simulator_sets_agree_with_a_btreeset_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeSet;
+        for n in [63usize, 64, 65, 128] {
+            let mut rng = StdRng::seed_from_u64(n as u64);
             let mut sim = CausalSim::new(3);
             let sessions: Vec<_> = (0..3).map(|r| sim.session(r)).collect();
-            for step in 0..20 {
-                let s = sessions[rng.gen_range(0..sessions.len())];
-                sim.begin(s);
-                if rng.gen_bool(0.6) {
-                    sim.update(
-                        s,
-                        "M",
-                        OpKind::MapPut,
-                        vec![Value::int(rng.gen_range(0..3)), Value::int(step)],
-                    );
-                } else {
-                    let _ = sim.query(s, "M", OpKind::MapGet, vec![Value::int(rng.gen_range(0..3))]);
+            let mut replica_of: [usize; 3] = [0, 1, 2];
+            let mut applied: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); 3];
+            let mut past: Vec<Vec<usize>> = vec![Vec::new(); 3];
+            let mut visible: Vec<BTreeSet<usize>> = Vec::new();
+            let mut pending: BTreeSet<(usize, usize)> = BTreeSet::new();
+            for step in 0..n {
+                let s: usize = rng.gen_range(0..3);
+                if rng.gen_bool(0.05) {
+                    replica_of[s] = rng.gen_range(0..3);
+                    sim.migrate(sessions[s], replica_of[s]);
                 }
-                sim.commit(s);
-                // Randomly deliver some messages.
-                for d in sim.deliverable() {
-                    if rng.gen_bool(0.5) {
-                        sim.deliver(d);
+                let r = replica_of[s];
+                let mut vis = applied[r].clone();
+                vis.extend(past[s].iter().copied());
+                let mut stack: Vec<usize> = vis.iter().copied().collect();
+                while let Some(t) = stack.pop() {
+                    for &p in &visible[t] {
+                        if vis.insert(p) {
+                            stack.push(p);
+                        }
+                    }
+                }
+                sim.begin(sessions[s]);
+                sim.update(sessions[s], "C", OpKind::CtrInc, vec![Value::int(step as i64)]);
+                let t = sim.commit(sessions[s]);
+                assert_eq!(
+                    sim.committed_visible(t).collect::<Vec<_>>(),
+                    vis.iter().copied().collect::<Vec<_>>(),
+                    "n = {n}, t = {t}"
+                );
+                visible.push(vis);
+                applied[r].insert(t);
+                past[s].push(t);
+                pending.extend((0..3).filter(|&to| to != r).map(|to| (t, to)));
+                let deliverable: BTreeSet<(usize, usize)> =
+                    sim.deliverable().iter().map(|d| (d.tx, d.to)).collect();
+                let model: BTreeSet<(usize, usize)> = pending
+                    .iter()
+                    .copied()
+                    .filter(|&(t, to)| visible[t].is_subset(&applied[to]))
+                    .collect();
+                assert_eq!(deliverable, model, "n = {n}, step = {step}");
+                for (t, to) in model {
+                    if rng.gen_bool(0.3) {
+                        assert!(sim.deliver(PendingDelivery { tx: t, to }));
+                        applied[to].insert(t);
+                        pending.remove(&(t, to));
                     }
                 }
             }

@@ -37,9 +37,15 @@ diff <(./target/release/figure13) tests/golden/figure13.txt
 # Release-only sweeps: the stats ledger over the whole suite at 1 and 4
 # workers, and the dynamic side's goldens (model checker at 1 and 4
 # workers, random walks, the §9.5 exploration) over every row (debug
-# builds above check a cheap subset of both).
+# builds above check a cheap subset of both). The same step replays
+# executions through the simulator and the DSG lift against their
+# references: the lift and dependency-triple differentials, the
+# static ⊇ model checker ⊇ random walks agreement, and the replay of
+# every validated counter-example on the simulator.
 echo "==> stats coherence and model-checking goldens (release)"
-cargo test --release -q -p c4-tests --test stats_coherence --test mc_golden
+cargo test --release -q -p c4-tests --test stats_coherence --test mc_golden \
+    --test three_way_agreement --test counterexample_replay
+cargo test --release -q -p c4-dsg --test lift_differential --test triple_differential
 
 # The wire codec: one golden frame per message must encode to the pinned
 # bytes, and the decoder and CCL front-end fuzz properties draw more
