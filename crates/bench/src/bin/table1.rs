@@ -153,12 +153,9 @@ fn main() {
                 "    symmetry: {} classes, {} members replayed, peak resident unfoldings {}",
                 s.classes, s.class_members_skipped, s.peak_unfoldings_resident,
             );
-            let t = &s.timings;
-            println!(
-                "    timings: unfold {:?}, ssg-filter {:?}, smt {:?} (build {:?} + solve {:?}), \
-                 validate {:?}, merge {:?}",
-                t.unfold, t.ssg_filter, t.smt, t.encoder_build, t.query_solve, t.validate, t.merge
-            );
+            let timings: Vec<String> =
+                s.timings.iter().map(|(stage, d)| format!("{} {d:?}", stage.name())).collect();
+            println!("    timings: {}", timings.join(", "));
         }
         println!(
             "{:<18} {:>3} {:>3}  {:>6} {:>6} {:>6}   {:>4}/{}/{}/{:<2}  {:>4}/{}/{}/{:<2}  {} {}",

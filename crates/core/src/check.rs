@@ -55,6 +55,7 @@ use std::sync::{mpsc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use c4_algebra::{FarSpec, RewriteSpec};
+use c4_store::txset::TxSet;
 
 use std::sync::Arc;
 
@@ -62,9 +63,8 @@ use crate::abstract_history::{AbsArg, AbsTx, AbstractHistory};
 use crate::counterexample::CounterExample;
 use crate::encode::CycleEncoder;
 use crate::intern::TxArena;
-use crate::report::{AnalysisResult, AnalysisStats, Violation};
+use crate::report::{AnalysisResult, AnalysisStats, Stage, StageTimings, Violation};
 use crate::ssg::{candidate_cycles, CandidateCycle, Candidates, PairTables, Ssg, SsgLabel};
-use crate::txset::TxSet;
 use crate::unfold::{arena_for, unfoldings, Unfolding, UnfoldingInstance};
 
 /// Feature toggles of the analysis (Section 9.3 ablations plus the
@@ -383,22 +383,20 @@ fn load_txs(txs: &mut TxSet, u: &Unfolding, cands: &Candidates, i: usize) {
 /// sets, kept in step with `result.violations`, and the set of the
 /// candidate being merged.
 struct Subsumers {
-    /// The capacity of every set: the history's transaction count.
-    n_tx: usize,
     sets: Vec<TxSet>,
     txs: TxSet,
 }
 
 impl Subsumers {
-    fn new(n_tx: usize, violations: &[Violation]) -> Self {
-        let mut subs = Subsumers { n_tx, sets: Vec::new(), txs: TxSet::new(n_tx) };
+    fn new(violations: &[Violation]) -> Self {
+        let mut subs = Subsumers { sets: Vec::new(), txs: TxSet::default() };
         subs.refresh(violations);
         subs
     }
 
     /// Re-reads the committed violations after a SAT verdict changed them.
     fn refresh(&mut self, violations: &[Violation]) {
-        self.sets = violations.iter().map(|v| TxSet::of(self.n_tx, v.txs.iter().copied())).collect();
+        self.sets = violations.iter().map(|v| v.txs.iter().copied().collect()).collect();
     }
 
     /// Loads candidate `i`'s transactions in `u`; whether a committed
@@ -421,8 +419,8 @@ fn subsumed(result: &AnalysisResult, txs: &BTreeSet<usize>) -> bool {
     result.violations.iter().any(|v| v.subsumes(txs))
 }
 
-/// Per-thread counters and stage clocks, folded into [`AnalysisStats`]
-/// at the end of a round.
+/// Per-thread counters, folded into [`AnalysisStats`] at the end of a
+/// round.
 #[derive(Default)]
 struct WorkerLocal {
     queries: usize,
@@ -430,11 +428,6 @@ struct WorkerLocal {
     assumption_solves: usize,
     sat_resolves: usize,
     learnt_clauses: usize,
-    ssg_filter: Duration,
-    smt: Duration,
-    encoder_build: Duration,
-    query_solve: Duration,
-    validate: Duration,
 }
 
 impl WorkerLocal {
@@ -446,17 +439,7 @@ impl WorkerLocal {
         }
     }
 
-    /// Books one query against `enc` that took `dt` in all: the part
-    /// spent flushing structural assertions into the solver is encoder
-    /// build, the rest is solving.
-    fn book_query(&mut self, enc: &mut CycleEncoder<'_>, dt: Duration) {
-        let build = enc.take_flush_time();
-        self.smt += dt;
-        self.encoder_build += build;
-        self.query_solve += dt.saturating_sub(build);
-    }
-
-    /// Folds this ledger into `stats`: as worker `w`'s when `worker` is
+    /// Folds these counters into `stats`: as worker `w`'s when `worker` is
     /// `Some(w)`, as the pool's merge thread's otherwise.
     fn fold(&self, stats: &mut AnalysisStats, worker: Option<usize>) {
         match worker {
@@ -472,11 +455,6 @@ impl WorkerLocal {
         stats.assumption_solves += self.assumption_solves;
         stats.sat_resolves += self.sat_resolves;
         stats.learnt_clauses += self.learnt_clauses;
-        stats.timings.ssg_filter += self.ssg_filter;
-        stats.timings.smt += self.smt;
-        stats.timings.encoder_build += self.encoder_build;
-        stats.timings.query_solve += self.query_solve;
-        stats.timings.validate += self.validate;
     }
 }
 
@@ -499,7 +477,7 @@ struct Merge<'r> {
     /// Class records, indexed by class number: the in-order merge
     /// commits every representative, in class order, before its members.
     classes: Vec<ClassRecord>,
-    /// The ledger charged for the solves the merge runs itself: the
+    /// The counters charged with the solves the merge runs itself: the
     /// worker's own at one worker, the merge thread's in the pool.
     local: WorkerLocal,
     subs: Subsumers,
@@ -597,7 +575,7 @@ impl Checker {
                     break;
                 }
                 result.stats.unfoldings += 1;
-                let cands = self.filter_candidates(&u, tables, &mut local);
+                let cands = self.filter_candidates(&u, tables);
                 if !cands.is_empty() {
                     result.stats.suspicious_unfoldings += 1;
                 }
@@ -630,15 +608,16 @@ impl Checker {
         mut round: impl FnMut(&Arc<TxArena>, &PairTables, usize, &Deadline, &mut AnalysisResult),
     ) -> AnalysisResult {
         let _span = c4_obs::span("analysis");
+        // Stages this thread books from here on are the run's; a pool
+        // round adds its workers'.
+        let clock = c4_obs::thread_ledger();
         let deadline = Deadline::new(self.features.time_budget_secs, self.cancel.clone());
         let mut result = AnalysisResult::default();
         result.stats.workers = workers;
         result.stats.per_worker_queries = vec![0; workers];
-        let t0 = Instant::now();
         let _unfold = c4_obs::span("unfold");
         let arena = arena_for(&self.h);
         let tables = PairTables::compute(arena.bodies(), &self.far);
-        result.stats.timings.unfold += t0.elapsed();
         drop(_unfold);
         let mut k = 2usize;
         loop {
@@ -669,6 +648,7 @@ impl Checker {
             }
         }
         result.stats.deadline_hit = deadline.was_hit();
+        result.stats.timings += c4_obs::thread_ledger() - clock;
         if c4_obs::enabled() {
             result.stats.emit_counters();
         }
@@ -700,31 +680,18 @@ impl Checker {
     }
 
     /// SC1 pre-filter + SSG + candidate enumeration for one unfolding.
-    fn filter_candidates(
-        &self,
-        u: &Unfolding,
-        tables: &PairTables,
-        local: &mut WorkerLocal,
-    ) -> Candidates {
-        let _span = c4_obs::span("ssg_filter");
-        let t0 = Instant::now();
-        let cands = if self.sc1_possible(u, tables) {
+    fn filter_candidates(&self, u: &Unfolding, tables: &PairTables) -> Candidates {
+        let _stage = c4_obs::stage(Stage::SsgFilter);
+        if self.sc1_possible(u, tables) {
             candidate_cycles(u, Ssg::of_unfolding(u, tables), tables)
         } else {
             Candidates::default()
-        };
-        local.ssg_filter += t0.elapsed();
-        cands
+        }
     }
 
-    /// Builds an unfolding's shared incremental session.
-    fn session<'a>(&'a self, u: &'a Unfolding, local: &mut WorkerLocal) -> CycleEncoder<'a> {
-        let t0 = Instant::now();
-        let enc = CycleEncoder::new(u, &self.far, &self.features);
-        let dt = t0.elapsed();
-        local.encoder_build += dt;
-        local.smt += dt;
-        enc
+    /// A fresh encoder for `u`: a shared session or a one-query encoder.
+    fn encoder<'a>(&'a self, u: &'a Unfolding) -> CycleEncoder<'a> {
+        CycleEncoder::new(u, &self.far, &self.features)
     }
 
     /// Solves one candidate cycle: SMT query plus counter-example
@@ -745,13 +712,10 @@ impl Checker {
         local: &mut WorkerLocal,
     ) -> CandOutcome {
         if let Some(enc) = shared {
-            let mut q = c4_obs::span("smt_query");
-            let t0 = Instant::now();
+            let mut q = c4_obs::stage(Stage::SmtQuery);
             let sat = enc.check_shared(cand);
-            let dt = t0.elapsed();
             q.set_arg(if sat { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
             drop(q);
-            local.book_query(enc, dt);
             local.queries += 1;
             local.assumption_solves += 1;
             if !sat {
@@ -759,23 +723,16 @@ impl Checker {
             }
             local.sat_resolves += 1;
         }
-        let t0 = Instant::now();
-        let mut enc = CycleEncoder::new(u, &self.far, &self.features);
-        let dt = t0.elapsed();
-        local.encoder_build += dt;
-        local.smt += dt;
-        let t1 = Instant::now();
-        let mut q = c4_obs::span("smt_query");
+        let mut enc = self.encoder(u);
+        let mut q = c4_obs::stage(Stage::SmtQuery);
         let model = enc.check(cand);
         q.set_arg(if model.is_some() { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
         drop(q);
-        local.book_query(&mut enc, t1.elapsed());
         local.queries += 1;
         match model {
             None => CandOutcome::Refuted,
             Some(model) => {
-                let _v = c4_obs::span("validate");
-                let t1 = Instant::now();
+                let _v = c4_obs::stage(Stage::Validate);
                 let ce = CounterExample::build(u, &model);
                 let rendered = if self.features.validate_counterexamples {
                     match ce.validate(&self.far, cand, u, self.features.asymmetric) {
@@ -788,7 +745,6 @@ impl Checker {
                 if self.log_witnesses && rendered.is_some() {
                     self.witnesses.lock().unwrap().push(ce);
                 }
-                local.validate += t1.elapsed();
                 CandOutcome::Sat { rendered }
             }
         }
@@ -859,7 +815,7 @@ impl Checker {
         deadline: &Deadline,
         result: &mut AnalysisResult,
     ) {
-        let subs = Subsumers::new(self.h.txs.len(), &result.violations);
+        let subs = Subsumers::new(&result.violations);
         let round = Round {
             k,
             tables,
@@ -930,7 +886,7 @@ impl Checker {
             // All work replays off the rep's class record at merge time.
             return rec;
         }
-        rec.cands = self.filter_candidates(u, tables, local);
+        rec.cands = self.filter_candidates(u, tables);
         rec.suspicious = !rec.cands.is_empty();
         if matches!(rec.sym, SymTag::Permuted { .. }) {
             // Candidate order is member specific, so only the SSG stage
@@ -938,7 +894,7 @@ impl Checker {
             return rec;
         }
         let cands = &rec.cands;
-        let mut txs = TxSet::new(self.h.txs.len());
+        let mut txs = TxSet::default();
         let mut covered = |i: usize| {
             load_txs(&mut txs, u, cands, i);
             round.snapshot.read().expect("subsumption snapshot lock").iter().any(|v| v.is_subset(&txs))
@@ -955,12 +911,10 @@ impl Checker {
             let pending: Vec<CandidateCycle> =
                 (0..cands.len()).filter(|&i| !covered(i)).map(|i| cands.cycle(i)).collect();
             if pending.len() >= 2 {
-                let enc = session.insert(self.session(u, local));
-                let t1 = Instant::now();
-                let _probe = c4_obs::span_arg("smt_query", c4_obs::tag::PROBE);
+                let enc = session.insert(self.encoder(u));
+                let probe = c4_obs::stage_arg(Stage::SmtQuery, c4_obs::tag::PROBE);
                 let sat = enc.check_shared_any(&pending);
-                drop(_probe);
-                local.book_query(enc, t1.elapsed());
+                drop(probe);
                 local.queries += 1;
                 local.assumption_solves += 1;
                 all_refuted = !sat;
@@ -980,7 +934,7 @@ impl Checker {
             } else if !eager {
                 CandOutcome::Pending
             } else {
-                let enc = session.get_or_insert_with(|| self.session(u, local));
+                let enc = session.get_or_insert_with(|| self.encoder(u));
                 self.solve_candidate(u, &cands.cycle(i), Some(enc), local)
             };
             outcomes.push(outcome);
@@ -1033,8 +987,7 @@ impl Checker {
                                 self.solve_candidate(u, &cands.cycle(i), None, &mut m.local)
                             }
                             CandOutcome::Pending => {
-                                let enc =
-                                    session.get_or_insert_with(|| self.session(u, &mut m.local));
+                                let enc = session.get_or_insert_with(|| self.encoder(u));
                                 self.solve_candidate(u, &cands.cycle(i), Some(enc), &mut m.local)
                             }
                             o => o,
@@ -1080,7 +1033,7 @@ impl Checker {
                             self.solve_candidate(u, &class.cands.cycle(i), None, &mut m.local)
                         }
                         o => {
-                            c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
+                            c4_obs::instant(Stage::SmtQuery.name(), c4_obs::tag::REPLAY);
                             o.clone()
                         }
                     };
@@ -1105,7 +1058,7 @@ impl Checker {
                     }
                     result.stats.smt_queries += 1;
                     let outcome = if class.refutes(&cands, i, &map) {
-                        c4_obs::instant("smt_query", c4_obs::tag::REPLAY);
+                        c4_obs::instant(Stage::SmtQuery.name(), c4_obs::tag::REPLAY);
                         CandOutcome::Refuted
                     } else {
                         self.solve_candidate(u, &cands.cycle(i), None, &mut m.local)
@@ -1121,8 +1074,8 @@ impl Checker {
 
     /// Pool discovery: workers pull unfoldings from a shared dispenser
     /// and solve eagerly, while this thread merges their records in
-    /// ascending enumeration order. The merge is clocked and spanned here,
-    /// where it runs beside the workers.
+    /// ascending enumeration order. The merge is a stage here, where it
+    /// runs beside the workers; the solves it runs are booked as theirs.
     fn discover_on_pool(
         &self,
         arena: &Arc<TxArena>,
@@ -1149,7 +1102,7 @@ impl Checker {
         // them in small chunks to keep dispenser-lock traffic low without
         // widening the in-flight window.
         const CHUNK: usize = 4;
-        let locals: Vec<WorkerLocal> = std::thread::scope(|scope| {
+        let locals: Vec<(WorkerLocal, StageTimings)> = std::thread::scope(|scope| {
             let dispenser = &dispenser;
             let dispensed = &dispensed;
             let handles: Vec<_> = (0..workers)
@@ -1184,7 +1137,9 @@ impl Checker {
                                 }
                             }
                         }
-                        local
+                        // A scoped worker is a fresh thread: its whole
+                        // ledger is this round's.
+                        (local, c4_obs::thread_ledger())
                     })
                 })
                 .collect();
@@ -1194,10 +1149,8 @@ impl Checker {
             while let Ok(item) = record_rx.recv() {
                 stash.insert(item.0.index, item);
                 while let Some((rec, u)) = stash.remove(&next_merge) {
-                    let _span = c4_obs::span("merge");
-                    let t0 = Instant::now();
+                    let _stage = c4_obs::stage(Stage::Merge);
                     self.merge_record(rec, &u, &mut None, m, result);
-                    result.stats.timings.merge += t0.elapsed();
                     next_merge += 1;
                 }
                 // Dispensed-but-unmerged unfoldings are the live window:
@@ -1211,8 +1164,9 @@ impl Checker {
             // drains completely, even after a deadline abort.
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
         });
-        for (w, local) in locals.iter().enumerate() {
+        for (w, (local, stages)) in locals.iter().enumerate() {
             local.fold(&mut result.stats, Some(w));
+            result.stats.timings += *stages;
         }
     }
 
@@ -1301,18 +1255,15 @@ impl Checker {
                     let u = Unfolding { arena: Arc::clone(arena), instances, k: 3 };
                     stats.smt_queries += 1;
                     stats.generalization_queries += 1;
-                    let t0 = Instant::now();
-                    let mut enc =
-                        crate::encode::CycleEncoder::new(&u, &self.far, &features);
+                    let mut enc = CycleEncoder::new(&u, &self.far, &features);
                     enc.assert_some_dependency(0, 1);
                     enc.assert_step(m_last_idx, t3_idx, SsgLabel::Anti);
                     enc.assert_mirror(ghost_idx, m_last_idx);
                     enc.assert_no_anti_args(ghost_idx, t3_idx);
-                    let mut q = c4_obs::span("gen_query");
+                    let mut q = c4_obs::stage(Stage::GenQuery);
                     let sat = enc.solve().is_some();
                     q.set_arg(if sat { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
                     drop(q);
-                    stats.timings.smt += t0.elapsed();
                     if sat {
                         // Some model of the segment admits no short-cut.
                         return false;

@@ -21,9 +21,9 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use c4_algebra::{ArgTerm, FarSpec, Side, SigId, SpecFormula};
+use c4_obs::Stage;
 use c4_smt::{Context, Incremental, SatResult, Sort, TermId};
 use c4_store::Value;
 
@@ -102,9 +102,6 @@ pub struct CycleEncoder<'a> {
     /// How many of `assertions` have been permanently asserted into the
     /// session so far.
     session_cursor: usize,
-    /// Time spent flushing assertions into the session since the last
-    /// [`CycleEncoder::take_flush_time`].
-    flush_time: Duration,
 }
 
 impl<'a> CycleEncoder<'a> {
@@ -115,7 +112,7 @@ impl<'a> CycleEncoder<'a> {
     ///
     /// Panics if an event's signature is outside `far`'s alphabet.
     pub fn new(u: &'a Unfolding, far: &'a FarSpec, features: &'a AnalysisFeatures) -> Self {
-        let _span = c4_obs::span("encoder_build");
+        let _stage = c4_obs::stage(Stage::EncoderBuild);
         let n = u.instances.len();
         let sig = (0..n)
             .map(|i| {
@@ -155,7 +152,6 @@ impl<'a> CycleEncoder<'a> {
             steps: vec![None; n * n * 3],
             session: None,
             session_cursor: 0,
-            flush_time: Duration::ZERO,
         };
         enc.declare();
         enc.assert_paths();
@@ -948,11 +944,10 @@ impl<'a> CycleEncoder<'a> {
 
     /// Asserts every assertion recorded since the last flush into the
     /// session (created on first use), in recording order: terms as unit
-    /// clauses, clauses as clauses. Its time is booked as encoder build
-    /// ([`CycleEncoder::take_flush_time`]), not as solving.
+    /// clauses, clauses as clauses. It is an encoder-build stage of its
+    /// own, nested in the query that flushes, so its time is not solving.
     fn flush(&mut self) {
-        let _span = c4_obs::span("encoder_build");
-        let t0 = Instant::now();
+        let _stage = c4_obs::stage(Stage::EncoderBuild);
         let session = self.session.get_or_insert_with(Incremental::new);
         for &a in &self.assertions[self.session_cursor..] {
             match a {
@@ -964,13 +959,6 @@ impl<'a> CycleEncoder<'a> {
             }
         }
         self.session_cursor = self.assertions.len();
-        self.flush_time += t0.elapsed();
-    }
-
-    /// The time spent flushing assertions into the solver since the last
-    /// call, which then restarts from zero.
-    pub fn take_flush_time(&mut self) -> Duration {
-        std::mem::take(&mut self.flush_time)
     }
 
     /// Solves the accumulated assertions as permanent facts.

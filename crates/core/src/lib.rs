@@ -37,13 +37,12 @@ pub mod intern;
 pub mod report;
 pub mod si;
 pub mod ssg;
-mod txset;
 pub mod unfold;
 
 pub use abstract_history::{AbsArg, AbsEventSpec, AbsTx, AbstractHistory, Cond, Node, RelOp};
 pub use cache::{sha256, CacheCounters, CacheKey, CacheTier, VerdictCache};
 pub use check::{AnalysisFeatures, CancelToken, Checker};
-pub use report::{AnalysisResult, AnalysisStats, DecodeError, Violation};
+pub use report::{AnalysisResult, AnalysisStats, DecodeError, Stage, StageTimings, Violation};
 pub use intern::{BodyId, ShapeId, TxArena};
 pub use ssg::{Ssg, SsgLabel};
 pub use unfold::{Unfolding, UnfoldingInstance};

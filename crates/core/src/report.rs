@@ -1,7 +1,8 @@
 //! Violation reports and analysis statistics.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
+
+pub use c4_obs::{Stage, StageTimings};
 
 use crate::ssg::SsgLabel;
 
@@ -26,54 +27,6 @@ impl Violation {
     /// one over the same syntactic transactions).
     pub fn subsumes(&self, other_txs: &BTreeSet<usize>) -> bool {
         self.txs.is_subset(other_txs)
-    }
-}
-
-/// Cumulative wall-clock time per analysis stage.
-///
-/// One-worker runs measure each stage inline, so the stage times sum to
-/// (roughly) the total wall-clock time. Pool runs accumulate the
-/// per-worker time of the `ssg_filter` / `smt` / `validate` stages, so
-/// their sum is *CPU* time and can exceed the wall clock; `unfold` and
-/// `merge` always run on the driver thread and remain wall-clock times.
-/// Timings are inherently non-deterministic and excluded from the
-/// [`AnalysisResult::same_verdict`] comparison.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimings {
-    /// Definition 4 unfolding of all transactions plus pair-table
-    /// precomputation (once per run, before the `k` loop).
-    pub unfold: Duration,
-    /// SC1 pre-filter, SSG construction, and candidate-cycle enumeration.
-    pub ssg_filter: Duration,
-    /// SMT encoding and solving (bounded search plus generalization).
-    pub smt: Duration,
-    /// Counter-example decoding, concrete validation, and rendering.
-    pub validate: Duration,
-    /// Deterministic in-order merge of worker records, clocked where the
-    /// pool runs it beside the workers (zero at one worker, where the
-    /// merge is inline and its solves count toward the other stages).
-    pub merge: Duration,
-    /// Constructing `CycleEncoder`s — symbol declarations and structural
-    /// axioms — and flushing their assertions into the solver session
-    /// (a sub-span of `smt`; the shared incremental session pays it once
-    /// per suspicious unfolding, not once per query).
-    pub encoder_build: Duration,
-    /// Solving candidate queries against an already-built encoder, its
-    /// flush excluded — the per-candidate marginal cost (a sub-span of
-    /// `smt`).
-    pub query_solve: Duration,
-}
-
-impl StageTimings {
-    /// Accumulates another timing record into this one.
-    pub fn absorb(&mut self, other: &StageTimings) {
-        self.unfold += other.unfold;
-        self.ssg_filter += other.ssg_filter;
-        self.smt += other.smt;
-        self.validate += other.validate;
-        self.merge += other.merge;
-        self.encoder_build += other.encoder_build;
-        self.query_solve += other.query_solve;
     }
 }
 
@@ -168,7 +121,9 @@ pub struct AnalysisStats {
     /// SMT queries solved per worker, indexed by worker id
     /// (scheduling-dependent; sums to `speculative_smt_queries`).
     pub per_worker_queries: Vec<usize>,
-    /// Cumulative per-stage timings.
+    /// Self time per pipeline stage, the fold of the run's stage spans
+    /// (see [`c4_obs::ledger`]). Timings are non-deterministic and
+    /// excluded from [`AnalysisResult::same_verdict`].
     pub timings: StageTimings,
 }
 
@@ -203,7 +158,7 @@ impl AnalysisStats {
                 self.per_worker_queries.push(*q);
             }
         }
-        self.timings.absorb(&other.timings);
+        self.timings += other.timings;
     }
 
     /// The replay counters, i.e. the scheduling-independent prefix of the
@@ -649,7 +604,11 @@ mod tests {
         let mut noisy = r.clone();
         noisy.stats.speculative_smt_queries = 99;
         noisy.stats.workers = 8;
-        noisy.stats.timings.smt = Duration::from_secs(1);
+        {
+            let _stage = c4_obs::stage(Stage::SmtQuery);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        noisy.stats.timings = c4_obs::thread_ledger();
         assert_eq!(bytes, noisy.encode_report(), "verdict bytes exclude noise");
 
         let back = AnalysisResult::decode_report(&bytes).unwrap();

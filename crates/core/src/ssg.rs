@@ -262,7 +262,7 @@ pub struct PairTables {
 impl PairTables {
     /// Computes the tables for the unfolded transaction bodies.
     pub fn compute(txs: &[AbsTx], far: &FarSpec) -> Self {
-        let _span = c4_obs::span("pair_tables");
+        let _stage = c4_obs::stage(c4_obs::Stage::PairTables);
         let n_tx = txs.len();
         let mut offsets = Vec::with_capacity(n_tx + 1);
         let mut total = 0usize;

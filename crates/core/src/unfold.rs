@@ -119,7 +119,7 @@ pub fn session_choices(h: &AbstractHistory) -> Vec<SessionChoice> {
 /// Builds the shared body arena of an abstract history: every transaction
 /// unfolded per Definition 4, hash-consed so `BodyId == tx index`.
 pub fn arena_for(h: &AbstractHistory) -> Arc<TxArena> {
-    let _span = c4_obs::span("intern_arena");
+    let _stage = c4_obs::stage(c4_obs::Stage::InternArena);
     Arc::new(TxArena::build(unfold_all(h)))
 }
 

@@ -42,7 +42,7 @@ use c4_obs::flight::FlightEntry;
 use c4_obs::merge::ProcessRing;
 use c4_service::client::{Client, Endpoint};
 use c4_service::conn::{FrameConn, ReadOutcome};
-use c4_service::job::RetireWindow;
+use c4_service::job::{JobWaiter, RetireWindow};
 use c4_service::poll::{EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use c4_service::proto::{JobState, ReqTiming, Request, Response};
 use c4_service::reactor::{Handler, Reactor, CALLER_TOKENS};
@@ -94,13 +94,6 @@ struct Attempt {
     remote_id: Option<u64>,
     /// Acked-and-resolved, failed, or abandoned — no longer live.
     done: bool,
-}
-
-struct JobWaiter {
-    token: u64,
-    /// Whether the reply unblocks the client connection's dispatch
-    /// (submit-wait: yes; forward: no).
-    unblocks: bool,
 }
 
 struct GwJob {
@@ -766,11 +759,7 @@ impl EventLoop {
         // peer correlates by job id and gets the failed status instead.
         let busy = busy_hint.map(|ms| Response::Busy { retry_after_ms: ms });
         for w in waiters {
-            match &busy {
-                Some(busy) if w.unblocks => r.unblock(w.token, busy),
-                _ if w.unblocks => r.unblock(w.token, &status),
-                _ => r.reply(w.token, &status),
-            }
+            w.answer(r, busy.as_ref().filter(|_| w.unblocks).unwrap_or(&status));
         }
         self.retire_if_settled(gid);
         self.drain_check(r);

@@ -1,6 +1,6 @@
 //! `c4-obs`: the observability substrate for the C4 analysis pipeline.
 //!
-//! Three independent pieces, all std-only:
+//! Four pieces, all std-only:
 //!
 //! * an **event recorder** ([`enable`], [`span`], [`counter`],
 //!   [`drain`]) — per-thread ring buffers of timestamped
@@ -9,6 +9,8 @@
 //!   relaxed atomic load; when on, recording appends to a
 //!   thread-local `Vec` with drop-oldest overflow (bounded memory,
 //!   never blocks the hot path, drops are counted);
+//! * the always-on **[`ledger`]** of pipeline [`Stage`]s, whose guards
+//!   emit the stage spans and book their self times per thread;
 //! * two **exporters** ([`export::chrome_trace`], [`export::jsonl`])
 //!   plus a hand-rolled JSON validator ([`json`]) used by the
 //!   `trace_check` binary and the test suite;
@@ -49,8 +51,11 @@ pub mod export;
 pub mod flight;
 pub mod hist;
 pub mod json;
+pub mod ledger;
 pub mod merge;
 pub mod prom;
+
+pub use ledger::{stage, stage_arg, thread_ledger, Stage, StageGuard, StageTimings};
 
 /// Well-known span argument tags: the pipeline stamps each SMT query
 /// span with its verdict so exporters and tests can classify queries
@@ -216,10 +221,14 @@ thread_local! {
 
 #[inline]
 fn record(data: EventData) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+    if enabled() {
+        record_at(now_ns(), data);
     }
-    let t_ns = now_ns();
+}
+
+/// Appends an event stamped `t_ns` to this thread's buffer; the caller
+/// has checked that the recorder is armed.
+fn record_at(t_ns: u64, data: EventData) {
     let gen = GENERATION.load(Ordering::Acquire);
     // try_with: recording during thread-local teardown is silently a
     // no-op rather than a panic.
@@ -328,21 +337,14 @@ pub fn drain() -> TraceLog {
 }
 
 /// RAII span handle: records `Begin` on creation (via [`span`] /
-/// [`span_arg`]) and `End` on drop, carrying the latest
-/// [`SpanGuard::set_arg`] value — which is how SMT query spans get
-/// their sat/unsat verdict stamped on the close event.
+/// [`span_arg`]) and `End`, with the same argument, on drop. A stage
+/// span ([`StageGuard`]) can change its argument before it closes,
+/// which is how SMT query spans get their sat/unsat verdict stamped on
+/// the close event.
 pub struct SpanGuard {
     name: &'static str,
     arg: u64,
     active: bool,
-}
-
-impl SpanGuard {
-    /// Update the argument the closing `End` event will carry.
-    #[inline]
-    pub fn set_arg(&mut self, arg: u64) {
-        self.arg = arg;
-    }
 }
 
 impl Drop for SpanGuard {
@@ -504,12 +506,11 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap();
         enable(1024);
         {
-            let mut outer = span_arg("outer", 7);
+            let _outer = span_arg("outer", tag::SAT);
             {
                 let _inner = span("inner");
                 counter("widgets", 3);
             }
-            outer.set_arg(tag::SAT);
         }
         instant("mark", tag::REPLAY);
         let log = drain();
@@ -589,6 +590,55 @@ mod tests {
         let _ = drain();
         instant("ghost", 1);
         assert_eq!(snapshot().event_count(), 0);
+    }
+
+    #[test]
+    fn stages_book_self_time_and_trace_the_same_clock_readings() {
+        let _g = TEST_LOCK.lock().unwrap();
+        let pause = std::time::Duration::from_millis(2);
+        for traced in [false, true] {
+            if traced {
+                enable(1024);
+            }
+            let (before, t0) = (thread_ledger(), now_ns());
+            {
+                let _outer = stage(Stage::Merge);
+                {
+                    let _query = stage_arg(Stage::SmtQuery, tag::PROBE);
+                    let _build = stage(Stage::EncoderBuild);
+                    std::thread::sleep(pause);
+                }
+                std::thread::sleep(pause);
+            }
+            let window = std::time::Duration::from_nanos(now_ns() - t0);
+            let t = thread_ledger() - before;
+            assert!(t.get(Stage::EncoderBuild) >= pause && t.get(Stage::Merge) >= pause);
+            // Nested stages are excluded: booked once, the three fit the window.
+            assert!(t.iter().map(|(_, d)| d).sum::<std::time::Duration>() <= window);
+            assert_eq!(t.get(Stage::Validate), std::time::Duration::ZERO);
+            let names: Vec<&str> = t.iter().map(|(s, _)| s.name()).collect();
+            assert_eq!(names, Stage::ALL.map(Stage::name));
+            if traced {
+                let log = drain();
+                log.check_nesting().unwrap();
+                assert_eq!(log.count_ends(Stage::SmtQuery.name(), |a| a == tag::PROBE), 1);
+                let t_ns = |name: &str, begin: bool| {
+                    log.threads[0].events.iter().find_map(|e| match e.data {
+                        EventData::Begin { name: n, .. } if begin && n == name => Some(e.t_ns),
+                        EventData::End { name: n, .. } if !begin && n == name => Some(e.t_ns),
+                        _ => None,
+                    })
+                };
+                let dur = |name: &str| t_ns(name, false).unwrap() - t_ns(name, true).unwrap();
+                let booked = |s: Stage| t.get(s).as_nanos() as u64;
+                assert_eq!(booked(Stage::EncoderBuild), dur(Stage::EncoderBuild.name()));
+                assert_eq!(
+                    booked(Stage::Merge),
+                    dur(Stage::Merge.name()) - dur(Stage::SmtQuery.name()),
+                    "the ledger folds the recorded timestamps"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! of unbounded latency), and `begin_drain`/`await_drained` implement
 //! the graceful-shutdown contract — everything admitted completes,
 //! nothing new is admitted. A [`RetireWindow`] bounds how many terminal
-//! jobs a serving tier keeps answering `Status` for.
+//! jobs a serving tier keeps answering `Status` for, and a [`JobWaiter`]
+//! is a connection waiting for one to turn terminal.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,7 +21,8 @@ use std::time::Instant;
 use c4::{AnalysisFeatures, CancelToken};
 use c4_obs::prom::PromPage;
 
-use crate::proto::{JobState, TraceCtx};
+use crate::proto::{JobState, Response, TraceCtx};
+use crate::reactor::Reactor;
 
 /// Outcome of a cancellation attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,6 +182,26 @@ impl RetireWindow {
         let evicted = if self.ids.len() == RETIRE_WINDOW { self.ids.pop_front() } else { None };
         self.ids.push_back(id);
         evicted
+    }
+}
+
+/// A connection waiting for a job's terminal `Status`. The wait of a
+/// `Submit{wait}` blocks its connection; a `Forward`'s does not (one
+/// gateway link multiplexes many forwards).
+pub struct JobWaiter {
+    pub token: u64,
+    pub unblocks: bool,
+}
+
+impl JobWaiter {
+    /// Sends `resp`, releasing the connection's block if the wait holds
+    /// one.
+    pub fn answer<N>(&self, r: &mut Reactor<N>, resp: &Response) {
+        if self.unblocks {
+            r.unblock(self.token, resp);
+        } else {
+            r.reply(self.token, resp);
+        }
     }
 }
 

@@ -53,21 +53,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use c4::{CacheKey, CacheTier, VerdictCache};
+use c4::{CacheKey, CacheTier, Stage, VerdictCache};
 use c4_obs::flight::{FlightEntry, FlightRecorder};
 use c4_obs::hist::Histogram;
 use c4_obs::prom::PromPage;
 
-use crate::job::{CancelOutcome, Counters, Job, RetireWindow, Scheduler};
+use crate::job::{CancelOutcome, Counters, Job, JobWaiter, RetireWindow, Scheduler};
 use crate::proto::{DaemonStats, HealthInfo, JobState, ReqTiming, Request, Response, TraceCtx};
 use crate::reactor::{Handler, MetricsServer, NoticeBox, Reactor, SideThreads};
 
 /// Per-thread recorder capacity for daemon-side `Trace` requests.
 const TRACE_CAPACITY: usize = 1 << 18;
-
-/// Stage-duration histogram keys, matching `AnalysisStats::timings`.
-const STAGES: [&str; 7] =
-    ["unfold", "ssg_filter", "smt", "encoder_build", "query_solve", "validate", "merge"];
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -143,7 +139,8 @@ struct Daemon {
     workers: usize,
     wait_hist: Histogram,
     run_hist: Histogram,
-    stage_hists: Vec<(&'static str, Histogram)>,
+    /// Per-stage self times of computed jobs, indexed like [`Stage::ALL`].
+    stage_hists: [Histogram; Stage::ALL.len()],
     notices: Arc<NoticeBox<Notice>>,
     /// Transient side threads (trace runs, the drain).
     side_threads: SideThreads,
@@ -327,17 +324,12 @@ impl Daemon {
             "Pipeline run time per completed job.",
             &[(&[], &self.run_hist)],
         );
-        let stage_labels: Vec<[(&str, &str); 1]> =
-            self.stage_hists.iter().map(|(s, _)| [("stage", *s)]).collect();
-        let series: Vec<(&[(&str, &str)], &Histogram)> = self
-            .stage_hists
-            .iter()
-            .enumerate()
-            .map(|(i, (_, hist))| (stage_labels[i].as_slice(), hist))
-            .collect();
+        let labels = Stage::ALL.map(|s| [("stage", s.name())]);
+        let series: Vec<(&[(&str, &str)], &Histogram)> =
+            labels.iter().map(|l| l.as_slice()).zip(&self.stage_hists).collect();
         page.histogram_family(
             "c4d_stage_duration_milliseconds",
-            "Per-stage durations of computed jobs.",
+            "Per-stage self times of computed jobs.",
             &series,
         );
         page.finish()
@@ -491,23 +483,14 @@ impl Daemon {
         // enter the pipeline, so their (absent) stages are not zeros.
         // The same per-stage milliseconds become the `ReqTiming` stage
         // breakdown and the flight-recorder marks.
-        let t = &result.stats.timings;
-        let mut stages: Vec<(String, u64)> = Vec::with_capacity(STAGES.len());
-        for (stage, d) in [
-            ("unfold", t.unfold),
-            ("ssg_filter", t.ssg_filter),
-            ("smt", t.smt),
-            ("encoder_build", t.encoder_build),
-            ("query_solve", t.query_solve),
-            ("validate", t.validate),
-            ("merge", t.merge),
-        ] {
-            let ms = d.as_millis() as u64;
-            if let Some((_, hist)) = self.stage_hists.iter().find(|(s, _)| *s == stage) {
+        let timings = result.stats.timings.iter().zip(&self.stage_hists);
+        let stages: Vec<(String, u64)> = timings
+            .map(|((stage, d), hist)| {
+                let ms = d.as_millis() as u64;
                 hist.observe(ms);
-            }
-            stages.push((stage.to_string(), ms));
-        }
+                (stage.name().to_string(), ms)
+            })
+            .collect();
         let bytes = result.encode_report();
         if !result.stats.deadline_hit {
             self.cache.store(&key, &bytes);
@@ -519,14 +502,6 @@ impl Daemon {
         job.set_state(done(CacheTier::Miss, bytes, stages));
         flight("done", marks);
     }
-}
-
-/// A waiter for a job's terminal state: who to tell, and whether the
-/// reply unblocks that connection (`Submit{wait}`: yes; `Forward`: no —
-/// forwards are multiplexed).
-struct JobWaiter {
-    token: u64,
-    unblocks: bool,
 }
 
 /// The daemon's side of the event loop.
@@ -660,11 +635,7 @@ impl DaemonLoop {
         };
         let resp = Response::Status { job_id, state };
         for w in self.waiters.remove(&job_id).unwrap_or_default() {
-            if w.unblocks {
-                r.unblock(w.token, &resp);
-            } else {
-                r.reply(w.token, &resp);
-            }
+            w.answer(r, &resp);
         }
     }
 }
@@ -726,7 +697,7 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
         workers,
         wait_hist: Histogram::latency_ms(),
         run_hist: Histogram::latency_ms(),
-        stage_hists: STAGES.iter().map(|&s| (s, Histogram::latency_ms())).collect(),
+        stage_hists: Stage::ALL.map(|_| Histogram::latency_ms()),
         notices: reactor.notices(),
         side_threads: SideThreads::default(),
         trace_ring: cfg.trace_ring,
@@ -934,7 +905,11 @@ mod tests {
         assert!(body.contains("c4d_job_run_milliseconds_count 2"));
         assert!(body.contains("c4d_job_run_milliseconds_bucket{le=\"+Inf\"} 2"));
         // Exactly one computed job fed the stage histograms.
-        assert!(body.contains("c4d_stage_duration_milliseconds_count{stage=\"smt\"} 1"));
+        for stage in Stage::ALL {
+            let count =
+                format!("c4d_stage_duration_milliseconds_count{{stage=\"{}\"}} 1", stage.name());
+            assert!(body.contains(&count), "no {count}");
+        }
         // HELP/TYPE headers appear once per metric name even with
         // several label sets.
         assert_eq!(body.matches("# TYPE c4d_stage_duration_milliseconds histogram").count(), 1);

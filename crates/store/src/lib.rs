@@ -38,6 +38,7 @@ pub mod op;
 pub mod schedule;
 pub mod semantics;
 pub mod sim;
+pub mod txset;
 pub mod value;
 
 pub use event::{Event, EventId};

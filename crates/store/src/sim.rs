@@ -49,6 +49,7 @@ use crate::history::{History, HistoryBuilder, SessionId};
 use crate::op::{ObjectName, OpKind, Operation};
 use crate::schedule::{Relation, Schedule};
 use crate::semantics::StoreState;
+use crate::txset::TxSet;
 use crate::value::{RowId, Value};
 
 /// Handle to a client session of the simulator.
@@ -58,58 +59,6 @@ pub struct SimSession(usize);
 /// Index of a replica.
 pub type ReplicaId = usize;
 
-/// A set of committed-transaction indices: bit `t % 64` of word `t / 64`.
-/// Words past the end read as zero, so sets of different lengths combine
-/// and compare without resizing first. Iteration is ascending, which is
-/// commit (= arbitration) order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct TxBits(Vec<u64>);
-
-impl TxBits {
-    fn insert(&mut self, t: usize) {
-        let w = t / 64;
-        if w >= self.0.len() {
-            self.0.resize(w + 1, 0);
-        }
-        self.0[w] |= 1 << (t % 64);
-    }
-
-    #[cfg(test)]
-    fn contains(&self, t: usize) -> bool {
-        self.0.get(t / 64).is_some_and(|w| w & (1 << (t % 64)) != 0)
-    }
-
-    fn union_with(&mut self, other: &TxBits) {
-        if other.0.len() > self.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a |= *b;
-        }
-    }
-
-    fn is_subset(&self, other: &TxBits) -> bool {
-        self.0
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !other.0.get(i).copied().unwrap_or(0) == 0)
-    }
-
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let b = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(w * 64 + b)
-            })
-        })
-    }
-}
-
 /// A committed transaction. It never changes after commit, so forks of
 /// the simulator share it behind an `Arc`.
 #[derive(Debug)]
@@ -117,7 +66,7 @@ struct CommittedTx {
     /// The operations, in program order; queries carry their return value.
     ops: Vec<Operation>,
     /// Transactions visible when this one executed (causally closed).
-    visible: TxBits,
+    visible: TxSet,
 }
 
 #[derive(Debug, Clone)]
@@ -132,13 +81,13 @@ struct SessionState {
 #[derive(Debug, Clone)]
 struct OpenTx {
     ops: Vec<Operation>,
-    visible: TxBits,
+    visible: TxSet,
 }
 
 #[derive(Debug, Clone, Default)]
 struct Replica {
     /// Committed transactions applied at this replica.
-    applied: TxBits,
+    applied: TxSet,
 }
 
 /// A pending remote delivery: transaction `tx` towards replica `to`.
@@ -215,7 +164,7 @@ impl CausalSim {
     pub fn begin(&mut self, s: SimSession) {
         let sess = &self.sessions[s.0];
         assert!(sess.open.is_none(), "transaction already open");
-        let mut visible = TxBits::default();
+        let mut visible = TxSet::default();
         for t in self.replicas[sess.replica].applied.iter().chain(sess.committed.iter().copied()) {
             visible.insert(t);
             visible.union_with(&self.committed[t].visible);
@@ -583,7 +532,7 @@ mod tests {
             for _ in 0..50 {
                 let mut sets = Vec::new();
                 for _ in 0..2 {
-                    let mut bits = TxBits::default();
+                    let mut bits = TxSet::default();
                     let mut model = BTreeSet::new();
                     // Dense or sparse, always with the last index set.
                     let density = if rng.gen_bool(0.5) { 0.9 } else { 0.1 };
@@ -596,7 +545,8 @@ mod tests {
                     let listed: Vec<usize> = bits.iter().collect();
                     assert_eq!(listed, model.iter().copied().collect::<Vec<_>>());
                     for t in 0..n + 64 {
-                        assert_eq!(bits.contains(t), model.contains(&t), "n = {n}, t = {t}");
+                        let single: TxSet = [t].into_iter().collect();
+                        assert_eq!(single.is_subset(&bits), model.contains(&t), "n = {n}, t = {t}");
                     }
                     sets.push((bits, model));
                 }
@@ -608,10 +558,10 @@ mod tests {
                 assert_eq!(u.iter().collect::<BTreeSet<_>>(), &ma | &mb);
                 assert!(a.is_subset(&u) && b.is_subset(&u));
                 // Shorter sets compare and combine with longer ones.
-                let mut short = TxBits::default();
+                let mut short = TxSet::default();
                 short.insert(0);
                 assert_eq!(short.is_subset(&a), ma.contains(&0));
-                assert!(TxBits::default().is_subset(&short));
+                assert!(TxSet::default().is_subset(&short));
             }
         }
     }

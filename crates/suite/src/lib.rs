@@ -282,7 +282,8 @@ pub fn analyze_with_cache(
 ///   (speculative/prepruned/assumption solves, symmetry class
 ///   accounting, residency, per-worker query distribution): allowed
 ///   to differ run-to-run, stripped by [`strip_volatile`];
-/// * `"timings_ms"` — wall-clock per stage, never deterministic.
+/// * `"timings_ms"` — self time per [`c4::Stage`], in ledger order,
+///   never deterministic.
 pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
     let counts = |c: Counts| {
         format!(
@@ -291,8 +292,13 @@ pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
         )
     };
     let s = &out.stats;
-    let t = &s.timings;
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+    let timings = s
+        .timings
+        .iter()
+        .map(|(stage, d)| format!(r#""{}":{:.3}"#, stage.name(), ms(d)))
+        .collect::<Vec<_>>()
+        .join(",");
     let per_worker = s
         .per_worker_queries
         .iter()
@@ -315,9 +321,7 @@ pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
             r#""sat_resolves":{sres},"learnt_clauses":{learnt},"#,
             r#""classes":{classes},"class_members_skipped":{skipped},"#,
             r#""peak_unfoldings_resident":{peak},"per_worker_queries":[{pwq}]}},"#,
-            r#""timings_ms":{{"unfold":{t_unfold:.3},"ssg_filter":{t_ssg:.3},"#,
-            r#""smt":{t_smt:.3},"encoder_build":{t_build:.3},"#,
-            r#""query_solve":{t_solve:.3},"validate":{t_val:.3},"merge":{t_merge:.3}}},"#,
+            r#""timings_ms":{{{timings}}},"#,
             r#""cache":{{"mem_hits":{c_mem},"disk_hits":{c_disk},"misses":{c_miss},"#,
             r#""stores":{c_stores},"evictions":{c_evict},"stale_drops":{c_stale}}}}}"#,
         ),
@@ -355,13 +359,7 @@ pub fn json_line(domain: Domain, out: &BenchOutcome) -> String {
         skipped = s.class_members_skipped,
         peak = s.peak_unfoldings_resident,
         pwq = per_worker,
-        t_unfold = ms(t.unfold),
-        t_ssg = ms(t.ssg_filter),
-        t_smt = ms(t.smt),
-        t_build = ms(t.encoder_build),
-        t_solve = ms(t.query_solve),
-        t_val = ms(t.validate),
-        t_merge = ms(t.merge),
+        timings = timings,
         c_mem = out.cache.mem_hits,
         c_disk = out.cache.disk_hits,
         c_miss = out.cache.misses,
@@ -414,10 +412,12 @@ mod tests {
             "\"per_worker_queries\":[",
             "\"classes\":",
             "\"peak_unfoldings_resident\":",
-            "\"encoder_build\":",
-            "\"query_solve\":",
         ] {
             assert!(line.contains(field), "json_line missing {field}");
+        }
+        for stage in c4::Stage::ALL {
+            let field = format!("\"{}\":", stage.name());
+            assert!(line.contains(&field), "json_line missing {field}");
         }
         let stripped = strip_volatile(&line);
         c4_obs::json::validate(&stripped).expect("stripped line must stay valid JSON");

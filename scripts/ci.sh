@@ -218,7 +218,11 @@ grep -q "^# TYPE c4d_jobs_submitted_total counter" "$SMOKE_DIR/m1.txt"
 grep -q "^# HELP c4d_jobs_submitted_total " "$SMOKE_DIR/m1.txt"
 grep -q "^# TYPE c4d_job_run_milliseconds histogram" "$SMOKE_DIR/m1.txt"
 grep -q '^c4d_job_run_milliseconds_bucket{le="+Inf"}' "$SMOKE_DIR/m1.txt"
-grep -q '^c4d_stage_duration_milliseconds_count{stage="smt"}' "$SMOKE_DIR/m1.txt"
+# One stage histogram per pipeline stage (`c4_obs::Stage`, ledger order).
+for stage in intern_arena pair_tables ssg_filter encoder_build smt_query gen_query validate merge; do
+    grep -q "^c4d_stage_duration_milliseconds_count{stage=\"$stage\"}" "$SMOKE_DIR/m1.txt" ||
+        { echo "no stage histogram for $stage" >&2; exit 1; }
+done
 S1=$(awk '/^c4d_jobs_submitted_total /{print $2}' "$SMOKE_DIR/m1.txt")
 S2=$(awk '/^c4d_jobs_submitted_total /{print $2}' "$SMOKE_DIR/m2.txt")
 [ "$S1" = "2" ] || { echo "expected 2 submissions in scrape 1, got $S1" >&2; exit 1; }

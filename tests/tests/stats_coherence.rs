@@ -123,10 +123,11 @@ fn stats_are_coherent_and_replay_counters_agree() {
 }
 
 /// Stage timings are populated: a run that issued SMT queries has
-/// non-zero unfold and SMT clocks, and only parallel runs charge merge
-/// time.
+/// non-zero unfold, encoder and query clocks, and only parallel runs
+/// charge merge time.
 #[test]
 fn stage_timings_are_populated() {
+    use c4::Stage;
     let b = c4_suite::benchmark("Super Chat").expect("exists");
     let p = c4_lang::parse(b.source).expect("parse");
     let h = c4_lang::abstract_history(&p).expect("interp");
@@ -137,10 +138,13 @@ fn stage_timings_are_populated() {
     for (label, res) in [("seq", &seq), ("par", &par)] {
         assert!(res.stats.smt_queries > 0, "{label}: expected SMT work");
         let t = &res.stats.timings;
-        assert!(!t.unfold.is_zero(), "{label}: unfold stage unclocked");
-        assert!(!t.smt.is_zero(), "{label}: smt stage unclocked");
-        assert!(!t.ssg_filter.is_zero(), "{label}: filter stage unclocked");
+        for unfold in [Stage::InternArena, Stage::PairTables] {
+            assert!(!t.get(unfold).is_zero(), "{label}: unfold stage {unfold:?} unclocked");
+        }
+        assert!(!t.get(Stage::EncoderBuild).is_zero(), "{label}: encoder_build stage unclocked");
+        assert!(!t.get(Stage::SmtQuery).is_zero(), "{label}: smt_query stage unclocked");
+        assert!(!t.get(Stage::SsgFilter).is_zero(), "{label}: filter stage unclocked");
     }
-    assert!(seq.stats.timings.merge.is_zero(), "sequential runs have no merge phase");
-    assert!(!par.stats.timings.merge.is_zero(), "parallel runs clock the merge");
+    assert!(seq.stats.timings.get(Stage::Merge).is_zero(), "sequential runs have no merge phase");
+    assert!(!par.stats.timings.get(Stage::Merge).is_zero(), "parallel runs clock the merge");
 }
