@@ -39,7 +39,6 @@ mod far;
 mod spec;
 mod tables;
 
-pub use consistency::{Lit, Slot, SlotTerm};
 pub use far::{Alphabet, FarSpec, SigId};
 pub use spec::{ArgTerm, Side, SpecFormula};
 pub use tables::RewriteSpec;

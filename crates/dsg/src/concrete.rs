@@ -2,7 +2,10 @@
 //! the history's alphabet, the DSG of its schedule, and a cycle search.
 //!
 //! This is the check that ends every execution the model checker and the
-//! randomized dynamic analysis explore. The far relations are a pure
+//! randomized dynamic analysis explore. They check a finished simulator
+//! run as it stands ([`LocalCheck::run_cycle`], built in `run.rs`); a
+//! history with a schedule is checked by [`LocalCheck::cycle`], on the
+//! same graph. The far relations are a pure
 //! function of the alphabet (`FarSpec::compute` reads nothing else), and a
 //! run over one program sees only a handful of distinct alphabets, so a
 //! [`ConcreteCheck`] computes them once per distinct alphabet and reuses
@@ -12,10 +15,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use c4_algebra::{Alphabet, FarSpec, OpSig, RewriteSpec, SigId};
-use c4_store::{EventId, History, ObjectName, OpKind, Operation, Schedule, TxId};
+use c4_store::sim::Committed;
+use c4_store::{History, ObjectName, OpKind, Operation, Schedule, TxId};
 
 use crate::deps::{DepOptions, DependencyTriple};
 use crate::graph::Dsg;
+use crate::run::RunLayout;
 
 /// Cycle-checks concrete executions under the default [`DepOptions`],
 /// memoizing the far relations per alphabet for as long as it lives.
@@ -44,6 +49,7 @@ impl ConcreteCheck {
             seen: Vec::new(),
             rank: Vec::new(),
             ids: Vec::new(),
+            layout: RunLayout::default(),
         }
     }
 
@@ -79,13 +85,16 @@ pub struct LocalCheck<'c> {
     rank: Vec<u32>,
     /// Each event's signature id in the current history's alphabet.
     ids: Vec<Option<SigId>>,
+    /// The current run's transactions and events.
+    layout: RunLayout,
 }
 
 impl LocalCheck<'_> {
     /// The transactions on some cycle of the schedule's DSG, or `None` if
     /// the DSG is acyclic.
     pub fn cycle(&mut self, history: &History, schedule: &Schedule) -> Option<BTreeSet<TxId>> {
-        let far = self.far(history);
+        let ops: Vec<&Operation> = history.events().map(|e| &e.op).collect();
+        let far = self.far(&ops);
         let triple = DependencyTriple::compute_resolved(
             history,
             schedule,
@@ -98,18 +107,47 @@ impl LocalCheck<'_> {
         Some(cycle.iter().flat_map(|e| [e.from, e.to]).collect())
     }
 
-    /// The far relations over the alphabet of `history`'s events, with
+    /// The DSG of a finished simulator run: the graph [`LocalCheck::cycle`]
+    /// searches for the run's `into_history`, with the same transaction
+    /// numbering, edges, edge order and witnesses, built without
+    /// extracting the history. Undelivered messages make no difference:
+    /// delivery changes no committed transaction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transaction is still open.
+    pub fn run_dsg(&mut self, run: Committed<'_>) -> Dsg {
+        let ops = self.layout.lay_out(run);
+        let far = self.far(&ops);
+        self.layout.dsg(run, &ops, &far, &self.ids)
+    }
+
+    /// The committed transactions (by commit position, ascending) on some
+    /// cycle of the run's DSG ([`LocalCheck::run_dsg`]), or `None` if it
+    /// is acyclic.
+    pub fn run_cycle(&mut self, run: Committed<'_>) -> Option<Vec<usize>> {
+        let dsg = self.run_dsg(run);
+        let cycle = dsg.find_cycle()?;
+        let commit = &self.layout.commit;
+        let mut txs: Vec<usize> =
+            cycle.iter().flat_map(|e| [e.from, e.to]).map(|t| commit[t.index()] as usize).collect();
+        txs.sort_unstable();
+        txs.dedup();
+        Some(txs)
+    }
+
+    /// The far relations over the alphabet of the events `ops`, with
     /// `self.ids` resolved against them.
     ///
     /// The distinct signatures are collected in first-seen order by
     /// comparing each event with the few found so far (equal names share
     /// one `Arc`, which makes the comparison a pointer test), then ranked
     /// in alphabet order: an event's rank is its [`SigId`].
-    fn far(&mut self, history: &History) -> Arc<FarSpec> {
-        let op = |i: u32| &history.event(EventId(i)).op;
+    fn far(&mut self, ops: &[&Operation]) -> Arc<FarSpec> {
+        let op = |i: u32| ops[i as usize];
         self.reps.clear();
         self.seen.clear();
-        for i in 0..history.len() as u32 {
+        for i in 0..ops.len() as u32 {
             let key = sig_key(op(i));
             let j = match self.reps.iter().position(|&r| sig_key(op(r)) == key) {
                 Some(j) => j,
@@ -158,6 +196,11 @@ mod tests {
     use super::*;
     use c4_store::{HistoryBuilder, Operation, Value};
 
+    /// The operations of a history's events, in event order.
+    fn ops(h: &History) -> Vec<&Operation> {
+        h.events().map(|e| &e.op).collect()
+    }
+
     /// Figure 1c1: each session's get misses the other session's put.
     fn figure1c1(key: &str) -> (History, Schedule) {
         let mut b = HistoryBuilder::new();
@@ -194,7 +237,7 @@ mod tests {
         let (acyclic, s2) = figure1c1("A");
         // Same alphabet, different arguments: one FarSpec serves both.
         let mut local = check.local();
-        assert!(Arc::ptr_eq(&local.far(&cyclic), &local.far(&acyclic)));
+        assert!(Arc::ptr_eq(&local.far(&ops(&cyclic)), &local.far(&ops(&acyclic))));
         assert!(check.cycle(&cyclic, &s1).is_some());
         assert!(check.cycle(&acyclic, &s2).is_none());
         let mut b = HistoryBuilder::new();
@@ -202,10 +245,10 @@ mod tests {
         let t = b.begin(s);
         b.push(t, Operation::map_put("M", Value::str("A"), Value::int(1)));
         let other = b.finish();
-        assert!(!Arc::ptr_eq(&local.far(&cyclic), &local.far(&other)));
-        assert_eq!(local.far(&other).sigs().len(), 1);
+        assert!(!Arc::ptr_eq(&local.far(&ops(&cyclic)), &local.far(&ops(&other))));
+        assert_eq!(local.far(&ops(&other)).sigs().len(), 1);
         // A second handle shares the first one's far relations.
-        assert!(Arc::ptr_eq(&check.local().far(&other), &local.far(&other)));
+        assert!(Arc::ptr_eq(&check.local().far(&ops(&other)), &local.far(&ops(&other))));
     }
 
     #[test]
@@ -226,7 +269,7 @@ mod tests {
         let h = b.finish();
         let check = ConcreteCheck::new();
         let mut local = check.local();
-        let far = local.far(&h);
+        let far = local.far(&ops(&h));
         assert_eq!(far.sigs().len(), 4);
         let expected: Vec<_> = h.events().map(|e| far.sig_id(&e.op.object, &e.op.kind)).collect();
         assert_eq!(local.ids, expected);

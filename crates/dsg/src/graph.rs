@@ -120,6 +120,12 @@ impl Dsg {
                 }
             }
         }
+        Dsg::from_edges(tx_count, edges)
+    }
+
+    /// Builds the DSG over `tx_count` transactions from its edge list,
+    /// kept in the given order.
+    pub(crate) fn from_edges(tx_count: usize, edges: Vec<TxEdge>) -> Self {
         // Counting sort of the edge indices by source, stable in edge order.
         let mut out_start = vec![0u32; tx_count + 1];
         for e in &edges {

@@ -38,6 +38,7 @@ pub mod concrete;
 pub mod deps;
 pub mod graph;
 pub mod locality;
+mod run;
 
 pub use concrete::{ConcreteCheck, LocalCheck};
 pub use deps::{DepOptions, DependencyTriple};

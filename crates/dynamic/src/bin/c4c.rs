@@ -40,6 +40,9 @@ fn main() -> ExitCode {
             "--mc" => mc = true,
             "--max-sessions" => {
                 mc_config.sessions = num(&mut args, "--max-sessions needs a number");
+                if mc_config.sessions == 0 {
+                    usage("--max-sessions needs at least one session");
+                }
             }
             "--depth" => mc_config.depth = Some(num(&mut args, "--depth needs a number")),
             "--max-execs" => mc_config.max_execs = num(&mut args, "--max-execs needs a number"),

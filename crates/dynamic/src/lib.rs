@@ -81,12 +81,13 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> DynamicReport {
     let memo = ConcreteCheck::new();
     let mut check = memo.local();
     for _ in 0..config.runs {
-        let Some((history, schedule, names)) = one_run(program, config, &mut rng) else {
+        let Some((sim, log)) = one_run(program, config, &mut rng) else {
             continue;
         };
-        if let Some(cycle) = check.cycle(&history, &schedule) {
+        if let Some(cycle) = check.run_cycle(sim.committed()) {
             report.cyclic_runs += 1;
-            let sig: BTreeSet<String> = cycle.iter().map(|t| names[t.index()].clone()).collect();
+            let sig: BTreeSet<String> =
+                cycle.iter().map(|&t| program.txns[log[t]].name.clone()).collect();
             if !report.violations.contains(&sig) {
                 report.violations.push(sig);
             }
@@ -95,13 +96,15 @@ pub fn explore(program: &Program, config: &ExploreConfig) -> DynamicReport {
     report
 }
 
-/// Executes one randomized run; returns the history, its schedule, and the
-/// transaction-name of each concrete transaction.
+/// Executes one randomized run; returns the simulator with the run
+/// committed and, per committed transaction, the index of the
+/// transaction declaration it ran. The deliveries still pending are left
+/// so: they change no committed transaction, hence no DSG edge.
 fn one_run(
     program: &Program,
     config: &ExploreConfig,
     rng: &mut StdRng,
-) -> Option<(c4_store::History, c4_store::Schedule, Vec<String>)> {
+) -> Option<(CausalSim, Vec<usize>)> {
     let mut sim = CausalSim::new(config.sessions);
     let sessions: Vec<_> = (0..config.sessions).map(|r| sim.session(r)).collect();
     let mut runner = TxnRunner::new(program);
@@ -114,35 +117,26 @@ fn one_run(
             runner.set_local(s, l.clone(), pool_value(rng, config.value_pool));
         }
     }
-    // Record which txn ran as the i-th transaction of each session.
-    let mut session_log: Vec<Vec<String>> = vec![Vec::new(); config.sessions];
+    // Each run commits exactly one transaction, so the log is indexed by
+    // commit position.
+    let mut log = Vec::with_capacity(config.txns_per_run);
     for _ in 0..config.txns_per_run {
         let s = rng.gen_range(0..config.sessions);
-        let txn = &program.txns[rng.gen_range(0..program.txns.len())];
+        let decl = rng.gen_range(0..program.txns.len());
+        let txn = &program.txns[decl];
         let args: Vec<Value> =
             txn.params.iter().map(|_| pool_value(rng, config.value_pool)).collect();
         if runner.run(&mut sim, sessions[s], s, &txn.name, &args).is_err() {
             return None;
         }
-        session_log[s].push(txn.name.clone());
+        log.push(decl);
         for d in sim.deliverable() {
             if rng.gen_bool(config.delivery_prob) {
                 sim.deliver(d);
             }
         }
     }
-    sim.deliver_all();
-    let (history, schedule) = sim.into_history();
-    // Map concrete transactions to names: the k-th transaction of a
-    // session is the k-th logged run.
-    let mut counters = vec![0usize; config.sessions];
-    let mut names = Vec::with_capacity(history.transactions().count());
-    for t in history.transactions() {
-        let s = t.session.0 as usize;
-        names.push(session_log[s][counters[s]].clone());
-        counters[s] += 1;
-    }
-    Some((history, schedule, names))
+    Some((sim, log))
 }
 
 fn pool_value(rng: &mut StdRng, pool: usize) -> Value {

@@ -206,18 +206,9 @@ impl<'p> Ctx<'p> {
         }
     }
 
-    /// The name of every transaction of an explored history: the k-th
-    /// transaction of session s is the k-th scripted run of s.
-    fn tx_names(&self, history: &History) -> Vec<String> {
-        let mut counters = vec![0usize; self.workload.scripts.len()];
-        let mut names = Vec::new();
-        for t in history.transactions() {
-            let s = t.session.0 as usize;
-            let entry = &self.workload.scripts[s][counters[s]];
-            names.push(self.program.txns[entry.txn].name.clone());
-            counters[s] += 1;
-        }
-        names
+    /// The name of session `s`'s `k`-th scripted transaction.
+    fn tx_name(&self, (s, k): (usize, usize)) -> &'p str {
+        &self.program.txns[self.workload.scripts[s][k].txn].name
     }
 }
 
@@ -396,7 +387,10 @@ impl Acc {
     }
 }
 
-/// Builds the DSG of a terminal node and records the outcome.
+/// Checks the concrete DSG of a terminal node ([`ConcreteCheck`], shared
+/// with the dynamic baseline) and records the outcome. The check reads
+/// the node's committed transactions as they stand: the deliveries left
+/// pending change no committed transaction, so they change no edge.
 fn settle_leaf(
     ctx: &Ctx<'_>,
     check: &mut LocalCheck<'_>,
@@ -410,29 +404,13 @@ fn settle_leaf(
     }
     acc.executions += 1;
     acc.classes.insert(foata_key(&node.trace, |a, b| ctx.stable_dependent(a, b)));
-    let trace = node.trace;
-    let mut sim = node.sim;
-    sim.deliver_all();
-    let (history, schedule) = sim.into_history();
-    if let Some(sig) = cycle_signature(ctx, check, &history, &schedule) {
-        acc.cyclic += 1;
-        if !acc.found.iter().any(|f| f.violation == sig) {
-            acc.found.push(Witness { violation: sig, profile, trace });
-        }
+    let Some(cycle) = check.run_cycle(node.sim.committed()) else { return };
+    acc.cyclic += 1;
+    let sig: BTreeSet<String> =
+        cycle.iter().map(|&t| ctx.tx_name(node.tx_meta[t]).to_owned()).collect();
+    if !acc.found.iter().any(|f| f.violation == sig) {
+        acc.found.push(Witness { violation: sig, profile, trace: node.trace });
     }
-}
-
-/// The concrete-DSG cycle check shared with the dynamic baseline
-/// ([`ConcreteCheck`]), naming the transactions on a cycle (if any).
-fn cycle_signature(
-    ctx: &Ctx<'_>,
-    check: &mut LocalCheck<'_>,
-    history: &History,
-    schedule: &Schedule,
-) -> Option<BTreeSet<String>> {
-    let cycle = check.cycle(history, schedule)?;
-    let names = ctx.tx_names(history);
-    Some(cycle.iter().map(|t| names[t.index()].clone()).collect())
 }
 
 /// Depth-first sleep-set exploration from `node`.
@@ -641,8 +619,15 @@ pub fn replay_witness(
         }
     }
     sim.deliver_all();
+    // The history numbers the transactions with operations session by
+    // session; the k-th transaction of session s is its k-th scripted run.
+    let run = sim.committed();
+    let names = (0..run.session_count())
+        .flat_map(|s| run.session(s).iter().enumerate().map(move |(k, &t)| (s, k, t)))
+        .filter(|&(_, _, t)| !run.ops(t).is_empty())
+        .map(|(s, k, _)| ctx.tx_name((s, k)).to_owned())
+        .collect();
     let (history, schedule) = sim.into_history();
-    let names = ctx.tx_names(&history);
     (history, schedule, names)
 }
 

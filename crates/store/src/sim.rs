@@ -364,19 +364,69 @@ impl CausalSim {
         self.sessions[s.0].replica
     }
 
-    /// The operations of a committed transaction, in program order.
+    /// The committed transactions, borrowed: everything
+    /// [`CausalSim::into_history`] builds a history and schedule from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any session still has an open transaction.
+    pub fn committed(&self) -> Committed<'_> {
+        for sess in &self.sessions {
+            assert!(sess.open.is_none(), "open transaction at extraction");
+        }
+        Committed { sim: self }
+    }
+}
+
+/// A read-only view of a simulator's committed transactions and of each
+/// session's order over them.
+///
+/// A transaction is named by its commit position, which is also its
+/// arbitration position: `t` is arbitrated before `u` iff `t < u`.
+/// [`CausalSim::into_history`] numbers the same transactions session by
+/// session, in each session's order, skipping those without operations.
+/// Delivery changes only what replicas have applied, never a committed
+/// transaction, so the view of a run is final once its last transaction
+/// has committed.
+#[derive(Debug, Clone, Copy)]
+pub struct Committed<'a> {
+    sim: &'a CausalSim,
+}
+
+impl<'a> Committed<'a> {
+    /// The operations of committed transaction `tx`, in program order;
+    /// queries carry their return value.
     ///
     /// # Panics
     ///
     /// Panics if the transaction index is out of range.
-    pub fn committed_ops(&self, tx: usize) -> impl Iterator<Item = &Operation> {
-        self.committed[tx].ops.iter()
+    pub fn ops(&self, tx: usize) -> &'a [Operation] {
+        &self.sim.committed[tx].ops
     }
 
-    /// The global indices of the transactions visible to a committed
-    /// transaction (its causal past, excluding itself), ascending.
-    pub fn committed_visible(&self, tx: usize) -> impl Iterator<Item = usize> + '_ {
-        self.committed[tx].visible.iter()
+    /// The transactions visible to `tx` when it executed: its causal
+    /// past, which includes its session's earlier transactions and
+    /// excludes `tx` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the transaction index is out of range.
+    pub fn visible(&self, tx: usize) -> &'a TxSet {
+        &self.sim.committed[tx].visible
+    }
+
+    /// Number of sessions.
+    pub fn session_count(&self) -> usize {
+        self.sim.sessions.len()
+    }
+
+    /// Session `s`'s committed transactions, in session order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session index is out of range.
+    pub fn session(&self, s: usize) -> &'a [usize] {
+        &self.sim.sessions[s].committed
     }
 }
 
@@ -606,7 +656,7 @@ mod tests {
                 sim.update(sessions[s], "C", OpKind::CtrInc, vec![Value::int(step as i64)]);
                 let t = sim.commit(sessions[s]);
                 assert_eq!(
-                    sim.committed_visible(t).collect::<Vec<_>>(),
+                    sim.committed().visible(t).iter().collect::<Vec<_>>(),
                     vis.iter().copied().collect::<Vec<_>>(),
                     "n = {n}, t = {t}"
                 );

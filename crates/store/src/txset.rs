@@ -25,6 +25,11 @@ impl TxSet {
         absent
     }
 
+    /// Whether `tx` is in the set.
+    pub fn contains(&self, tx: usize) -> bool {
+        self.0.get(tx / 64).is_some_and(|w| w & (1 << (tx % 64)) != 0)
+    }
+
     /// Removes every transaction, keeping the words allocated.
     pub fn clear(&mut self) {
         self.0.fill(0);
@@ -134,6 +139,9 @@ mod tests {
             let b: TxSet = ys.iter().copied().collect();
             let b_ref: BTreeSet<usize> = ys.into_iter().collect();
             assert_eq!(a.iter().collect::<Vec<_>>(), a_ref.iter().copied().collect::<Vec<_>>());
+            for t in 0..n + 64 {
+                assert_eq!(a.contains(t), a_ref.contains(&t), "{t} ∈ {a_ref:?}");
+            }
             assert_eq!(a.is_subset(&b), a_ref.is_subset(&b_ref), "{a_ref:?} ⊆ {b_ref:?}");
             assert_eq!(b.is_subset(&a), b_ref.is_subset(&a_ref), "{b_ref:?} ⊆ {a_ref:?}");
             // A set and its union with another: the subset relation holds.

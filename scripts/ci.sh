@@ -39,13 +39,18 @@ diff <(./target/release/figure13) tests/golden/figure13.txt
 # workers, random walks, the §9.5 exploration) over every row (debug
 # builds above check a cheap subset of both). The same step replays
 # executions through the simulator and the DSG lift against their
-# references: the lift and dependency-triple differentials, the
-# static ⊇ model checker ⊇ random walks agreement, and the replay of
-# every validated counter-example on the simulator.
+# references: the lift and dependency-triple differentials, the leaf
+# check read off the simulator against the DSG of its extracted
+# history, the static ⊇ model checker ⊇ random walks agreement, and the
+# replay of every validated counter-example on the simulator; and it
+# compares the far-relation tables with the reference refinement on
+# random alphabets.
 echo "==> stats coherence and model-checking goldens (release)"
 cargo test --release -q -p c4-tests --test stats_coherence --test mc_golden \
     --test three_way_agreement --test counterexample_replay
-cargo test --release -q -p c4-dsg --test lift_differential --test triple_differential
+cargo test --release -q -p c4-dsg --test lift_differential --test triple_differential \
+    --test run_differential
+cargo test --release -q -p c4-algebra --lib tables_match_the_reference_on_random_alphabets
 
 # The wire codec: one golden frame per message must encode to the pinned
 # bytes, and the decoder and CCL front-end fuzz properties draw more
