@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use c4::abstract_history::{ev, straight_line_tx, AbsArg, AbstractHistory};
 use c4::check::AnalysisFeatures;
-use c4::encode::CycleEncoder;
+use c4::encode::{CycleEncoder, SmtWorkspace};
 use c4::ssg::{candidate_cycles, PairTables, Ssg};
 use c4::unfold::{arena_for, unfoldings};
 use c4_algebra::{Alphabet, FarSpec, OpSig, RewriteSpec};
@@ -76,10 +76,14 @@ fn bench_smt_query(c: &mut Criterion) {
             first.map(|c| (u.clone(), c))
         })
         .expect("figure 1a has candidates");
+    // One workspace recycled across iterations, as the checker does.
+    let mut ws = SmtWorkspace::default();
     c.bench_function("smt_cycle_query/figure1a", |b| {
         b.iter(|| {
-            let mut enc = CycleEncoder::new(&u, &far, &features);
-            enc.check(&cand).is_some()
+            let mut enc = CycleEncoder::new(&u, &far, &features, std::mem::take(&mut ws));
+            let sat = enc.check(&cand).is_some();
+            ws = enc.into_workspace();
+            sat
         })
     });
 }

@@ -32,6 +32,19 @@ use c4_suite::{benchmarks, json_line, Counts, Domain};
 /// gracefully (drop-oldest, reported in the `trace:` line).
 const TRACE_CAPACITY: usize = 1 << 19;
 
+/// The usage line of the file header, printed by `--help` and on a usage
+/// error.
+const USAGE: &str = "usage: table1 [--threads N] [--budget SECS] [--stats] [--json]\n\
+    \x20             [--cache-dir DIR] [--trace PATH] [benchmark-name …]\n\
+    Regenerates Table 1 (all benchmarks by default).";
+
+/// Prints `msg` and the usage to stderr and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut threads: Option<usize> = None;
     let mut budget: Option<u64> = None;
@@ -56,6 +69,11 @@ fn main() {
             cache_dir = Some(args.next().expect("--cache-dir needs a value"));
         } else if a == "--trace" {
             trace_path = Some(args.next().expect("--trace needs a path"));
+        } else if a == "--help" || a == "-h" {
+            println!("{USAGE}");
+            return;
+        } else if a.starts_with("--") {
+            usage_error(&format!("unknown flag {a:?}"));
         } else {
             names.push(a);
         }

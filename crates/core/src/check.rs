@@ -61,7 +61,7 @@ use std::sync::Arc;
 
 use crate::abstract_history::{AbsArg, AbsTx, AbstractHistory};
 use crate::counterexample::CounterExample;
-use crate::encode::CycleEncoder;
+use crate::encode::{CycleEncoder, SmtWorkspace};
 use crate::intern::TxArena;
 use crate::report::{AnalysisResult, AnalysisStats, Stage, StageTimings, Violation};
 use crate::ssg::{candidate_cycles, CandidateCycle, Candidates, PairTables, Ssg, SsgLabel};
@@ -419,8 +419,8 @@ fn subsumed(result: &AnalysisResult, txs: &BTreeSet<usize>) -> bool {
     result.violations.iter().any(|v| v.subsumes(txs))
 }
 
-/// Per-thread counters, folded into [`AnalysisStats`] at the end of a
-/// round.
+/// Per-thread state: counters, folded into [`AnalysisStats`] at the end
+/// of a round, and the SMT workspaces the thread's encoders are built on.
 #[derive(Default)]
 struct WorkerLocal {
     queries: usize,
@@ -428,20 +428,42 @@ struct WorkerLocal {
     assumption_solves: usize,
     sat_resolves: usize,
     learnt_clauses: usize,
+    /// Retired encoders' workspaces, for the next encoders to reuse. A
+    /// thread has at most two encoders live at once (an unfolding's
+    /// shared session and one model-producing encoder), so at most two
+    /// are kept. They die with the thread's state, within one
+    /// [`Checker::run`].
+    spare: Vec<SmtWorkspace>,
+    /// Builds every encoder on a new workspace and keeps none (the
+    /// reference search).
+    fresh_workspaces: bool,
 }
 
 impl WorkerLocal {
+    /// A workspace for the next encoder: a retired one if any is kept.
+    fn workspace(&mut self) -> SmtWorkspace {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Retires an encoder, keeping its workspace for the next one.
+    fn recycle(&mut self, enc: CycleEncoder<'_>) {
+        if !self.fresh_workspaces && self.spare.len() < 2 {
+            self.spare.push(enc.into_workspace());
+        }
+    }
+
     /// Retires an unfolding's shared session, keeping its learnt-clause
     /// count.
     fn retire(&mut self, session: Option<CycleEncoder<'_>>) {
         if let Some(enc) = session {
             self.learnt_clauses += enc.session_stats().2;
+            self.recycle(enc);
         }
     }
 
-    /// Folds these counters into `stats`: as worker `w`'s when `worker` is
-    /// `Some(w)`, as the pool's merge thread's otherwise.
-    fn fold(&self, stats: &mut AnalysisStats, worker: Option<usize>) {
+    /// Folds these counters into `stats` and zeroes them: as worker `w`'s
+    /// when `worker` is `Some(w)`, as the pool's merge thread's otherwise.
+    fn fold(&mut self, stats: &mut AnalysisStats, worker: Option<usize>) {
         match worker {
             Some(w) => {
                 stats.speculative_smt_queries += self.queries;
@@ -455,6 +477,11 @@ impl WorkerLocal {
         stats.assumption_solves += self.assumption_solves;
         stats.sat_resolves += self.sat_resolves;
         stats.learnt_clauses += self.learnt_clauses;
+        *self = WorkerLocal {
+            spare: std::mem::take(&mut self.spare),
+            fresh_workspaces: self.fresh_workspaces,
+            ..WorkerLocal::default()
+        };
     }
 }
 
@@ -477,9 +504,9 @@ struct Merge<'r> {
     /// Class records, indexed by class number: the in-order merge
     /// commits every representative, in class order, before its members.
     classes: Vec<ClassRecord>,
-    /// The counters charged with the solves the merge runs itself: the
+    /// The state charged with the solves the merge runs itself: the
     /// worker's own at one worker, the merge thread's in the pool.
-    local: WorkerLocal,
+    local: &'r mut WorkerLocal,
     subs: Subsumers,
 }
 
@@ -556,20 +583,21 @@ impl Checker {
     /// Runs the full check (Algorithm 1).
     pub fn run(&self) -> AnalysisResult {
         let workers = self.effective_parallelism();
-        self.search(workers, |arena, tables, k, deadline, result| {
-            self.check_bounded(arena, tables, k, workers, deadline, result)
+        self.search(workers, WorkerLocal::default(), |arena, tables, k, deadline, result, local| {
+            self.check_bounded(arena, tables, k, workers, deadline, result, local)
         })
     }
 
     /// The differential oracle: the same search with none of the driver's
     /// policies — sequential, no symmetry classes, no batched probe, no
-    /// shared session, one fresh encoder per candidate. Its report bytes
-    /// equal [`run`](Self::run)'s; its `classes`, session counters and
-    /// merge counters stay zero.
+    /// shared session, one fresh encoder per candidate, each on a new
+    /// [`SmtWorkspace`], so no solver state passes between queries. Its
+    /// report bytes equal [`run`](Self::run)'s; its `classes`, session
+    /// counters and merge counters stay zero.
     #[doc(hidden)]
     pub fn run_reference(&self) -> AnalysisResult {
-        self.search(1, |arena, tables, k, deadline, result| {
-            let mut local = WorkerLocal::default();
+        let fresh = WorkerLocal { fresh_workspaces: true, ..WorkerLocal::default() };
+        self.search(1, fresh, |arena, tables, k, deadline, result, local| {
             for u in unfoldings(&self.h, arena, k) {
                 if deadline.expired() {
                     break;
@@ -589,7 +617,7 @@ impl Checker {
                         break;
                     }
                     result.stats.smt_queries += 1;
-                    let outcome = self.solve_candidate(&u, &cand, None, &mut local);
+                    let outcome = self.solve_candidate(&u, &cand, None, local);
                     self.commit_outcome(outcome, k, result, || {
                         (txs, cand.steps.iter().map(|s| s.label).collect())
                     });
@@ -601,11 +629,20 @@ impl Checker {
 
     /// `Check(H)`: bounded rounds `k = 2, 3, …` until the generalization
     /// fires, `max_k` is reached or the deadline expires. `round` runs
-    /// one `CheckBounded`.
+    /// one `CheckBounded`; it and the generalization queries run on this
+    /// thread's `local` state, which the search drops when it returns.
     fn search(
         &self,
         workers: usize,
-        mut round: impl FnMut(&Arc<TxArena>, &PairTables, usize, &Deadline, &mut AnalysisResult),
+        mut local: WorkerLocal,
+        mut round: impl FnMut(
+            &Arc<TxArena>,
+            &PairTables,
+            usize,
+            &Deadline,
+            &mut AnalysisResult,
+            &mut WorkerLocal,
+        ),
     ) -> AnalysisResult {
         let _span = c4_obs::span("analysis");
         // Stages this thread books from here on are the run's; a pool
@@ -623,7 +660,7 @@ impl Checker {
         loop {
             {
                 let _k_span = c4_obs::span_arg("check_bounded", k as u64);
-                round(&arena, &tables, k, &deadline, &mut result);
+                round(&arena, &tables, k, &deadline, &mut result, &mut local);
             }
             result.max_k = k;
             let generalized = {
@@ -636,6 +673,7 @@ impl Checker {
                         &deadline,
                         &result.violations,
                         &mut result.stats,
+                        &mut local,
                     )
             };
             if generalized {
@@ -689,9 +727,10 @@ impl Checker {
         }
     }
 
-    /// A fresh encoder for `u`: a shared session or a one-query encoder.
-    fn encoder<'a>(&'a self, u: &'a Unfolding) -> CycleEncoder<'a> {
-        CycleEncoder::new(u, &self.far, &self.features)
+    /// A new encoder for `u` on one of `local`'s workspaces: a shared
+    /// session or a one-query encoder.
+    fn encoder<'a>(&'a self, u: &'a Unfolding, local: &mut WorkerLocal) -> CycleEncoder<'a> {
+        CycleEncoder::new(u, &self.far, &self.features, local.workspace())
     }
 
     /// Solves one candidate cycle: SMT query plus counter-example
@@ -723,11 +762,12 @@ impl Checker {
             }
             local.sat_resolves += 1;
         }
-        let mut enc = self.encoder(u);
+        let mut enc = self.encoder(u, local);
         let mut q = c4_obs::stage(Stage::SmtQuery);
         let model = enc.check(cand);
         q.set_arg(if model.is_some() { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
         drop(q);
+        local.recycle(enc);
         local.queries += 1;
         match model {
             None => CandOutcome::Refuted,
@@ -814,6 +854,7 @@ impl Checker {
         workers: usize,
         deadline: &Deadline,
         result: &mut AnalysisResult,
+        local: &mut WorkerLocal,
     ) {
         let subs = Subsumers::new(&result.violations);
         let round = Round {
@@ -823,8 +864,7 @@ impl Checker {
             snapshot: RwLock::new(subs.sets.clone()),
             pool: workers > 1,
         };
-        let mut m =
-            Merge { round: &round, classes: Vec::new(), local: WorkerLocal::default(), subs };
+        let mut m = Merge { round: &round, classes: Vec::new(), local, subs };
         if round.pool {
             self.discover_on_pool(arena, workers, &mut m, result);
             m.local.fold(&mut result.stats, None);
@@ -847,7 +887,7 @@ impl Checker {
                 }
             }
             let mut session = None;
-            let rec = self.discover(index, &u, sym, &round, &mut session, &mut m.local);
+            let rec = self.discover(index, &u, sym, &round, &mut session, m.local);
             self.merge_record(rec, &u, &mut session, &mut m, result);
         }
         if any {
@@ -908,12 +948,11 @@ impl Checker {
         // the merge finds live was part of the probed set.
         let mut all_refuted = false;
         if cands.len() >= 2 && !deadline.expired() {
-            let pending: Vec<CandidateCycle> =
-                (0..cands.len()).filter(|&i| !covered(i)).map(|i| cands.cycle(i)).collect();
+            let pending: Vec<usize> = (0..cands.len()).filter(|&i| !covered(i)).collect();
             if pending.len() >= 2 {
-                let enc = session.insert(self.encoder(u));
+                let enc = session.insert(self.encoder(u, local));
                 let probe = c4_obs::stage_arg(Stage::SmtQuery, c4_obs::tag::PROBE);
-                let sat = enc.check_shared_any(&pending);
+                let sat = enc.check_shared_any(cands, &pending);
                 drop(probe);
                 local.queries += 1;
                 local.assumption_solves += 1;
@@ -934,7 +973,7 @@ impl Checker {
             } else if !eager {
                 CandOutcome::Pending
             } else {
-                let enc = session.get_or_insert_with(|| self.encoder(u));
+                let enc = session.get_or_insert_with(|| self.encoder(u, local));
                 self.solve_candidate(u, &cands.cycle(i), Some(enc), local)
             };
             outcomes.push(outcome);
@@ -984,11 +1023,11 @@ impl Checker {
                             // this is a self-check path.
                             CandOutcome::Pending if m.round.pool => {
                                 result.stats.preprune_fallbacks += 1;
-                                self.solve_candidate(u, &cands.cycle(i), None, &mut m.local)
+                                self.solve_candidate(u, &cands.cycle(i), None, m.local)
                             }
                             CandOutcome::Pending => {
-                                let enc = session.get_or_insert_with(|| self.encoder(u));
-                                self.solve_candidate(u, &cands.cycle(i), Some(enc), &mut m.local)
+                                let enc = session.get_or_insert_with(|| self.encoder(u, m.local));
+                                self.solve_candidate(u, &cands.cycle(i), Some(enc), m.local)
                             }
                             o => o,
                         };
@@ -1030,7 +1069,7 @@ impl Checker {
                     result.stats.smt_queries += 1;
                     let outcome = match known {
                         CandOutcome::Pending => {
-                            self.solve_candidate(u, &class.cands.cycle(i), None, &mut m.local)
+                            self.solve_candidate(u, &class.cands.cycle(i), None, m.local)
                         }
                         o => {
                             c4_obs::instant(Stage::SmtQuery.name(), c4_obs::tag::REPLAY);
@@ -1061,7 +1100,7 @@ impl Checker {
                         c4_obs::instant(Stage::SmtQuery.name(), c4_obs::tag::REPLAY);
                         CandOutcome::Refuted
                     } else {
-                        self.solve_candidate(u, &cands.cycle(i), None, &mut m.local)
+                        self.solve_candidate(u, &cands.cycle(i), None, m.local)
                     };
                     self.commit_merged(&mut m.subs, &cands, i, outcome, k, result);
                 }
@@ -1164,9 +1203,9 @@ impl Checker {
             // drains completely, even after a deadline abort.
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
         });
-        for (w, (local, stages)) in locals.iter().enumerate() {
+        for (w, (mut local, stages)) in locals.into_iter().enumerate() {
             local.fold(&mut result.stats, Some(w));
-            result.stats.timings += *stages;
+            result.stats.timings += stages;
         }
     }
 
@@ -1191,6 +1230,7 @@ impl Checker {
         deadline: &Deadline,
         violations: &[Violation],
         stats: &mut AnalysisStats,
+        local: &mut WorkerLocal,
     ) -> bool {
         if k != 2 {
             return false;
@@ -1255,7 +1295,7 @@ impl Checker {
                     let u = Unfolding { arena: Arc::clone(arena), instances, k: 3 };
                     stats.smt_queries += 1;
                     stats.generalization_queries += 1;
-                    let mut enc = CycleEncoder::new(&u, &self.far, &features);
+                    let mut enc = CycleEncoder::new(&u, &self.far, &features, local.workspace());
                     enc.assert_some_dependency(0, 1);
                     enc.assert_step(m_last_idx, t3_idx, SsgLabel::Anti);
                     enc.assert_mirror(ghost_idx, m_last_idx);
@@ -1264,6 +1304,7 @@ impl Checker {
                     let sat = enc.solve().is_some();
                     q.set_arg(if sat { c4_obs::tag::SAT } else { c4_obs::tag::UNSAT });
                     drop(q);
+                    local.recycle(enc);
                     if sat {
                         // Some model of the segment admits no short-cut.
                         return false;

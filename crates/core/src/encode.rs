@@ -29,7 +29,7 @@ use c4_store::Value;
 
 use crate::abstract_history::{AbsArg, Cond, RelOp, TxPath};
 use crate::check::AnalysisFeatures;
-use crate::ssg::{tv_eval, CandidateCycle, PairCtx, SsgLabel, Tv};
+use crate::ssg::{tv_eval, CandidateCycle, Candidates, PairCtx, SsgLabel, Tv};
 use crate::unfold::Unfolding;
 
 /// Sentinel base for non-integer constants.
@@ -62,95 +62,150 @@ pub struct CycleModel {
     pub ar: Vec<Vec<bool>>,
 }
 
+/// The reusable state of an encoder: the term context, the incremental
+/// session and the encoder's dense tables.
+///
+/// [`CycleEncoder::new`] takes a workspace by value and resets it: the
+/// context, session and tables are emptied but keep their buffers, so an
+/// encoder built on a used workspace allocates only where it outgrows the
+/// largest earlier one. A reset workspace behaves exactly like a new one —
+/// the same term ids, variables and clauses in the same order — so the
+/// search, its verdicts and every counter do not depend on what the
+/// workspace served before. [`CycleEncoder::into_workspace`] hands it back.
+#[derive(Debug, Default)]
+pub struct SmtWorkspace {
+    ctx: Context,
+    session: Incremental,
+    t: Tables,
+}
+
+/// The encoder's per-unfolding tables, indexed densely. Per-event tables
+/// are flat: instance `i`'s events start at `ev_base[i]`.
+#[derive(Debug, Default)]
+struct Tables {
+    consts: HashMap<Value, i64>,
+    rev_consts: HashMap<i64, Value>,
+    /// Offset of each instance's events in the per-event tables, plus the
+    /// total at the end.
+    ev_base: Vec<u32>,
+    /// Per event: the alphabet id of its signature, resolved once so
+    /// far-relation lookups are table reads.
+    sig: Vec<SigId>,
+    /// Per event: its return value (Int; sentinels for bools).
+    rets: Vec<TermId>,
+    /// Per event: its fresh row identity (`NO_TERM` unless it adds a row).
+    fresh: Vec<TermId>,
+    /// Per event: its activation formula.
+    act: Vec<TermId>,
+    globals: Vec<TermId>,
+    /// `l_count` locals per session, session-major.
+    locals: Vec<TermId>,
+    /// Offset of each instance's parameters in `params`, plus the total.
+    param_base: Vec<u32>,
+    params: Vec<TermId>,
+    /// Offset of each instance's path variables in `path_vars`, plus the
+    /// total.
+    path_base: Vec<u32>,
+    path_vars: Vec<TermId>,
+    wild: HashMap<(usize, usize, usize), TermId>,
+    ar_vars: Vec<TermId>,  // [i * n + j] for i < j: "i before j"
+    vis_vars: Vec<TermId>, // [i * n + j] for i ≠ j
+    assertions: Vec<Assertion>,
+    /// The literal terms of every [`Assertion::Clause`], back to back.
+    clause_lits: Vec<TermId>,
+    /// Memoized [`CycleEncoder::step_term`] results (`NO_TERM` until
+    /// built), indexed `(a * n + b) * 3 + label`. A step term is a pure
+    /// function of the encoder's declarations, so a repeat build would
+    /// only re-find the same hash-consed terms.
+    steps: Vec<TermId>,
+}
+
+impl Tables {
+    fn clear(&mut self) {
+        self.consts.clear();
+        self.rev_consts.clear();
+        self.ev_base.clear();
+        self.sig.clear();
+        self.rets.clear();
+        self.fresh.clear();
+        self.act.clear();
+        self.globals.clear();
+        self.locals.clear();
+        self.param_base.clear();
+        self.params.clear();
+        self.path_base.clear();
+        self.path_vars.clear();
+        self.wild.clear();
+        self.ar_vars.clear();
+        self.vis_vars.clear();
+        self.assertions.clear();
+        self.clause_lits.clear();
+        self.steps.clear();
+    }
+}
+
 /// The encoder for one unfolding.
 pub struct CycleEncoder<'a> {
     u: &'a Unfolding,
     far: &'a FarSpec,
     features: &'a AnalysisFeatures,
     ctx: Context,
-    consts: HashMap<Value, i64>,
-    rev_consts: HashMap<i64, Value>,
-    next_sentinel: i64,
-    /// The alphabet id of every event's signature, per instance, resolved
-    /// once so far-relation lookups are table reads.
-    sig: Vec<Vec<SigId>>,
-    globals: Vec<TermId>,
-    locals: Vec<Vec<TermId>>, // per session
-    params: Vec<Vec<TermId>>, // per instance
-    rets: Vec<Vec<TermId>>,   // per instance, per event (Int; sentinels for bools)
-    fresh: Vec<Vec<Option<TermId>>>,
-    wild: HashMap<(usize, usize, usize), TermId>,
-    act: Vec<Vec<TermId>>, // per instance, per event: activation formula
-    paths: Vec<Cow<'a, [TxPath]>>,
-    path_vars: Vec<Vec<TermId>>,
-    ar_vars: Vec<TermId>,  // [i * n + j] for i < j: "i before j"
-    vis_vars: Vec<TermId>, // [i * n + j] for i ≠ j
-    assertions: Vec<Assertion>,
-    /// The literal terms of every [`Assertion::Clause`], back to back.
-    clause_lits: Vec<TermId>,
-    eo_reach: Vec<&'a Vec<Vec<bool>>>,
-    /// Memoized [`CycleEncoder::step_term`] results, indexed
-    /// `(a * n + b) * 3 + label`. A step term is a pure function of the
-    /// encoder's declarations, so a repeat build would only re-find the
-    /// same hash-consed terms.
-    steps: Vec<Option<TermId>>,
     /// The solver session holding the assertions flushed so far: the
     /// shared structural encoding, with candidate steps guarded behind
     /// activation literals (`check_shared*`), or everything as permanent
     /// facts (`solve`).
-    session: Option<Incremental>,
-    /// How many of `assertions` have been permanently asserted into the
+    session: Incremental,
+    t: Tables,
+    next_sentinel: i64,
+    /// Locals per session.
+    l_count: usize,
+    /// How many of `t.assertions` have been permanently asserted into the
     /// session so far.
     session_cursor: usize,
 }
 
 impl<'a> CycleEncoder<'a> {
-    /// Builds the encoder: declares all symbols and asserts the structural
-    /// axioms (paths, orders, invariants, freshness).
+    /// Builds the encoder on `ws`, reset first: declares all symbols and
+    /// asserts the structural axioms (paths, orders, invariants,
+    /// freshness).
     ///
     /// # Panics
     ///
     /// Panics if an event's signature is outside `far`'s alphabet.
-    pub fn new(u: &'a Unfolding, far: &'a FarSpec, features: &'a AnalysisFeatures) -> Self {
+    pub fn new(
+        u: &'a Unfolding,
+        far: &'a FarSpec,
+        features: &'a AnalysisFeatures,
+        ws: SmtWorkspace,
+    ) -> Self {
         let _stage = c4_obs::stage(Stage::EncoderBuild);
+        let SmtWorkspace { mut ctx, mut session, mut t } = ws;
+        ctx.clear();
+        session.reset();
+        t.clear();
         let n = u.instances.len();
-        let sig = (0..n)
-            .map(|i| {
-                u.tx(i)
-                    .events
-                    .iter()
-                    .map(|ev| {
-                        far.sig_id(&ev.object, &ev.kind)
-                            .expect("event signature in the FarSpec alphabet")
-                    })
-                    .collect()
-            })
-            .collect();
+        t.ev_base.push(0);
+        for i in 0..n {
+            for ev in &u.tx(i).events {
+                let sig = far
+                    .sig_id(&ev.object, &ev.kind)
+                    .expect("event signature in the FarSpec alphabet");
+                t.sig.push(sig);
+            }
+            t.ev_base.push(t.sig.len() as u32);
+        }
+        t.ar_vars.resize(n * n, NO_TERM);
+        t.vis_vars.resize(n * n, NO_TERM);
+        t.steps.resize(n * n * 3, NO_TERM);
         let mut enc = CycleEncoder {
             u,
             far,
             features,
-            ctx: Context::new(),
-            consts: HashMap::new(),
-            rev_consts: HashMap::new(),
+            ctx,
+            session,
+            t,
             next_sentinel: SENTINEL_BASE,
-            sig,
-            globals: Vec::new(),
-            locals: Vec::new(),
-            params: Vec::new(),
-            rets: Vec::new(),
-            fresh: Vec::new(),
-            wild: HashMap::new(),
-            act: Vec::new(),
-            paths: Vec::new(),
-            path_vars: Vec::new(),
-            ar_vars: vec![NO_TERM; n * n],
-            vis_vars: vec![NO_TERM; n * n],
-            assertions: Vec::new(),
-            clause_lits: Vec::new(),
-            eo_reach: Vec::new(),
-            steps: vec![None; n * n * 3],
-            session: None,
+            l_count: 0,
             session_cursor: 0,
         };
         enc.declare();
@@ -165,28 +220,81 @@ impl<'a> CycleEncoder<'a> {
         enc
     }
 
+    /// Retires the encoder, handing its workspace back for the next one.
+    pub fn into_workspace(self) -> SmtWorkspace {
+        SmtWorkspace { ctx: self.ctx, session: self.session, t: self.t }
+    }
+
+    /// Index of instance `i`'s event `e` in the per-event tables.
+    fn ev(&self, i: usize, e: usize) -> usize {
+        self.t.ev_base[i] as usize + e
+    }
+
+    fn sig(&self, i: usize, e: usize) -> SigId {
+        self.t.sig[self.ev(i, e)]
+    }
+
+    fn ret(&self, i: usize, e: usize) -> TermId {
+        self.t.rets[self.ev(i, e)]
+    }
+
+    fn act(&self, i: usize, e: usize) -> TermId {
+        self.t.act[self.ev(i, e)]
+    }
+
+    fn fresh(&self, i: usize, e: usize) -> Option<TermId> {
+        Some(self.t.fresh[self.ev(i, e)]).filter(|&v| v != NO_TERM)
+    }
+
+    fn params(&self, i: usize) -> &[TermId] {
+        &self.t.params[self.t.param_base[i] as usize..self.t.param_base[i + 1] as usize]
+    }
+
+    fn path_vars(&self, i: usize) -> &[TermId] {
+        &self.t.path_vars[self.t.path_base[i] as usize..self.t.path_base[i + 1] as usize]
+    }
+
+    /// Instance `i`'s eo⁺ event-reachability matrix.
+    fn eo_reach(&self, i: usize) -> &'a [Vec<bool>] {
+        self.u.arena.reach(self.u.instances[i].orig_tx as crate::intern::BodyId)
+    }
+
+    /// Instance `i`'s entry→exit paths: its body's, or with the
+    /// control-flow feature off, one path through every event.
+    fn paths(&self, i: usize) -> Cow<'a, [TxPath]> {
+        let u = self.u;
+        if self.features.control_flow {
+            Cow::Borrowed(u.arena.paths(u.instances[i].orig_tx as crate::intern::BodyId))
+        } else {
+            Cow::Owned(vec![TxPath {
+                events: (0..u.tx(i).events.len() as u32).collect(),
+                conds: vec![],
+            }])
+        }
+    }
+
     fn push_term(&mut self, t: TermId) {
-        self.assertions.push(Assertion::Term(t));
+        self.t.assertions.push(Assertion::Term(t));
     }
 
     /// Records the clause `⋁ lits` over boolean literal terms.
     fn push_clause(&mut self, lits: impl IntoIterator<Item = TermId>) {
-        let start = self.clause_lits.len() as u32;
-        self.clause_lits.extend(lits);
-        self.assertions.push(Assertion::Clause(start, self.clause_lits.len() as u32));
+        let start = self.t.clause_lits.len() as u32;
+        self.t.clause_lits.extend(lits);
+        self.t.assertions.push(Assertion::Clause(start, self.t.clause_lits.len() as u32));
     }
 
     fn const_int(&mut self, v: &Value) -> i64 {
         if let Value::Int(i) = v {
             return *i;
         }
-        if let Some(&i) = self.consts.get(v) {
+        if let Some(&i) = self.t.consts.get(v) {
             return i;
         }
         let i = self.next_sentinel;
         self.next_sentinel -= 1;
-        self.consts.insert(v.clone(), i);
-        self.rev_consts.insert(i, v.clone());
+        self.t.consts.insert(v.clone(), i);
+        self.t.rev_consts.insert(i, v.clone());
         i
     }
 
@@ -201,31 +309,39 @@ impl<'a> CycleEncoder<'a> {
             AbsArg::Global(g) => Some(*g as usize),
             _ => None,
         });
-        self.globals = (0..g_count).map(|_| self.ctx.fresh_var(Sort::Int)).collect();
-        let l_count = self.max_symbol(|a| match a {
+        for _ in 0..g_count {
+            let v = self.ctx.fresh_var(Sort::Int);
+            self.t.globals.push(v);
+        }
+        self.l_count = self.max_symbol(|a| match a {
             AbsArg::Local(l) => Some(*l as usize),
             _ => None,
         });
-        self.locals = (0..sessions)
-            .map(|_| (0..l_count).map(|_| self.ctx.fresh_var(Sort::Int)).collect())
-            .collect();
+        for _ in 0..sessions * self.l_count {
+            let v = self.ctx.fresh_var(Sort::Int);
+            self.t.locals.push(v);
+        }
         let u = self.u;
+        self.t.param_base.push(0);
         for i in 0..n {
             let tx = u.tx(i);
-            self.params
-                .push((0..tx.params.len()).map(|_| self.ctx.fresh_var(Sort::Int)).collect());
-            self.rets
-                .push((0..tx.events.len()).map(|_| self.ctx.fresh_var(Sort::Int)).collect());
-            let fresh_row = tx
-                .events
-                .iter()
-                .map(|ev| {
-                    (ev.kind == c4_store::op::OpKind::TblAddRow)
-                        .then(|| self.ctx.fresh_var(Sort::Int))
-                })
-                .collect();
-            self.fresh.push(fresh_row);
-            self.eo_reach.push(u.arena.reach(u.instances[i].orig_tx as crate::intern::BodyId));
+            for _ in 0..tx.params.len() {
+                let v = self.ctx.fresh_var(Sort::Int);
+                self.t.params.push(v);
+            }
+            self.t.param_base.push(self.t.params.len() as u32);
+            for _ in 0..tx.events.len() {
+                let v = self.ctx.fresh_var(Sort::Int);
+                self.t.rets.push(v);
+            }
+            for ev in &tx.events {
+                let v = if ev.kind == c4_store::op::OpKind::TblAddRow {
+                    self.ctx.fresh_var(Sort::Int)
+                } else {
+                    NO_TERM
+                };
+                self.t.fresh.push(v);
+            }
         }
         // Boolean query results range over the two sentinels.
         let t = self.const_int(&Value::Bool(true));
@@ -234,7 +350,7 @@ impl<'a> CycleEncoder<'a> {
             let events = &u.tx(i).events;
             for (e, ev) in events.iter().enumerate() {
                 if returns_bool(&ev.kind) {
-                    let r = self.rets[i][e];
+                    let r = self.ret(i, e);
                     let tv = self.ctx.int(t);
                     let fv = self.ctx.int(f);
                     let eq_t = self.ctx.eq(r, tv);
@@ -247,10 +363,10 @@ impl<'a> CycleEncoder<'a> {
         for i in 0..n {
             for j in 0..n {
                 if i < j {
-                    self.ar_vars[i * n + j] = self.ctx.fresh_var(Sort::Bool);
+                    self.t.ar_vars[i * n + j] = self.ctx.fresh_var(Sort::Bool);
                 }
                 if i != j {
-                    self.vis_vars[i * n + j] = self.ctx.fresh_var(Sort::Bool);
+                    self.t.vis_vars[i * n + j] = self.ctx.fresh_var(Sort::Bool);
                 }
             }
         }
@@ -294,49 +410,48 @@ impl<'a> CycleEncoder<'a> {
                 let i = self.const_int(v);
                 self.ctx.int(i)
             }
-            AbsArg::Param(p) => self.params[inst][*p as usize],
+            AbsArg::Param(p) => self.params(inst)[*p as usize],
             AbsArg::Local(l) => {
                 let s = self.u.instances[inst].session;
-                self.locals[s][*l as usize]
+                self.t.locals[s * self.l_count + *l as usize]
             }
-            AbsArg::Global(g) => self.globals[*g as usize],
-            AbsArg::Ret(r) => self.rets[inst][*r as usize],
+            AbsArg::Global(g) => self.t.globals[*g as usize],
+            AbsArg::Ret(r) => self.ret(inst, *r as usize),
             AbsArg::RowOf(r) => {
-                self.fresh[inst][*r as usize].expect("fresh row var declared for add_row")
+                self.fresh(inst, *r as usize).expect("fresh row var declared for add_row")
             }
         }
     }
 
     fn wild_var(&mut self, inst: usize, event: usize, pos: usize) -> TermId {
-        if let Some(&v) = self.wild.get(&(inst, event, pos)) {
+        if let Some(&v) = self.t.wild.get(&(inst, event, pos)) {
             return v;
         }
         let v = self.ctx.fresh_var(Sort::Int);
-        self.wild.insert((inst, event, pos), v);
+        self.t.wild.insert((inst, event, pos), v);
         v
     }
 
     /// Control flow: path selection and guard conditions per instance.
     fn assert_paths(&mut self) {
         let u = self.u;
+        self.t.path_base.push(0);
         for i in 0..u.instances.len() {
-            let tx = &u.tx(i);
-            let paths: Cow<'a, [TxPath]> = if self.features.control_flow {
-                Cow::Borrowed(u.arena.paths(u.instances[i].orig_tx as crate::intern::BodyId))
-            } else {
-                Cow::Owned(vec![TxPath {
-                    events: (0..tx.events.len() as u32).collect(),
-                    conds: vec![],
-                }])
-            };
-            let vars: Vec<TermId> =
-                (0..paths.len()).map(|_| self.ctx.fresh_var(Sort::Bool)).collect();
+            let paths = self.paths(i);
+            let base = self.t.path_vars.len();
+            for _ in 0..paths.len() {
+                let v = self.ctx.fresh_var(Sort::Bool);
+                self.t.path_vars.push(v);
+            }
+            self.t.path_base.push(self.t.path_vars.len() as u32);
             // Exactly one path.
-            self.push_clause(vars.iter().copied());
-            for a in 0..vars.len() {
-                for b in (a + 1)..vars.len() {
-                    let na = self.ctx.not(vars[a]);
-                    let nb = self.ctx.not(vars[b]);
+            let start = self.t.clause_lits.len() as u32;
+            self.t.clause_lits.extend_from_slice(&self.t.path_vars[base..]);
+            self.t.assertions.push(Assertion::Clause(start, self.t.clause_lits.len() as u32));
+            for a in base..self.t.path_vars.len() {
+                for b in (a + 1)..self.t.path_vars.len() {
+                    let na = self.ctx.not(self.t.path_vars[a]);
+                    let nb = self.ctx.not(self.t.path_vars[b]);
                     self.push_clause([na, nb]);
                 }
             }
@@ -345,25 +460,22 @@ impl<'a> CycleEncoder<'a> {
                 for (p, path) in paths.iter().enumerate() {
                     for cond in &path.conds {
                         let c = self.cond_term(i, cond);
-                        let np = self.ctx.not(vars[p]);
+                        let np = self.ctx.not(self.t.path_vars[base + p]);
                         self.push_clause([np, c]);
                     }
                 }
             }
             // Activation per event.
-            let mut acts = Vec::new();
-            for e in 0..tx.events.len() {
-                let on: Vec<TermId> = paths
+            for e in 0..u.tx(i).events.len() {
+                let vars = &self.t.path_vars[base..];
+                let on = paths
                     .iter()
-                    .enumerate()
-                    .filter(|(_, path)| path.events.contains(&(e as u32)))
-                    .map(|(p, _)| vars[p])
-                    .collect();
-                acts.push(self.ctx.or(on));
+                    .zip(vars)
+                    .filter(|(path, _)| path.events.contains(&(e as u32)))
+                    .map(|(_, &v)| v);
+                let act = self.ctx.or(on);
+                self.t.act.push(act);
             }
-            self.act.push(acts);
-            self.paths.push(paths);
-            self.path_vars.push(vars);
         }
     }
 
@@ -434,16 +546,16 @@ impl<'a> CycleEncoder<'a> {
     fn ar(&mut self, i: usize, j: usize) -> TermId {
         let n = self.u.instances.len();
         if i < j {
-            self.ar_vars[i * n + j]
+            self.t.ar_vars[i * n + j]
         } else {
-            let v = self.ar_vars[j * n + i];
+            let v = self.t.ar_vars[j * n + i];
             self.ctx.not(v)
         }
     }
 
     /// Transaction-level visibility variable `i vı→ j` (`i ≠ j`).
     fn vis(&self, i: usize, j: usize) -> TermId {
-        self.vis_vars[i * self.u.instances.len() + j]
+        self.t.vis_vars[i * self.u.instances.len() + j]
     }
 
     /// Section 8 freshness: fresh rows are pairwise distinct, distinct
@@ -451,10 +563,10 @@ impl<'a> CycleEncoder<'a> {
     /// must have observed its creation.
     fn assert_freshness(&mut self) {
         let mut all_fresh = Vec::new();
-        for (i, per_event) in self.fresh.iter().enumerate() {
-            for (e, f) in per_event.iter().enumerate() {
-                if let Some(v) = f {
-                    all_fresh.push((i, e, *v));
+        for i in 0..self.u.instances.len() {
+            for e in 0..self.u.tx(i).events.len() {
+                if let Some(v) = self.fresh(i, e) {
+                    all_fresh.push((i, e, v));
                 }
             }
         }
@@ -464,7 +576,7 @@ impl<'a> CycleEncoder<'a> {
         let mut terms: Vec<TermId> = all_fresh.iter().map(|&(_, _, v)| v).collect();
         // Sentinels in the order they were handed out (descending), so the
         // integer terms are created in the same order on every run.
-        let mut consts: Vec<i64> = self.consts.values().copied().collect();
+        let mut consts: Vec<i64> = self.t.consts.values().copied().collect();
         consts.sort_unstable_by(|a, b| b.cmp(a));
         for c in consts {
             terms.push(self.ctx.int(c));
@@ -490,9 +602,9 @@ impl<'a> CycleEncoder<'a> {
                         let a = self.arg_term(j, fe, pos, arg);
                         let eq = self.ctx.eq(a, row);
                         let neq = self.ctx.not(eq);
-                        let act_f = self.act[j][fe];
+                        let act_f = self.act(j, fe);
                         let nact_f = self.ctx.not(act_f);
-                        let act_c = self.act[ci][ce];
+                        let act_c = self.act(ci, ce);
                         let vis = self.vis(ci, j);
                         self.push_clause([nact_f, neq, act_c]);
                         self.push_clause([nact_f, neq, vis]);
@@ -561,10 +673,10 @@ impl<'a> CycleEncoder<'a> {
                                 _ => None,
                             };
                         let Some(pairs) = key_pairs else { continue };
-                        if ci == qi && !self.eo_reach[qi][ce][qe] {
+                        if ci == qi && !self.eo_reach(qi)[ce][qe] {
                             continue; // creator not before the query
                         }
-                        let mut parts = vec![self.act[ci][ce]];
+                        let mut parts = vec![self.act(ci, ce)];
                         for (qp, cp) in pairs {
                             let qa = &qev.args[qp];
                             let ca = &c_events[ce].args[cp];
@@ -578,10 +690,10 @@ impl<'a> CycleEncoder<'a> {
                         creators.push(self.ctx.and(parts));
                     }
                 }
-                let ret = self.rets[qi][qe];
+                let ret = self.ret(qi, qe);
                 let tv = self.ctx.int(t_sent);
                 let is_true = self.ctx.eq(ret, tv);
-                let act_q = self.act[qi][qe];
+                let act_q = self.act(qi, qe);
                 let nact_q = self.ctx.not(act_q);
                 let some_creator = self.ctx.or(creators);
                 // act_q ∧ ret = true ⇒ some creator.
@@ -634,7 +746,7 @@ impl<'a> CycleEncoder<'a> {
             }
             ArgTerm::Ret(side) => {
                 let (inst, ev) = if *side == Side::Src { src } else { tgt };
-                self.rets[inst][ev]
+                self.ret(inst, ev)
             }
             ArgTerm::Const(v) => {
                 let i = self.const_int(v);
@@ -650,7 +762,7 @@ impl<'a> CycleEncoder<'a> {
         let (u, far) = (self.u, self.far);
         let se = &u.tx(src.0).events[src.1];
         let te = &u.tx(tgt.0).events[tgt.1];
-        let f = far.far_commutes_id(self.sig[src.0][src.1], self.sig[tgt.0][tgt.1]);
+        let f = far.far_commutes_id(self.sig(src.0, src.1), self.sig(tgt.0, tgt.1));
         if !self.features.commutativity {
             let ctx = PairCtx {
                 same_instance: src.0 == tgt.0,
@@ -683,14 +795,14 @@ impl<'a> CycleEncoder<'a> {
                 if !vev.kind.is_update() || (k, vi) == u || (k, vi) == q {
                     continue;
                 }
-                let absf = far.far_absorbs_id(self.sig[u.0][u.1], self.sig[k][vi]);
+                let absf = far.far_absorbs_id(self.sig(u.0, u.1), self.sig(k, vi));
                 if absf.is_false() {
                     continue;
                 }
                 let abs_t = self.spec_term(absf, u, (k, vi));
                 // u ar→ v.
                 let ar_uv = if k == u.0 {
-                    if self.eo_reach[u.0][u.1][vi] {
+                    if self.eo_reach(u.0)[u.1][vi] {
                         self.ctx.tru()
                     } else {
                         self.ctx.fls()
@@ -700,7 +812,7 @@ impl<'a> CycleEncoder<'a> {
                 };
                 // v vı→ q.
                 let vis_vq = if k == q.0 {
-                    if self.eo_reach[k][vi][q.1] {
+                    if self.eo_reach(k)[vi][q.1] {
                         self.ctx.tru()
                     } else {
                         self.ctx.fls()
@@ -708,7 +820,7 @@ impl<'a> CycleEncoder<'a> {
                 } else {
                     self.vis(k, q.0)
                 };
-                let act_v = self.act[k][vi];
+                let act_v = self.act(k, vi);
                 let all = self.ctx.and([act_v, abs_t, ar_uv, vis_vq]);
                 conj.push(self.ctx.not(all));
             }
@@ -728,11 +840,11 @@ impl<'a> CycleEncoder<'a> {
             SsgLabel::Conflict => 2,
         };
         let slot = (a * self.u.instances.len() + b) * 3 + slot;
-        if let Some(t) = self.steps[slot] {
-            return t;
+        if self.t.steps[slot] != NO_TERM {
+            return self.t.steps[slot];
         }
         let t = self.build_step_term(a, b, label);
-        self.steps[slot] = Some(t);
+        self.t.steps[slot] = t;
         t
     }
 
@@ -758,7 +870,7 @@ impl<'a> CycleEncoder<'a> {
                     continue;
                 }
                 // Static pre-filter mirrors the SSG.
-                let (sa, sb) = (self.sig[a][ei], self.sig[b][fi]);
+                let (sa, sb) = (self.sig(a, ei), self.sig(b, fi));
                 let feasible = match label {
                     SsgLabel::Dep | SsgLabel::Conflict => {
                         tv_eval(far.far_commutes_id(sa, sb), e, f, ctx_pair) != Tv::True
@@ -771,8 +883,8 @@ impl<'a> CycleEncoder<'a> {
                 if !feasible {
                     continue;
                 }
-                let act_e = self.act[a][ei];
-                let act_f = self.act[b][fi];
+                let act_e = self.act(a, ei);
+                let act_f = self.act(b, fi);
                 let term = match label {
                     SsgLabel::Dep => {
                         let vis = self.vis(a, b);
@@ -836,8 +948,8 @@ impl<'a> CycleEncoder<'a> {
     /// their parameter values (the ghost-copy instantiation of the
     /// short-cut check).
     pub fn assert_params_equal(&mut self, i: usize, j: usize) {
-        for p in 0..self.params[i].len().min(self.params[j].len()) {
-            let (a, b) = (self.params[i][p], self.params[j][p]);
+        for p in 0..self.params(i).len().min(self.params(j).len()) {
+            let (a, b) = (self.params(i)[p], self.params(j)[p]);
             let e = self.ctx.eq(a, b);
             self.push_term(e);
         }
@@ -865,10 +977,10 @@ impl<'a> CycleEncoder<'a> {
         self.assert_params_equal(i, j);
         let n_events = self.u.tx(i).events.len();
         for e in 0..n_events {
-            let (ri, rj) = (self.rets[i][e], self.rets[j][e]);
+            let (ri, rj) = (self.ret(i, e), self.ret(j, e));
             let eq = self.ctx.eq(ri, rj);
             self.push_term(eq);
-            if let (Some(fi), Some(fj)) = (self.fresh[i][e], self.fresh[j][e]) {
+            if let (Some(fi), Some(fj)) = (self.fresh(i, e), self.fresh(j, e)) {
                 let eq = self.ctx.eq(fi, fj);
                 self.push_term(eq);
             }
@@ -883,8 +995,8 @@ impl<'a> CycleEncoder<'a> {
             }
         }
         // Same chosen path.
-        for p in 0..self.path_vars[i].len().min(self.path_vars[j].len()) {
-            let (pi, pj) = (self.path_vars[i][p], self.path_vars[j][p]);
+        for p in 0..self.path_vars(i).len().min(self.path_vars(j).len()) {
+            let (pi, pj) = (self.path_vars(i)[p], self.path_vars(j)[p]);
             let iff = self.ctx.iff(pi, pj);
             self.push_term(iff);
         }
@@ -921,7 +1033,7 @@ impl<'a> CycleEncoder<'a> {
                 if !(e.kind.is_query() && f.kind.is_update()) {
                     continue;
                 }
-                let (sa, sb) = (self.sig[a][ei], self.sig[b][fi]);
+                let (sa, sb) = (self.sig(a, ei), self.sig(b, fi));
                 if tv_eval(far.far_commutes_id(sb, sa), f, e, ctx_pair) == Tv::True {
                     continue;
                 }
@@ -948,24 +1060,22 @@ impl<'a> CycleEncoder<'a> {
     /// own, nested in the query that flushes, so its time is not solving.
     fn flush(&mut self) {
         let _stage = c4_obs::stage(Stage::EncoderBuild);
-        let session = self.session.get_or_insert_with(Incremental::new);
-        for &a in &self.assertions[self.session_cursor..] {
+        for &a in &self.t.assertions[self.session_cursor..] {
             match a {
-                Assertion::Term(t) => session.assert(&mut self.ctx, t),
-                Assertion::Clause(start, end) => session.assert_clause(
+                Assertion::Term(t) => self.session.assert(&mut self.ctx, t),
+                Assertion::Clause(start, end) => self.session.assert_clause(
                     &mut self.ctx,
-                    &self.clause_lits[start as usize..end as usize],
+                    &self.t.clause_lits[start as usize..end as usize],
                 ),
             }
         }
-        self.session_cursor = self.assertions.len();
+        self.session_cursor = self.t.assertions.len();
     }
 
     /// Solves the accumulated assertions as permanent facts.
     pub fn solve(&mut self) -> Option<CycleModel> {
         self.flush();
-        let session = self.session.as_mut().expect("flushed session");
-        match session.solve_under(&self.ctx, &[]) {
+        match self.session.solve_under(&self.ctx, &[]) {
             SatResult::Unsat => None,
             SatResult::Sat(model) => Some(self.decode(&model)),
         }
@@ -1019,17 +1129,23 @@ impl<'a> CycleEncoder<'a> {
     /// unfoldings have no feasible candidate at all. SAT only says *some*
     /// candidate is feasible; the caller falls back to the exact
     /// per-candidate path to find out which.
-    pub fn check_shared_any(&mut self, cands: &[CandidateCycle]) -> bool {
-        let mut disjuncts = Vec::with_capacity(cands.len());
-        for cand in cands {
-            let m = cand.nodes.len();
-            let mut step_terms = Vec::with_capacity(m);
-            for (s, step) in cand.steps.iter().enumerate() {
-                let a = cand.nodes[s];
-                let b = cand.nodes[(s + 1) % m];
-                step_terms.push(self.step_term(a, b, step.label));
+    ///
+    /// The candidates are `cands`' candidates numbered in `pending`, read
+    /// in place rather than materialized.
+    pub fn check_shared_any(&mut self, cands: &Candidates, pending: &[usize]) -> bool {
+        let edges = cands.ssg().edges();
+        let mut disjuncts = Vec::with_capacity(pending.len());
+        let mut step_terms = Vec::new();
+        for &i in pending {
+            let steps = cands.steps(i);
+            let m = steps.len();
+            step_terms.clear();
+            for (s, &e) in steps.iter().enumerate() {
+                let a = edges[e as usize].from;
+                let b = edges[steps[(s + 1) % m] as usize].from;
+                step_terms.push(self.step_term(a, b, edges[e as usize].label));
             }
-            disjuncts.push(self.ctx.and(step_terms));
+            disjuncts.push(self.ctx.and(step_terms.iter().copied()));
         }
         let any = self.ctx.or(disjuncts);
         self.solve_guarded(&[any])
@@ -1040,7 +1156,7 @@ impl<'a> CycleEncoder<'a> {
     /// activation literal that is retired afterwards.
     fn solve_guarded(&mut self, terms: &[TermId]) -> bool {
         self.flush();
-        let session = self.session.as_mut().expect("flushed session");
+        let session = &mut self.session;
         let g = session.activation();
         for &t in terms {
             session.assert_under(&mut self.ctx, g, t);
@@ -1054,21 +1170,20 @@ impl<'a> CycleEncoder<'a> {
     /// clauses, retained learnt clauses)`. All zero before the first
     /// [`CycleEncoder::check_shared`] call.
     pub fn session_stats(&self) -> (u64, u64, usize) {
-        match &self.session {
-            Some(s) => (s.solves(), s.blocking_clauses(), s.learnt_count()),
-            None => (0, 0, 0),
-        }
+        let s = &self.session;
+        (s.solves(), s.blocking_clauses(), s.learnt_count())
     }
 
     fn decode(&mut self, model: &c4_smt::Model) -> CycleModel {
         let n = self.u.instances.len();
         let mut paths = Vec::with_capacity(n);
         for i in 0..n {
-            let chosen = self.path_vars[i]
+            let chosen = self
+                .path_vars(i)
                 .iter()
                 .position(|&v| model.bool_value(v) == Some(true))
                 .unwrap_or(0);
-            paths.push(self.paths[i][chosen].events.clone());
+            paths.push(self.paths(i)[chosen].events.clone());
         }
         let mut args = HashMap::new();
         let mut rets = HashMap::new();
@@ -1076,9 +1191,9 @@ impl<'a> CycleEncoder<'a> {
         // row identity.
         let mut row_values: HashMap<i64, u64> = HashMap::new();
         let mut next_row = 0u64;
-        for per_event in &self.fresh {
-            for f in per_event.iter().flatten() {
-                if let Some(v) = model.int_value(*f) {
+        for &f in &self.t.fresh {
+            if f != NO_TERM {
+                if let Some(v) = model.int_value(f) {
                     row_values.entry(v).or_insert_with(|| {
                         let r = next_row;
                         next_row += 1;
@@ -1087,7 +1202,7 @@ impl<'a> CycleEncoder<'a> {
                 }
             }
         }
-        let rev_consts = self.rev_consts.clone();
+        let rev_consts = self.t.rev_consts.clone();
         let decode_int = |v: i64| -> Value {
             if let Some(orig) = rev_consts.get(&v) {
                 return orig.clone();
@@ -1112,7 +1227,7 @@ impl<'a> CycleEncoder<'a> {
                     args.insert((i, e, pos), v);
                 }
                 if tx_events[e].kind.is_query() {
-                    let term = self.rets[i][e];
+                    let term = self.ret(i, e);
                     let v = model.int_value(term).map(&decode_int).unwrap_or(Value::Unit);
                     // Boolean queries must decode to booleans.
                     let v = if returns_bool(&tx_events[e].kind) {
@@ -1136,9 +1251,9 @@ impl<'a> CycleEncoder<'a> {
                 }
                 vis[i][j] = model.bool_value(self.vis(i, j)) == Some(true);
                 let a = if i < j {
-                    model.bool_value(self.ar_vars[i * n + j]) == Some(true)
+                    model.bool_value(self.t.ar_vars[i * n + j]) == Some(true)
                 } else {
-                    model.bool_value(self.ar_vars[j * n + i]) != Some(true)
+                    model.bool_value(self.t.ar_vars[j * n + i]) != Some(true)
                 };
                 ar[i][j] = a;
             }
@@ -1191,7 +1306,7 @@ mod tests {
         'outer: for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &tables);
             for cand in candidate_cycles(&u, ssg, &tables).cycles() {
-                let mut enc = CycleEncoder::new(&u, &far, &features);
+                let mut enc = CycleEncoder::new(&u, &far, &features, SmtWorkspace::default());
                 if let Some(model) = enc.check(&cand) {
                     // Model sanity: vis respects so.
                     for i in 0..u.instances.len() {
@@ -1231,7 +1346,7 @@ mod tests {
         for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &tables);
             for cand in candidate_cycles(&u, ssg, &tables).cycles() {
-                let mut enc = CycleEncoder::new(&u, &far, &features);
+                let mut enc = CycleEncoder::new(&u, &far, &features, SmtWorkspace::default());
                 assert!(
                     enc.check(&cand).is_none(),
                     "session-local keys admit no 2-session cycle"
@@ -1261,7 +1376,7 @@ mod tests {
         for u in unfoldings(&h, &arena, 2) {
             let ssg = Ssg::of_unfolding(&u, &tables);
             for cand in candidate_cycles(&u, ssg, &tables).cycles() {
-                let mut enc = CycleEncoder::new(&u, &far, &features);
+                let mut enc = CycleEncoder::new(&u, &far, &features, SmtWorkspace::default());
                 if enc.check(&cand).is_some() {
                     found = true;
                 }

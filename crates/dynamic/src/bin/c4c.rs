@@ -44,7 +44,13 @@ fn main() -> ExitCode {
                     usage("--max-sessions needs at least one session");
                 }
             }
-            "--depth" => mc_config.depth = Some(num(&mut args, "--depth needs a number")),
+            "--depth" => {
+                let depth = num(&mut args, "--depth needs a number");
+                if depth == 0 {
+                    usage("--depth needs at least one transaction per session");
+                }
+                mc_config.depth = Some(depth);
+            }
             "--max-execs" => mc_config.max_execs = num(&mut args, "--max-execs needs a number"),
             "--mc-workers" => mc_config.workers = num(&mut args, "--mc-workers needs a number"),
             "--no-dpor" => mc_config.dpor = false,

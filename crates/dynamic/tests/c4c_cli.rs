@@ -33,6 +33,21 @@ fn zero_sessions_is_a_usage_error() {
 }
 
 #[test]
+fn zero_depth_is_a_usage_error() {
+    // A zero depth explores no execution, so "no violation" would be a
+    // verdict about nothing.
+    let path = program_file("depth0", LOST_UPDATE);
+    let out = c4c(&[path.to_str().unwrap(), "--no-filter", "--mc", "--depth", "0"]);
+    std::fs::remove_file(&path).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert!(stderr.contains("error: --depth needs at least one transaction per session"), "{stderr}");
+    assert!(stderr.contains("usage: c4c"), "{stderr}");
+    assert!(!stdout.contains("model checking: "), "{stdout}");
+}
+
+#[test]
 fn one_session_still_model_checks() {
     // One session cannot race with itself: every schedule is serial.
     let path = program_file("one", LOST_UPDATE);

@@ -36,6 +36,14 @@ impl Tseitin {
         Tseitin::default()
     }
 
+    /// Forgets every encoded term, keeping the buffers.
+    pub fn reset(&mut self) {
+        self.map.clear();
+        self.atoms.clear();
+        self.const_true = None;
+        self.stack.clear();
+    }
+
     /// The theory atoms encoded so far, in first-encounter order.
     pub fn atoms(&self) -> &[(TermId, Var)] {
         &self.atoms
@@ -92,7 +100,7 @@ impl Tseitin {
             }
             TermData::Not(a) => self.lit(ctx, *a, cnf).negate(),
             TermData::And(xs) => {
-                let base = self.push_operands(ctx, xs, cnf);
+                let base = self.push_operands(ctx, ctx.operands(*xs), cnf);
                 let v = cnf.fresh().positive();
                 for &x in &self.stack[base..] {
                     cnf.add([v.negate(), x]);
@@ -102,7 +110,7 @@ impl Tseitin {
                 v
             }
             TermData::Or(xs) => {
-                let base = self.push_operands(ctx, xs, cnf);
+                let base = self.push_operands(ctx, ctx.operands(*xs), cnf);
                 let v = cnf.fresh().positive();
                 for &x in &self.stack[base..] {
                     cnf.add([v, x.negate()]);

@@ -58,9 +58,10 @@ impl<'a> Congruence<'a> {
             return;
         }
         self.parent.insert(t, t);
-        if let TermData::App(_, args) = self.ctx.data(t) {
+        let ctx = self.ctx;
+        if let TermData::App(_, args) = *ctx.data(t) {
             self.apps.push(t);
-            for &a in args.clone().iter() {
+            for &a in ctx.operands(args) {
                 self.register(a);
             }
         }
@@ -100,17 +101,18 @@ impl<'a> Congruence<'a> {
                     if self.find(t1) == self.find(t2) {
                         continue;
                     }
-                    let (f1, args1) = match self.ctx.data(t1) {
-                        TermData::App(f, a) => (*f, a.clone()),
+                    let ctx = self.ctx;
+                    let (f1, args1) = match *ctx.data(t1) {
+                        TermData::App(f, a) => (f, ctx.operands(a)),
                         _ => unreachable!(),
                     };
-                    let (f2, args2) = match self.ctx.data(t2) {
-                        TermData::App(f, a) => (*f, a.clone()),
+                    let (f2, args2) = match *ctx.data(t2) {
+                        TermData::App(f, a) => (f, ctx.operands(a)),
                         _ => unreachable!(),
                     };
                     if f1 == f2
                         && args1.len() == args2.len()
-                        && args1.iter().zip(&args2).all(|(&x, &y)| self.find(x) == self.find(y))
+                        && args1.iter().zip(args2).all(|(&x, &y)| self.find(x) == self.find(y))
                     {
                         self.merge(t1, t2);
                         merged = true;

@@ -52,4 +52,4 @@ mod theory;
 
 pub use sat::{AssumeOutcome, Cnf, Lit, SatOutcome, SatSolver, Var};
 pub use solver::{Incremental, Model, SatResult};
-pub use term::{Context, FuncId, Sort, TermData, TermId, VarId};
+pub use term::{Context, FuncId, Operands, Sort, TermData, TermId, VarId};

@@ -169,6 +169,15 @@ pub struct SatSolver {
     /// Scratch for the clause being added and for the learnt clause.
     add_buf: Vec<Lit>,
     learnt_buf: Vec<Lit>,
+    /// Scratch for a learnt clause's decision levels.
+    lbd_buf: Vec<u32>,
+    /// The last SAT answer's assignment and the last UNSAT answer's
+    /// conflict subset of the assumptions (see [`SatSolver::search`]).
+    model: Vec<bool>,
+    core: Vec<Lit>,
+    /// Emptied watch lists of a [`SatSolver::reset`], handed out again
+    /// by [`SatSolver::new_var`].
+    spare_watches: Vec<Vec<usize>>,
 }
 
 impl SatSolver {
@@ -199,7 +208,47 @@ impl SatSolver {
             seen: vec![false; n],
             add_buf: Vec::new(),
             learnt_buf: Vec::new(),
+            lbd_buf: Vec::new(),
+            model: Vec::new(),
+            core: Vec::new(),
+            spare_watches: Vec::new(),
         }
+    }
+
+    /// Empties the solver for reuse, keeping its buffers. Afterwards it is
+    /// indistinguishable from `SatSolver::new(0)`: no variables, clauses
+    /// or learnt clauses, zero counters, the initial activity increments
+    /// and the adaptive learnt budget. Its watch lists go to a spare pool
+    /// that [`SatSolver::new_var`] draws from, so the reused solver fills
+    /// them without allocating.
+    pub fn reset(&mut self) {
+        self.clauses.clear();
+        self.lits.clear();
+        // Reversed, so `new_var` hands each literal the list it had.
+        for mut w in self.watches.drain(..).rev() {
+            w.clear();
+            self.spare_watches.push(w);
+        }
+        self.values.clear();
+        self.levels.clear();
+        self.reasons.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.prop_head = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.saved_phase.clear();
+        self.unsat = false;
+        self.n_conflicts = 0;
+        self.n_decisions = 0;
+        self.n_propagations = 0;
+        self.n_learnt = 0;
+        self.cla_inc = 1.0;
+        self.max_learnts = 0;
+        self.n_reduces = 0;
+        self.seen.clear();
+        self.model.clear();
+        self.core.clear();
     }
 
     /// Allocates a fresh variable (usable between solve calls).
@@ -211,8 +260,10 @@ impl SatSolver {
         self.activity.push(0.0);
         self.saved_phase.push(false);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        for _ in 0..2 {
+            let w = self.spare_watches.pop().unwrap_or_default();
+            self.watches.push(w);
+        }
         v
     }
 
@@ -371,12 +422,15 @@ impl SatSolver {
     /// Literal-block distance: the number of distinct decision levels
     /// among a clause's literals (Glucose's quality measure; lower is
     /// better).
-    fn lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> =
-            lits.iter().map(|l| self.levels[l.var().0 as usize]).collect();
+    fn lbd(&mut self, lits: &[Lit]) -> u32 {
+        let mut levels = std::mem::take(&mut self.lbd_buf);
+        levels.clear();
+        levels.extend(lits.iter().map(|l| self.levels[l.var().0 as usize]));
         levels.sort_unstable();
         levels.dedup();
-        levels.len() as u32
+        let n = levels.len() as u32;
+        self.lbd_buf = levels;
+        n
     }
 
     /// Stores the clause in `learnt_buf` as a learnt clause.
@@ -512,18 +566,26 @@ impl SatSolver {
                 // Unit or conflict.
                 self.n_propagations += 1;
                 if !self.enqueue(first, Some(ci)) {
-                    // Conflict: restore remaining watches.
-                    self.watches[l.index()].extend(watch_list.drain(..));
-                    // Note: the drained list includes already-processed
-                    // entries; watches may contain duplicates, which is
-                    // harmless, but avoid losing any.
+                    // Conflict: put the list back whole, the entries not
+                    // yet visited included.
+                    self.restore_watches(l, watch_list);
                     return Some(ci);
                 }
                 i += 1;
             }
-            self.watches[l.index()].extend(watch_list);
+            self.restore_watches(l, watch_list);
         }
         None
+    }
+
+    /// Puts `l`'s watch list back after [`SatSolver::propagate`] visited
+    /// it. Nothing watches `l` meanwhile: a clause moves its watch only to
+    /// a literal that is not false, and `¬l` is. So the slot is still the
+    /// empty list the visit left, and the list's buffer goes back as is.
+    fn restore_watches(&mut self, l: Lit, watch_list: Vec<usize>) {
+        let slot = &mut self.watches[l.index()];
+        debug_assert!(slot.is_empty(), "a watch moved to a false literal");
+        *slot = watch_list;
     }
 
     fn bump(&mut self, v: Var) {
@@ -631,13 +693,16 @@ impl SatSolver {
     /// The conflict subset of the assumptions responsible for the failed
     /// assumption `p` (whose negation holds on the trail): walks the
     /// implication graph from `¬p` back to the assumption decisions
-    /// (MiniSat's `analyzeFinal`). Returns assumption literals, `p`
-    /// included.
-    fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
-        let mut out = vec![p];
+    /// (MiniSat's `analyzeFinal`). Leaves assumption literals, `p`
+    /// included, in `core`.
+    fn analyze_final(&mut self, p: Lit) {
+        let mut out = std::mem::take(&mut self.core);
+        out.clear();
+        out.push(p);
         if self.trail_lim.is_empty() {
             // ¬p is implied at the root: p alone conflicts with the formula.
-            return out;
+            self.core = out;
+            return;
         }
         let base = self.trail_lim[0];
         self.seen[p.var().0 as usize] = true;
@@ -665,7 +730,7 @@ impl SatSolver {
         for i in base..self.trail.len() {
             self.seen[self.trail[i].var().0 as usize] = false;
         }
-        out
+        self.core = out;
     }
 
     /// Solves the current formula. Returns a full model or `Unsat`.
@@ -686,13 +751,30 @@ impl SatSolver {
     /// payload is a conflict subset of the assumptions; clauses and
     /// variables may be added between calls.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> AssumeOutcome {
+        if self.search(assumptions) {
+            AssumeOutcome::Sat(self.model.clone())
+        } else {
+            AssumeOutcome::Unsat(self.core.clone())
+        }
+    }
+
+    /// The assignment of the last SAT answer of [`SatSolver::search`].
+    pub(crate) fn model(&self) -> &[bool] {
+        &self.model
+    }
+
+    /// [`SatSolver::solve_under_assumptions`] without copying its answer
+    /// out: `true` for SAT, with the model in [`SatSolver::model`]; on
+    /// UNSAT the conflict subset is left in `core`.
+    pub(crate) fn search(&mut self, assumptions: &[Lit]) -> bool {
+        self.core.clear();
         if self.unsat {
-            return AssumeOutcome::Unsat(Vec::new());
+            return false;
         }
         self.backtrack(0);
         if self.propagate().is_some() {
             self.unsat = true;
-            return AssumeOutcome::Unsat(Vec::new());
+            return false;
         }
         if self.max_learnts == 0 {
             self.max_learnts = ((self.clauses.len() - self.n_learnt) / 3).max(2000);
@@ -705,7 +787,7 @@ impl SatSolver {
                 conflicts_since_restart += 1;
                 if self.level() == 0 {
                     self.unsat = true;
-                    return AssumeOutcome::Unsat(Vec::new());
+                    return false;
                 }
                 let bt = self.analyze(conflict);
                 self.backtrack(bt);
@@ -715,13 +797,13 @@ impl SatSolver {
                 if self.learnt_buf.len() == 1 {
                     if !self.enqueue(asserting, None) {
                         self.unsat = true;
-                        return AssumeOutcome::Unsat(Vec::new());
+                        return false;
                     }
                 } else {
                     let ci = self.attach_learnt();
                     if !self.enqueue(asserting, Some(ci)) {
                         self.unsat = true;
-                        return AssumeOutcome::Unsat(Vec::new());
+                        return false;
                     }
                 }
                 if self.n_learnt > self.max_learnts {
@@ -740,9 +822,9 @@ impl SatSolver {
                     // level ↔ assumption correspondence.
                     Value::True => self.trail_lim.push(self.trail.len()),
                     Value::False => {
-                        let core = self.analyze_final(a);
+                        self.analyze_final(a);
                         self.backtrack(0);
-                        return AssumeOutcome::Unsat(core);
+                        return false;
                     }
                     Value::Undef => {
                         self.trail_lim.push(self.trail.len());
@@ -753,10 +835,10 @@ impl SatSolver {
             } else {
                 match self.pick_branch() {
                     None => {
-                        let model: Vec<bool> =
-                            self.values.iter().map(|&v| v == Value::True).collect();
+                        self.model.clear();
+                        self.model.extend(self.values.iter().map(|&v| v == Value::True));
                         self.backtrack(0);
-                        return AssumeOutcome::Sat(model);
+                        return true;
                     }
                     Some(v) => {
                         self.n_decisions += 1;
@@ -771,12 +853,14 @@ impl SatSolver {
     }
 }
 
-#[cfg(test)]
 impl SatSolver {
     /// Panics unless the clause store is consistent: the clauses tile the
     /// arena in order, each clause is watched by exactly its first two
-    /// literals, the learnt counter is exact and no analysis mark leaked.
-    fn check_arena(&self) {
+    /// literals, the learnt counter is exact, no analysis mark leaked and
+    /// every spare watch list is empty. A test aid; the solver never calls
+    /// it.
+    #[doc(hidden)]
+    pub fn check_arena(&self) {
         let mut end = 0usize;
         let mut watched = vec![0usize; self.clauses.len()];
         for w in &self.watches {
@@ -798,6 +882,7 @@ impl SatSolver {
         assert_eq!(end, self.lits.len(), "arena holds literals of no clause");
         assert_eq!(self.n_learnt, self.clauses.iter().filter(|c| c.learnt).count());
         assert!(self.seen.iter().all(|&m| !m), "analysis marks leaked");
+        assert!(self.spare_watches.iter().all(Vec::is_empty), "a spare watch list is not empty");
     }
 }
 

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use crate::cnf;
-use crate::sat::{AssumeOutcome, Cnf, Lit, SatSolver};
+use crate::sat::{Cnf, Lit, SatSolver};
 use crate::term::{Context, Sort, TermData, TermId};
 use crate::theory::{self, TheoryModel, TheoryResult};
 
@@ -113,6 +113,8 @@ pub struct Incremental {
     delta: Cnf,
     /// Reused buffer for the literals of an asserted clause.
     clause: Vec<Lit>,
+    /// Reused buffer for the theory atoms' values under a boolean model.
+    asserted: Vec<(TermId, bool)>,
     n_solves: u64,
     n_blocking: u64,
 }
@@ -132,9 +134,27 @@ impl Incremental {
             pre: Preprocessor::default(),
             delta: Cnf::new(),
             clause: Vec::new(),
+            asserted: Vec::new(),
             n_solves: 0,
             n_blocking: 0,
         }
+    }
+
+    /// Empties the session for reuse with a cleared (or another) term
+    /// context, keeping every buffer: the SAT core's clause arena and watch
+    /// lists, the Tseitin and preprocess tables, the scratch stacks.
+    /// Afterwards the session is indistinguishable from
+    /// `Incremental::new()`: the same calls number the same variables,
+    /// add the same clauses in the same order and search the same way, so
+    /// verdicts and every counter match a new session's.
+    pub fn reset(&mut self) {
+        self.sat.reset();
+        self.tseitin.reset();
+        self.pre.reset();
+        self.delta.n_vars = 0;
+        self.delta.clear_clauses();
+        self.n_solves = 0;
+        self.n_blocking = 0;
     }
 
     /// Preprocesses and Tseitin-encodes `t`, flushing any new variables
@@ -206,7 +226,8 @@ impl Incremental {
     pub fn solve_under(&mut self, ctx: &Context, assumptions: &[Lit]) -> SatResult {
         match self.solve_internal(ctx, assumptions) {
             None => SatResult::Unsat,
-            Some((assignment, tm)) => {
+            Some(tm) => {
+                let assignment = self.sat.model();
                 let mut bools = HashMap::new();
                 for (t, l) in self.tseitin.encoded() {
                     let v = assignment[l.var().0 as usize];
@@ -219,11 +240,9 @@ impl Incremental {
 
     /// The DPLL(T) loop: boolean models from the SAT core, refuted by the
     /// theories until one is consistent or the core runs dry.
-    fn solve_internal(
-        &mut self,
-        ctx: &Context,
-        assumptions: &[Lit],
-    ) -> Option<(Vec<bool>, TheoryModel)> {
+    /// `Some` with the theory model on SAT; the boolean model stays in the
+    /// SAT core ([`SatSolver::model`]).
+    fn solve_internal(&mut self, ctx: &Context, assumptions: &[Lit]) -> Option<TheoryModel> {
         self.n_solves += 1;
         // Trace the SAT-core effort this query cost (deltas, so parallel
         // sessions on different threads stay independent).
@@ -242,31 +261,24 @@ impl Incremental {
         out
     }
 
-    fn solve_loop(
-        &mut self,
-        ctx: &Context,
-        assumptions: &[Lit],
-    ) -> Option<(Vec<bool>, TheoryModel)> {
+    fn solve_loop(&mut self, ctx: &Context, assumptions: &[Lit]) -> Option<TheoryModel> {
         loop {
-            match self.sat.solve_under_assumptions(assumptions) {
-                AssumeOutcome::Unsat(_) => return None,
-                AssumeOutcome::Sat(assignment) => {
-                    let atoms = self.tseitin.atoms();
-                    let asserted: Vec<(TermId, bool)> =
-                        atoms.iter().map(|&(t, v)| (t, assignment[v.0 as usize])).collect();
-                    match theory::check(ctx, &asserted) {
-                        TheoryResult::Consistent(tm) => return Some((assignment, tm)),
-                        TheoryResult::Conflict(core) => {
-                            // Block this combination of theory literals.
-                            // The lemma is valid, not query-specific: it
-                            // stays unguarded and serves every later query.
-                            self.n_blocking += 1;
-                            self.sat.add_clause(core.iter().map(|&i| {
-                                let (_, var) = atoms[i];
-                                var.lit(!asserted[i].1)
-                            }));
-                        }
-                    }
+            if !self.sat.search(assumptions) {
+                return None;
+            }
+            let assignment = self.sat.model();
+            let atoms = self.tseitin.atoms();
+            self.asserted.clear();
+            self.asserted.extend(atoms.iter().map(|&(t, v)| (t, assignment[v.0 as usize])));
+            match theory::check(ctx, &self.asserted) {
+                TheoryResult::Consistent(tm) => return Some(tm),
+                TheoryResult::Conflict(core) => {
+                    // Block this combination of theory literals. The lemma
+                    // is valid, not query-specific: it stays unguarded and
+                    // serves every later query.
+                    self.n_blocking += 1;
+                    let asserted = &self.asserted;
+                    self.sat.add_clause(core.iter().map(|&i| atoms[i].1.lit(!asserted[i].1)));
                 }
             }
         }
@@ -291,6 +303,12 @@ impl Incremental {
     pub fn sat(&self) -> &SatSolver {
         &self.sat
     }
+
+    /// Overrides the SAT core's learnt-clause budget; see
+    /// [`SatSolver::set_learnt_budget`].
+    pub fn set_learnt_budget(&mut self, n: usize) {
+        self.sat.set_learnt_budget(n);
+    }
 }
 
 /// Rewrites away constructs the theories do not handle natively:
@@ -310,6 +328,12 @@ struct Preprocessor {
 const UNSEEN: TermId = TermId(u32::MAX);
 
 impl Preprocessor {
+    /// Forgets every rewrite, keeping the buffers.
+    fn reset(&mut self) {
+        self.cache.clear();
+        self.stack.clear();
+    }
+
     fn rewrite(&mut self, ctx: &mut Context, t: TermId) -> TermId {
         let i = t.0 as usize;
         if i < self.cache.len() && self.cache[i] != UNSEEN {
@@ -317,10 +341,10 @@ impl Preprocessor {
         }
         // N-ary operands go on the stack first: rewriting them adds terms
         // to `ctx`, so the node cannot stay borrowed.
-        let base = match ctx.data(t) {
+        let base = match *ctx.data(t) {
             TermData::And(xs) | TermData::Or(xs) | TermData::Distinct(xs) => {
                 let base = self.stack.len();
-                self.stack.extend_from_slice(xs);
+                self.stack.extend_from_slice(ctx.operands(xs));
                 base
             }
             _ => self.stack.len(),

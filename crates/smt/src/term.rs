@@ -33,8 +33,16 @@ impl TermId {
     }
 }
 
+/// The operand list of an n-ary term: a range of its context's operand
+/// arena, read with [`Context::operands`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Operands {
+    start: u32,
+    len: u32,
+}
+
 /// The structure of a term.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TermData {
     /// A boolean constant.
     BoolConst(bool),
@@ -43,7 +51,7 @@ pub enum TermData {
     /// A declared variable.
     Var(VarId),
     /// Application of an uninterpreted function.
-    App(FuncId, Vec<TermId>),
+    App(FuncId, Operands),
     /// Equality (operands of equal sort).
     Eq(TermId, TermId),
     /// Less-or-equal over integers.
@@ -51,13 +59,13 @@ pub enum TermData {
     /// Strictly-less over integers.
     Lt(TermId, TermId),
     /// Pairwise distinctness.
-    Distinct(Vec<TermId>),
+    Distinct(Operands),
     /// Negation.
     Not(TermId),
     /// N-ary conjunction.
-    And(Vec<TermId>),
+    And(Operands),
     /// N-ary disjunction.
-    Or(Vec<TermId>),
+    Or(Operands),
     /// Implication.
     Implies(TermId, TermId),
     /// Bi-implication.
@@ -69,6 +77,9 @@ pub enum TermData {
 #[derive(Debug, Default)]
 pub struct Context {
     terms: Vec<TermData>,
+    /// The operands of every n-ary term, back to back: one buffer instead
+    /// of a `Vec` per node.
+    operands: Vec<TermId>,
     sorts: Vec<Sort>,
     cons: ConsTable,
     var_names: Vec<(String, Sort)>,
@@ -88,18 +99,20 @@ enum ListKind {
 }
 
 impl ListKind {
-    /// Whether `data` is this constructor applied to exactly `xs`.
-    fn matches(self, data: &TermData, xs: &[TermId]) -> bool {
-        match (self, data) {
-            (ListKind::App(f), TermData::App(g, ys)) => f == *g && ys[..] == *xs,
+    /// Whether `data` is this constructor applied to exactly `xs`, with
+    /// its operands in `arena`.
+    fn matches(self, data: &TermData, xs: &[TermId], arena: &[TermId]) -> bool {
+        let ys = match (self, data) {
+            (ListKind::App(f), TermData::App(g, ys)) if f == *g => ys,
             (ListKind::Distinct, TermData::Distinct(ys))
             | (ListKind::And, TermData::And(ys))
-            | (ListKind::Or, TermData::Or(ys)) => ys[..] == *xs,
-            _ => false,
-        }
+            | (ListKind::Or, TermData::Or(ys)) => ys,
+            _ => return false,
+        };
+        arena[ys.start as usize..][..ys.len as usize] == *xs
     }
 
-    fn build(self, xs: Vec<TermId>) -> TermData {
+    fn build(self, xs: Operands) -> TermData {
         match self {
             ListKind::App(f) => TermData::App(f, xs),
             ListKind::Distinct => TermData::Distinct(xs),
@@ -169,7 +182,9 @@ impl Hasher for FxHasher {
 struct ConsTable {
     /// `(hash >> 32, term id)`; a term id of `EMPTY` marks a free slot.
     slots: Vec<(u32, u32)>,
-    len: usize,
+    /// The occupied slots, so clearing costs the entries, not the
+    /// capacity.
+    used: Vec<u32>,
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -217,23 +232,33 @@ impl ConsTable {
     /// for `hash`, growing the table to keep it at most half full.
     fn insert(&mut self, slot: usize, hash: u64, id: u32) {
         let tag = (hash >> 32) as u32;
-        let slot = if 2 * (self.len + 1) > self.slots.len() {
+        let slot = if 2 * (self.used.len() + 1) > self.slots.len() {
             self.grow();
             self.free_slot(tag)
         } else {
             slot
         };
         self.slots[slot] = (tag, id);
-        self.len += 1;
+        self.used.push(slot as u32);
     }
 
     fn grow(&mut self) {
         let cap = (self.slots.len() * 2).max(64);
         let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY); cap]);
-        for (tag, id) in old.into_iter().filter(|&(_, id)| id != EMPTY) {
+        for k in 0..self.used.len() {
+            let (tag, id) = old[self.used[k] as usize];
             let i = self.free_slot(tag);
             self.slots[i] = (tag, id);
+            self.used[k] = i as u32;
         }
+    }
+
+    /// Empties the index, keeping its capacity.
+    fn clear(&mut self) {
+        for &i in &self.used {
+            self.slots[i as usize].1 = EMPTY;
+        }
+        self.used.clear();
     }
 }
 
@@ -241,6 +266,19 @@ impl Context {
     /// Creates an empty context.
     pub fn new() -> Self {
         Context::default()
+    }
+
+    /// Empties the context for reuse, keeping its buffers. Afterwards it
+    /// hands out the same sort, variable, function and term ids, for the
+    /// same calls, as a new context.
+    pub fn clear(&mut self) {
+        self.terms.clear();
+        self.operands.clear();
+        self.sorts.clear();
+        self.cons.clear();
+        self.var_names.clear();
+        self.func_sigs.clear();
+        self.sort_names.clear();
     }
 
     /// Declares a fresh uninterpreted sort.
@@ -292,6 +330,11 @@ impl Context {
         &self.terms[t.index()]
     }
 
+    /// The operands of an n-ary term.
+    pub fn operands(&self, ops: Operands) -> &[TermId] {
+        &self.operands[ops.start as usize..][..ops.len as usize]
+    }
+
     /// Name of a declared variable (empty for [`Context::fresh_var`]).
     pub fn var_name(&self, v: VarId) -> &str {
         &self.var_names[v.0 as usize].0
@@ -324,11 +367,13 @@ impl Context {
     /// copied only when the term is new.
     fn intern_list(&mut self, kind: ListKind, xs: &[TermId], sort: Sort) -> TermId {
         let hash = kind.hash(xs);
-        let terms = &self.terms;
-        match self.cons.find(hash, |id| kind.matches(&terms[id as usize], xs)) {
+        let (terms, arena) = (&self.terms, &self.operands);
+        match self.cons.find(hash, |id| kind.matches(&terms[id as usize], xs, arena)) {
             Ok(id) => TermId(id),
             Err(slot) => {
-                let id = self.push_term(kind.build(xs.to_vec()), sort);
+                let ops = Operands { start: self.operands.len() as u32, len: xs.len() as u32 };
+                self.operands.extend_from_slice(xs);
+                let id = self.push_term(kind.build(ops), sort);
                 self.cons.insert(slot, hash, id.0);
                 id
             }
@@ -452,14 +497,18 @@ impl Context {
         out.clear();
         let mut absorbed = false;
         for x in xs {
-            match &self.terms[x.index()] {
-                TermData::BoolConst(b) if *b == unit => {}
+            match self.terms[x.index()] {
+                TermData::BoolConst(b) if b == unit => {}
                 TermData::BoolConst(_) => {
                     absorbed = true;
                     break;
                 }
-                TermData::And(inner) if kind == ListKind::And => out.extend_from_slice(inner),
-                TermData::Or(inner) if kind == ListKind::Or => out.extend_from_slice(inner),
+                TermData::And(inner) if kind == ListKind::And => {
+                    out.extend_from_slice(self.operands(inner))
+                }
+                TermData::Or(inner) if kind == ListKind::Or => {
+                    out.extend_from_slice(self.operands(inner))
+                }
                 _ => out.push(x),
             }
         }
@@ -506,23 +555,23 @@ impl Context {
             TermData::Var(v) => self.var_name(*v).to_owned(),
             TermData::App(f, args) => {
                 let name = &self.func_sigs[f.0 as usize].0;
-                let args: Vec<_> = args.iter().map(|&a| self.display(a)).collect();
+                let args: Vec<_> = self.operands(*args).iter().map(|&a| self.display(a)).collect();
                 format!("{name}({})", args.join(","))
             }
             TermData::Eq(a, b) => format!("({} = {})", self.display(*a), self.display(*b)),
             TermData::Le(a, b) => format!("({} ≤ {})", self.display(*a), self.display(*b)),
             TermData::Lt(a, b) => format!("({} < {})", self.display(*a), self.display(*b)),
             TermData::Distinct(xs) => {
-                let xs: Vec<_> = xs.iter().map(|&a| self.display(a)).collect();
+                let xs: Vec<_> = self.operands(*xs).iter().map(|&a| self.display(a)).collect();
                 format!("distinct({})", xs.join(","))
             }
             TermData::Not(a) => format!("¬{}", self.display(*a)),
             TermData::And(xs) => {
-                let xs: Vec<_> = xs.iter().map(|&a| self.display(a)).collect();
+                let xs: Vec<_> = self.operands(*xs).iter().map(|&a| self.display(a)).collect();
                 format!("({})", xs.join(" ∧ "))
             }
             TermData::Or(xs) => {
-                let xs: Vec<_> = xs.iter().map(|&a| self.display(a)).collect();
+                let xs: Vec<_> = self.operands(*xs).iter().map(|&a| self.display(a)).collect();
                 format!("({})", xs.join(" ∨ "))
             }
             TermData::Implies(a, b) => {
@@ -578,6 +627,33 @@ mod tests {
         let n = ctx.term_count();
         assert!(n > 4000, "enough terms to grow the cons table many times");
         assert_eq!(build(&mut ctx), first, "every term is found again");
+        assert_eq!(ctx.term_count(), n);
+    }
+
+    #[test]
+    fn a_cleared_context_hands_out_the_same_ids() {
+        let build = |ctx: &mut Context| -> Vec<TermId> {
+            let s = ctx.uninterpreted_sort("k");
+            let xs: Vec<TermId> = (0..30).map(|_| ctx.fresh_var(s)).collect();
+            let mut out = Vec::new();
+            for w in xs.windows(3) {
+                let e = ctx.eq(w[0], w[1]);
+                let d = ctx.distinct(w.to_vec());
+                out.push(ctx.or([e, d]));
+            }
+            out.push(ctx.and(out.clone()));
+            out
+        };
+        let mut ctx = Context::new();
+        let first = build(&mut ctx);
+        let n = ctx.term_count();
+        ctx.clear();
+        assert_eq!(ctx.term_count(), 0);
+        assert_eq!(build(&mut ctx), first, "the same calls give the same ids");
+        assert_eq!(ctx.term_count(), n);
+        let last = *first.last().expect("terms built");
+        let junctions = first[..first.len() - 1].iter().copied();
+        assert_eq!(ctx.and(junctions), last, "the cleared index finds terms again");
         assert_eq!(ctx.term_count(), n);
     }
 

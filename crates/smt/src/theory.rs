@@ -104,15 +104,16 @@ fn check_once(ctx: &Context, asserted: &[(TermId, bool)]) -> Result<TheoryModel,
 fn minimize(ctx: &Context, asserted: &[(TermId, bool)], mut core: Vec<usize>) -> Vec<usize> {
     core.sort_unstable();
     core.dedup();
+    // Each trial subset is rebuilt in this one buffer.
+    let mut subset: Vec<(TermId, bool)> = Vec::with_capacity(core.len());
     let mut i = 0;
     while i < core.len() {
-        let mut trial = core.clone();
-        trial.remove(i);
-        let subset: Vec<(TermId, bool)> = trial.iter().map(|&j| asserted[j]).collect();
+        subset.clear();
+        subset.extend(core.iter().enumerate().filter(|&(k, _)| k != i).map(|(_, &j)| asserted[j]));
         if check_once(ctx, &subset).is_err() {
-            // Map conflict indices back through the subset? Simpler: keep
-            // the trial core and restart scanning.
-            core = trial;
+            // Literal `i` is not needed: drop it and test the next one at
+            // the same position.
+            core.remove(i);
         } else {
             i += 1;
         }

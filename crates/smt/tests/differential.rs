@@ -354,3 +354,183 @@ proptest! {
         }
     }
 }
+
+/// A verdict and the session's counters right after it:
+/// `(sat, conflicts, decisions, propagations, learnt clauses, blocking
+/// clauses)`.
+type Step = (bool, u64, u64, u64, usize, u64);
+
+/// The counters of `session` after a verdict `sat`.
+fn step(session: &c4_smt::Incremental, sat: bool) -> Step {
+    let s = session.sat();
+    (
+        sat,
+        s.conflicts(),
+        s.decisions(),
+        s.propagations(),
+        session.learnt_count(),
+        session.blocking_clauses(),
+    )
+}
+
+/// Runs `ops` on an empty context and session (new or reset), the way
+/// `incremental_session_agrees_with_brute_force` does, and returns every
+/// verdict with the counters after it, then the final counters.
+fn replay(
+    ctx: &mut Context,
+    session: &mut c4_smt::Incremental,
+    ops: &[Op],
+    learnt_budget: usize,
+) -> Vec<Step> {
+    use c4_smt::Lit;
+    let s = ctx.uninterpreted_sort("u");
+    let uvars: Vec<TermId> = (0..3).map(|_| ctx.fresh_var(s)).collect();
+    let ivars: Vec<TermId> = (0..3).map(|_| ctx.fresh_var(Sort::Int)).collect();
+    let bvars: Vec<TermId> = (0..2).map(|_| ctx.fresh_var(Sort::Bool)).collect();
+    session.set_learnt_budget(learnt_budget);
+    let mut slots: [Option<Lit>; 3] = [None; 3];
+    let mut steps = Vec::new();
+    for op in ops {
+        match op {
+            Op::Assert(f) => {
+                let t = to_term(f, ctx, &uvars, &ivars, &bvars);
+                session.assert(ctx, t);
+            }
+            Op::AssertClause(lits) => {
+                let ts: Vec<TermId> =
+                    lits.iter().map(|f| to_term(f, ctx, &uvars, &ivars, &bvars)).collect();
+                session.assert_clause(ctx, &ts);
+            }
+            Op::AssertUnder(g, f) => {
+                let t = to_term(f, ctx, &uvars, &ivars, &bvars);
+                let guard = *slots[*g].get_or_insert_with(|| session.activation());
+                session.assert_under(ctx, guard, t);
+            }
+            Op::Retire(g) => {
+                if let Some(guard) = slots[*g].take() {
+                    session.retire(guard);
+                }
+            }
+            Op::Check(mask, with_model) => {
+                let assumptions: Vec<Lit> =
+                    (0..3).filter(|g| mask & (1 << g) != 0).filter_map(|g| slots[g]).collect();
+                let sat = if *with_model {
+                    session.solve_under(ctx, &assumptions).is_sat()
+                } else {
+                    session.check_sat_assuming(ctx, &assumptions)
+                };
+                steps.push(step(session, sat));
+            }
+        }
+    }
+    steps.push(step(session, false));
+    steps
+}
+
+/// Clears `ctx` and resets `session`, checks the SAT core's clause and
+/// watch invariants, and replays `ops` on them and on a brand-new pair.
+fn reset_and_compare(
+    ctx: &mut Context,
+    session: &mut c4_smt::Incremental,
+    ops: &[Op],
+    learnt_budget: usize,
+) -> (Vec<Step>, Vec<Step>) {
+    ctx.clear();
+    session.reset();
+    session.sat().check_arena();
+    assert_eq!(ctx.term_count(), 0, "a cleared context holds no terms");
+    let reused = replay(ctx, session, ops, learnt_budget);
+    let fresh = replay(&mut Context::new(), &mut c4_smt::Incremental::new(), ops, learnt_budget);
+    (reused, fresh)
+}
+
+/// `b0 ∧ ¬b0`: the session is UNSAT at the root, whatever it assumes.
+fn root_unsat_round() -> Vec<Op> {
+    vec![
+        Op::Assert(F::BVar(0)),
+        Op::Assert(F::Not(Box::new(F::BVar(0)))),
+        Op::Check(0, false),
+        Op::Check(7, true),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One context and session, reset between rounds, answer every round
+    /// of random `assert` / `assert_clause` / `assert_under` / solve /
+    /// `retire` steps exactly like a brand-new pair: the same verdicts and
+    /// the same conflict, decision, propagation, learnt and blocking
+    /// counts after every solve. A root-level UNSAT round runs after the
+    /// first round, and odd rounds run with a learnt budget of one, so
+    /// resets follow both a dead session and learnt-database reductions.
+    #[test]
+    fn a_reset_session_replays_like_a_new_one(
+        rounds in proptest::collection::vec(proptest::collection::vec(op(), 1..14), 1..5)
+    ) {
+        let mut ctx = Context::new();
+        let mut session = c4_smt::Incremental::new();
+        for (r, ops) in rounds.iter().enumerate() {
+            let budget = if r % 2 == 1 { 1 } else { 0 };
+            let (reused, fresh) = reset_and_compare(&mut ctx, &mut session, ops, budget);
+            prop_assert_eq!(reused, fresh, "round {} diverged after a reset", r);
+            if r == 0 {
+                let unsat = root_unsat_round();
+                let (reused, fresh) = reset_and_compare(&mut ctx, &mut session, &unsat, 0);
+                prop_assert_eq!(&reused, &fresh);
+                prop_assert!(!reused[0].0, "the round is UNSAT");
+            }
+        }
+    }
+}
+
+/// Pigeonhole 6 → 5 over boolean variables: UNSAT at the root after
+/// enough conflicts that a learnt budget of one forces reductions. A
+/// session reset after it, and after a root-level UNSAT, replays a
+/// random-free round like a new session.
+#[test]
+fn a_reset_after_reductions_and_root_unsat_matches_a_new_session() {
+    fn pigeonhole(ctx: &mut Context, session: &mut c4_smt::Incremental) -> Step {
+        session.set_learnt_budget(1);
+        let p: Vec<Vec<TermId>> =
+            (0..6).map(|_| (0..5).map(|_| ctx.fresh_var(Sort::Bool)).collect()).collect();
+        for row in &p {
+            session.assert_clause(ctx, row);
+        }
+        for h in 0..5 {
+            for a in 0..6 {
+                for b in (a + 1)..6 {
+                    let both = ctx.and([p[a][h], p[b][h]]);
+                    let neither = ctx.not(both);
+                    session.assert(ctx, neither);
+                }
+            }
+        }
+        let sat = session.check_sat_assuming(ctx, &[]);
+        step(session, sat)
+    }
+    let mut ctx = Context::new();
+    let mut session = c4_smt::Incremental::new();
+    let first = pigeonhole(&mut ctx, &mut session);
+    assert!(!first.0, "6 pigeons do not fit 5 holes");
+    assert!(session.sat().reductions() > 0, "a budget of one reduces the learnt database");
+    ctx.clear();
+    session.reset();
+    session.sat().check_arena();
+    assert_eq!(session.sat().reductions(), 0, "a reset session has reduced nothing");
+    assert_eq!(pigeonhole(&mut ctx, &mut session), first, "the reset session searches alike");
+    let round = vec![
+        Op::Assert(F::Or(Box::new(F::BVar(0)), Box::new(F::UEq(0, 1)))),
+        Op::AssertUnder(0, F::Not(Box::new(F::BVar(0)))),
+        Op::AssertUnder(1, F::ILe(0, 1)),
+        Op::Check(3, true),
+        Op::Retire(0),
+        Op::Check(2, false),
+    ];
+    let (reused, fresh) = reset_and_compare(&mut ctx, &mut session, &round, 0);
+    assert_eq!(reused, fresh, "after reductions");
+    let (reused, fresh) = reset_and_compare(&mut ctx, &mut session, &root_unsat_round(), 0);
+    assert_eq!(reused, fresh, "the root-UNSAT round itself");
+    let (reused, fresh) = reset_and_compare(&mut ctx, &mut session, &round, 1);
+    assert_eq!(reused, fresh, "after a root-level UNSAT");
+}

@@ -19,6 +19,12 @@ cargo test -q
 echo "==> report goldens (release)"
 cargo test --release -q -p c4-tests --test report_golden
 
+# SMT workspaces are reset between unfoldings: a reset context and
+# session must search exactly like new ones (verdicts and counters), and
+# the solver must agree with brute force, in release as in debug.
+echo "==> SMT differential, reset sessions included (release)"
+cargo test --release -q -p c4-smt --test differential
+
 # The SSG stage against its oracles over the whole suite, atomic-set
 # views included: the pair tables against direct Kleene evaluation, and
 # the one-pass candidate enumeration against the collect-sort-dedup
@@ -88,6 +94,9 @@ cargo test --release --offline --manifest-path c4-perf/Cargo.toml
 N="$(nproc 2>/dev/null || echo 4)"
 if [ "$N" -lt 4 ]; then N=4; fi
 SLICE=("Super Chat" "Sky Locale" "cassandra-lock")
+
+echo "==> table1 --help"
+./target/release/table1 --help > /dev/null
 
 echo "==> table1 smoke, --threads 1"
 t1_start=$(date +%s)

@@ -213,6 +213,13 @@ fn killing_the_owning_backend_mid_job_retries_onto_the_survivor() {
         matches!(client.status(gw_id), Ok(JobState::Running)).then_some(())
     });
 
+    // The blocker must still hold the worker, or the job is no longer
+    // queued behind it and the kill would not land mid-job.
+    assert!(
+        matches!(primary_client.status(blocker_id), Ok(JobState::Running)),
+        "the blocker finished before the kill; pick a heavier blocker"
+    );
+
     // Kill the owner abruptly, mid-job.
     backends[primary].child.kill().expect("kill primary");
     let _ = backends[primary].child.wait();
@@ -277,6 +284,16 @@ fn full_backend_queue_surfaces_as_typed_retry_after_through_the_gateway() {
     assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock, "busy maps to WouldBlock: {err}");
     let msg = err.to_string();
     assert!(msg.contains("retry after"), "busy error carries the retry hint: {msg}");
+    // The queue must still have been full when the busy answer came:
+    // b1 running, b2 queued behind it.
+    assert!(
+        matches!(direct.status(b1), Ok(JobState::Running)),
+        "blocker 1 finished before the busy check; pick heavier blockers"
+    );
+    assert!(
+        matches!(direct.status(b2), Ok(JobState::Queued)),
+        "blocker 2 left the queue before the busy check; pick heavier blockers"
+    );
     let metrics = client.metrics().expect("gateway metrics");
     assert_eq!(counter_sum(&metrics, "c4gw_busy_total", None), 1);
 
